@@ -29,6 +29,7 @@ from .experiments import (
     ExperimentResult,
     FitDegenerate,
     RateFit,
+    ReplicationFailure,
     load_experiment_config,
     parse_experiment_config,
     run_clt,
@@ -56,7 +57,6 @@ from .hermite import (
     hermite_polynomial,
     max_moment_scaling_check,
     sample_hermite,
-    scaling_constant,
 )
 from .kernels import (
     MAX_KERNEL_ORDER,
@@ -67,7 +67,6 @@ from .kernels import (
     kernel_moment,
     rescale_kernel,
     vanishing_moment_kernel,
-    wiener_integrability_check,
 )
 from .rng import derive_seed, philox_generator
 from .sde import (

@@ -1,6 +1,6 @@
 """Command-line front end: simulate | estimate | kernel | experiment | report.
 
-Exit codes: 0 success, 1 experiment assertion failed, 2 usage or config
+Exit codes: 0 success, 1 experiment verdict FAIL, 2 usage or config
 error, 3 runtime failure.  Every output artifact starts with its fully
 resolved configuration as ``# key = value`` lines, so a run can be
 reproduced from its own header; nothing here writes timestamps.
@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .estimators import EstimatorConfig, bandwidth_main, estimate_series
+from .experiments import _fmt, load_experiment_config, run_experiment, write_report
 from .kernels import (
     MAX_KERNEL_ORDER,
     asymptotic_variance,
@@ -30,14 +31,6 @@ TREND_HELP = (
     "trend grammar: const:<c> | sin:<base>,<amp>,<omega> | "
     "poly:<c0>,<c1>,... | weier:<amp>,<decay>,<lacunarity>,<terms>"
 )
-
-
-def _fmt(value) -> str:
-    # repr of a float is the shortest string that parses back to the same
-    # double, so headers stay exact without trailing digit noise
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _write_lines(out, lines) -> None:
@@ -198,13 +191,11 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .experiments import load_experiment_config, run_experiment, write_report
-
     cfg = load_experiment_config(args.config)
     result = run_experiment(cfg, workers=args.workers)
     write_report(result, args.out)
-    summary = os.path.join(args.out, "summary.txt")
-    sys.stdout.write(open(summary).read())
+    with open(os.path.join(args.out, "summary.txt")) as fh:
+        sys.stdout.write(fh.read())
     return 0 if result.passed else 1
 
 
@@ -234,8 +225,8 @@ def _cmd_report(args) -> int:
         raise ValueError(f"--in: unrecognized results.csv columns {header}")
     summary = os.path.join(args.indir, "summary.txt")
     if os.path.exists(summary):
-        verdicts = [ln for ln in open(summary) if "pass=" in ln]
-        sys.stdout.writelines(verdicts)
+        with open(summary) as fh:
+            sys.stdout.writelines(ln for ln in fh if "pass=" in ln)
     return 0
 
 
@@ -301,9 +292,6 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"assertion failed: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - surfaced as a runtime failure
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

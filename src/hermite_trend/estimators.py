@@ -122,40 +122,39 @@ def _weighted_increment_sum(
     increments: np.ndarray,
     kernel: Kernel,
     bandwidth: float,
-    eval_times: np.ndarray,
+    t,
     reflect: bool = False,
-) -> np.ndarray:
-    """(1/phi) sum_j G(arg_j) dI_j with midpoint kernel arguments."""
+):
+    """(1/phi) sum_j G(arg_j) dI_j with midpoint kernel arguments; float for scalar t."""
+    scalar = np.ndim(t) == 0
+    eval_times = np.atleast_1d(np.asarray(t, dtype=float))
     mids = 0.5 * (times[:-1] + times[1:])
     out = np.empty(len(eval_times))
-    for i, t in enumerate(eval_times):
-        arg = (t - mids) if reflect else (mids - t)
+    for i, s in enumerate(eval_times):
+        arg = (s - mids) if reflect else (mids - s)
         weights = kernel.evaluate(arg / bandwidth)
         out[i] = float(weights @ increments) / bandwidth
-    return out
+    return float(out[0]) if scalar else out
+
+
+def _divide_by_level(path: SdePath, t, product, division_floor: float):
+    """(product / X_t, valid): NaN wherever |X_t| < division_floor."""
+    level = np.interp(t, path.times, path.values)
+    valid = np.abs(level) >= division_floor
+    return np.where(valid, product / np.where(valid, level, 1.0), np.nan), valid
 
 
 def kernel_estimate_product(path: SdePath, cfg: EstimatorConfig, t):
     """Estimate J(t) = theta(t) x_t by kernel smoothing of the increments."""
-    scalar = np.ndim(t) == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    est = _weighted_increment_sum(
-        path.times, np.diff(path.values), cfg.kernel, cfg.bandwidth, ts
+    return _weighted_increment_sum(
+        path.times, np.diff(path.values), cfg.kernel, cfg.bandwidth, t
     )
-    return float(est[0]) if scalar else est
 
 
 def kernel_estimate_theta(path: SdePath, cfg: EstimatorConfig, t, division_floor: float):
     """Product estimate divided by X_t; NaN wherever |X_t| < division_floor."""
-    scalar = np.ndim(t) == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    prod = _weighted_increment_sum(
-        path.times, np.diff(path.values), cfg.kernel, cfg.bandwidth, ts
-    )
-    level = np.interp(ts, path.times, path.values)
-    valid = np.abs(level) >= division_floor
-    theta = np.where(valid, prod / np.where(valid, level, 1.0), np.nan)
-    return (float(theta[0]) if scalar else theta)
+    theta, _ = _divide_by_level(path, t, kernel_estimate_product(path, cfg, t), division_floor)
+    return float(theta) if theta.ndim == 0 else theta
 
 
 def estimate_series(
@@ -168,12 +167,8 @@ def estimate_series(
     if division_floor is None:
         division_floor = 0.5 * path.config.x0
     ts = cfg.eval_grid(points)
-    prod = _weighted_increment_sum(
-        path.times, np.diff(path.values), cfg.kernel, cfg.bandwidth, ts
-    )
-    level = np.interp(ts, path.times, path.values)
-    valid = np.abs(level) >= division_floor
-    theta = np.where(valid, prod / np.where(valid, level, 1.0), np.nan)
+    prod = kernel_estimate_product(path, cfg, ts)
+    theta, valid = _divide_by_level(path, ts, prod, division_floor)
     return EstimateSeries(times=ts, product=prod, theta=theta, valid=valid)
 
 
@@ -242,9 +237,6 @@ def alternate_estimate(
         dy = ind_left * (theta_left * dt + amp * np.diff(path.noise))
     else:
         raise ValueError(f"unknown variant {variant!r} (expected 'observable' or 'oracle')")
-    scalar = np.ndim(t) == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    est = float(indicator[-1]) * _weighted_increment_sum(
-        path.times, dy, cfg.kernel, cfg.bandwidth, ts, reflect=True
+    return float(indicator[-1]) * _weighted_increment_sum(
+        path.times, dy, cfg.kernel, cfg.bandwidth, t, reflect=True
     )
-    return float(est[0]) if scalar else est

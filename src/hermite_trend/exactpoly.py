@@ -16,9 +16,7 @@ BiPoly = dict  # dict[tuple[int, int], Fraction]
 
 __all__ = [
     "poly_add",
-    "poly_mul",
     "poly_scale",
-    "poly_eval",
     "poly_trim",
     "biv_product_shifted",
     "biv_antiderivative_u",
@@ -42,27 +40,9 @@ def poly_add(p, q) -> Poly:
     )
 
 
-def poly_mul(p, q) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(tuple(out))
-
-
 def poly_scale(p, c) -> Poly:
     c = Fraction(c)
     return poly_trim(tuple(a * c for a in p))
-
-
-def poly_eval(p, x):
-    """Horner evaluation; exact when x is a Fraction."""
-    acc = 0
-    for a in reversed(p):
-        acc = acc * x + a
-    return acc
 
 
 def biv_product_shifted(p, q) -> BiPoly:

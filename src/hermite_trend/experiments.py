@@ -43,6 +43,7 @@ from .trends import parse_trend
 __all__ = [
     "ConditionViolated",
     "FitDegenerate",
+    "ReplicationFailure",
     "ExperimentConfig",
     "ConsistencyReport",
     "RateFit",
@@ -69,6 +70,10 @@ class ConditionViolated(ValueError):
 
 class FitDegenerate(RuntimeError):
     """Log-log regression impossible (nonpositive sup-MSE at some rung)."""
+
+
+class ReplicationFailure(RuntimeError):
+    """A gathered replication result is NaN (a cell left unfilled or a NaN error)."""
 
 
 # ---------------------------------------------------------------- config ---
@@ -216,6 +221,8 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             raise ValueError(
                 f"line {lineno}: cannot read {key!r} as {_KEY_TYPES[key].__name__}: {value!r}"
             ) from exc
+        if isinstance(raw[key], float) and not math.isfinite(raw[key]):
+            raise ValueError(f"line {lineno}: {key!r} must be finite, got {value!r}")
     missing = [k for k in _REQUIRED_KEYS if k not in raw]
     if missing:
         raise ValueError(f"missing required keys: {', '.join(missing)}")
@@ -339,74 +346,50 @@ class ExperimentResult:
 # ---------------------------------------------------------- replications ---
 
 
-def _squared_error_block(cfg: ExperimentConfig, rung: int, trend_idx: int,
-                         start: int, stop: int) -> np.ndarray:
-    """Squared estimator errors on the eval grid for replications [start, stop)."""
+def _error_block(task) -> np.ndarray:
+    """Estimator errors of one (rung, trend) cell for replications [start, stop).
+
+    Rows are replications, columns evaluation points.  The sup-MSE kinds
+    return squared errors on the eval grid; clt (rung 0, trend 0) returns the
+    normalized error eps^{-alpha} (est - J(t0) - phi^{k+1} bias) at t0.
+    """
+    cfg, rung, trend_idx, start, stop = task
     trend = parse_trend(cfg.trends[trend_idx], cfg.horizon)
     kernel = _build_kernel(cfg)
     eps = cfg.ladder[rung]
+    phi = _bandwidth(cfg, kernel, eps)
     est = EstimatorConfig(
-        kernel=kernel, bandwidth=_bandwidth(cfg, kernel, eps), window=cfg.window,
-        horizon=cfg.horizon, eps=eps,
+        kernel=kernel, bandwidth=phi, window=cfg.window, horizon=cfg.horizon, eps=eps,
         rule="alt" if cfg.kind == "rate-alt" else "main",
     )
-    ts = est.eval_grid(cfg.eval_points)
     pc = PathConfig(horizon=cfg.horizon, n=cfg.n, eps=eps, x0=cfg.x0,
                     order=cfg.q, hurst=cfg.hurst, m=cfg.m)
     grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
+    ts = cfg.t0 if cfg.kind == "clt" else est.eval_grid(cfg.eval_points)
     if cfg.kind == "rate-alt":
         target = np.asarray(trend.value(ts), dtype=float)
     else:
         ode = solve_ode(trend, cfg.x0, grid)
         target = np.asarray(trend.value(ts), dtype=float) * np.interp(ts, grid, ode)
-    block = np.empty((stop - start, len(ts)))
+    estimates = np.empty((stop - start, np.size(ts)))
     for i, r in enumerate(range(start, stop)):
         path = simulate_path(trend, pc, derive_seed(cfg.seed, rung, trend_idx, r))
         if cfg.kind == "rate-alt":
-            est_vals = alternate_estimate(
+            estimates[i] = alternate_estimate(
                 path, est, ts, trend.bound, cfg.x0, cfg.variant, trend
             )
         else:
-            est_vals = kernel_estimate_product(path, est, ts)
-        block[i] = (est_vals - target) ** 2
-    return block
-
-
-def _normalized_error_block(cfg: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    """Normalized errors eps^{-alpha} (est - J(t0) - phi^{k+1} bias) per rep."""
-    trend = parse_trend(cfg.trends[0], cfg.horizon)
-    kernel = _build_kernel(cfg)
-    eps = cfg.ladder[0]
-    k = kernel.order
-    phi = _bandwidth(cfg, kernel, eps)
-    alpha = (k + 1.0) / (k - cfg.hurst + 2.0)
-    est = EstimatorConfig(kernel=kernel, bandwidth=phi, window=cfg.window,
-                          horizon=cfg.horizon, eps=eps, rule="main")
-    pc = PathConfig(horizon=cfg.horizon, n=cfg.n, eps=eps, x0=cfg.x0,
-                    order=cfg.q, hurst=cfg.hurst, m=cfg.m)
-    grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
-    ode = solve_ode(trend, cfg.x0, grid)
-    center = (
-        float(trend.value(cfg.t0)) * float(np.interp(cfg.t0, grid, ode))
-        + phi ** (k + 1) * bias_center_term(trend, cfg.x0, cfg.t0, k, kernel)
-    )
-    scale = eps ** (-alpha)
-    block = np.empty(stop - start)
-    for i, r in enumerate(range(start, stop)):
-        path = simulate_path(trend, pc, derive_seed(cfg.seed, 0, 0, r))
-        block[i] = scale * (kernel_estimate_product(path, est, cfg.t0) - center)
-    return block
-
-
-def _run_block(task):
-    cfg, rung, trend_idx, start, stop = task
+            estimates[i] = kernel_estimate_product(path, est, ts)
     if cfg.kind == "clt":
-        return rung, trend_idx, start, _normalized_error_block(cfg, start, stop)
-    return rung, trend_idx, start, _squared_error_block(cfg, rung, trend_idx, start, stop)
+        k = kernel.order
+        alpha = (k + 1.0) / (k - cfg.hurst + 2.0)
+        center = target + phi ** (k + 1) * bias_center_term(trend, cfg.x0, cfg.t0, k, kernel)
+        return eps ** (-alpha) * (estimates - center)
+    return (estimates - target) ** 2
 
 
 def _gather(cfg: ExperimentConfig, workers: int) -> np.ndarray:
-    """All replication results, indexed (rung, trend, rep[, eval point])."""
+    """All replication results, indexed (rung, trend, rep, eval point)."""
     n_rungs, n_trends, reps = len(cfg.ladder), len(cfg.trends), cfg.replications
     points = 1 if cfg.kind == "clt" else cfg.eval_points
     out = np.full((n_rungs, n_trends, reps, points), np.nan)
@@ -418,16 +401,16 @@ def _gather(cfg: ExperimentConfig, workers: int) -> np.ndarray:
         for start in range(0, reps, chunk)
     ]
     if workers <= 1:
-        results = map(_run_block, tasks)
+        blocks = map(_error_block, tasks)
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(_run_block, tasks))
-        finally:
-            pool.shutdown()
-    for rung, trend_idx, start, block in results:
-        out[rung, trend_idx, start : start + len(block)] = block.reshape(len(block), points)
-    assert not np.isnan(out).any()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_error_block, tasks))
+    for (_, rung, trend_idx, start, stop), block in zip(tasks, blocks):
+        out[rung, trend_idx, start:stop] = block
+    if np.isnan(out).any():
+        raise ReplicationFailure(
+            f"{int(np.isnan(out).sum())} of {out.size} replication results are NaN"
+        )
     return out
 
 

@@ -11,6 +11,7 @@ raised only when both routes fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -90,18 +91,14 @@ def fgn_autocovariance(lag, hurst: float):
     return float(out) if scalar else out
 
 
-# Circulant eigenvalues depend only on (n, hurst); memoised across paths.
-_EIG_CACHE: dict[tuple[int, float], np.ndarray] = {}
-
-
+# Circulant eigenvalues depend only on (n, hurst); memoised across paths and
+# read-only, since every caller shares the cached array.
+@lru_cache(maxsize=8)
 def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
-    key = (n, hurst)
-    eig = _EIG_CACHE.get(key)
-    if eig is None:
-        r = fgn_autocovariance(np.arange(n + 1), hurst)
-        row = np.concatenate([r, r[-2:0:-1]])  # first row of the 2n circulant
-        eig = np.fft.fft(row).real
-        _EIG_CACHE[key] = eig
+    r = fgn_autocovariance(np.arange(n + 1), hurst)
+    row = np.concatenate([r, r[-2:0:-1]])  # first row of the 2n circulant
+    eig = np.fft.fft(row).real
+    eig.flags.writeable = False
     return eig
 
 

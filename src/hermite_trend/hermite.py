@@ -23,7 +23,6 @@ __all__ = [
     "HermitePath",
     "MomentScalingReport",
     "h_zero",
-    "scaling_constant",
     "hermite_polynomial",
     "covariance_oracle",
     "discrete_normalizer",
@@ -101,25 +100,6 @@ def h_zero(order: int, hurst: float) -> float:
     if not 0.5 < hurst < 1.0:
         raise ValueError(f"hurst must lie strictly in (0.5, 1), got {hurst}")
     return 1.0 + (hurst - 1.0) / order
-
-
-def scaling_constant(order: int, hurst: float) -> float:
-    """Normalizing constant c(q, h) of the moving-average kernel representation.
-
-    c = sqrt( h(2h-1) / (q! * Beta(h0 - 1/2, 2 - 2 h0)^q) ) with
-    h0 = h_zero(q, h); evaluated through log-gamma for stability.
-    """
-    h0 = h_zero(order, hurst)
-    # Beta(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), a + b = 3/2 - h0 here.
-    log_beta = (
-        math.lgamma(h0 - 0.5) + math.lgamma(2.0 - 2.0 * h0) - math.lgamma(1.5 - h0)
-    )
-    log_c2 = (
-        math.log(hurst * (2.0 * hurst - 1.0))
-        - math.lgamma(order + 1)
-        - order * log_beta
-    )
-    return math.exp(0.5 * log_c2)
 
 
 def hermite_polynomial(order: int, x):

@@ -34,7 +34,6 @@ __all__ = [
     "kernel_autocorrelation",
     "asymptotic_variance",
     "asymptotic_variance_quadrature",
-    "wiener_integrability_check",
     "kernel_to_text",
     "kernel_from_text",
     "MAX_KERNEL_ORDER",
@@ -79,26 +78,35 @@ class Kernel:
 
     @cached_property
     def _float_pieces(self):
-        return [
-            (float(p.lo), float(p.hi), np.array([float(c) for c in p.coeffs]))
-            for p in self.pieces
-        ]
+        return _to_float_pieces(self.pieces)
 
     def evaluate(self, u):
-        scalar = np.ndim(u) == 0
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.zeros_like(arr)
-        last = len(self._float_pieces) - 1
-        for i, (lo, hi, coeffs) in enumerate(self._float_pieces):
-            mask = (arr >= lo) & (arr < hi) if i < last else (arr >= lo) & (arr <= hi)
-            if mask.any():
-                acc = np.zeros(int(mask.sum()))
-                for c in coeffs[::-1]:
-                    acc = acc * arr[mask] + c
-                out[mask] = acc
-        return float(out[0]) if scalar else out
+        return _evaluate_pieces(self._float_pieces, u)
 
     __call__ = evaluate
+
+
+def _to_float_pieces(pieces) -> list:
+    return [
+        (float(p.lo), float(p.hi), np.array([float(c) for c in p.coeffs]))
+        for p in pieces
+    ]
+
+
+def _evaluate_pieces(float_pieces, u):
+    """Horner evaluation on pieces [lo, hi) (the last one closed), zero elsewhere."""
+    scalar = np.ndim(u) == 0
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.zeros_like(arr)
+    last = len(float_pieces) - 1
+    for i, (lo, hi, coeffs) in enumerate(float_pieces):
+        mask = (arr >= lo) & (arr < hi) if i < last else (arr >= lo) & (arr <= hi)
+        if mask.any():
+            acc = np.zeros(int(mask.sum()))
+            for c in coeffs[::-1]:
+                acc = acc * arr[mask] + c
+            out[mask] = acc
+    return float(out[0]) if scalar else out
 
 
 # ----------------------------------------------------------- construction --
@@ -253,21 +261,7 @@ def _autocorrelation_pieces(kernel: Kernel) -> tuple:
 
 def kernel_autocorrelation(kernel: Kernel, w) -> float:
     """psi(w) = int G(u) G(u+w) du, evaluated from the exact piecewise form."""
-    scalar = np.ndim(w) == 0
-    ws = np.atleast_1d(np.asarray(w, dtype=float))
-    out = np.zeros_like(ws)
-    pieces = _autocorrelation_pieces(kernel)
-    last = len(pieces) - 1
-    for i, p in enumerate(pieces):
-        lo, hi = float(p.lo), float(p.hi)
-        coeffs = [float(c) for c in p.coeffs]
-        mask = (ws >= lo) & (ws < hi) if i < last else (ws >= lo) & (ws <= hi)
-        if mask.any():
-            acc = np.zeros(int(mask.sum()))
-            for c in coeffs[::-1]:
-                acc = acc * ws[mask] + c
-            out[mask] = acc
-    return float(out[0]) if scalar else out
+    return _evaluate_pieces(_to_float_pieces(_autocorrelation_pieces(kernel)), w)
 
 
 def _power_law_piece_integral(piece: KernelPiece, exponent: float) -> float:
@@ -364,19 +358,6 @@ def asymptotic_variance_quadrature(kernel: Kernel, hurst: float) -> float:
     return hurst * (2.0 * hurst - 1.0) * total
 
 
-def wiener_integrability_check(kernel: Kernel, hurst: float) -> bool:
-    """Guard documenting that G lies in the admissible integrand class.
-
-    Bounded piecewise polynomials with compact support always qualify when
-    1/2 < hurst < 1; the check exists to make the hypothesis explicit.
-    """
-    if not 0.5 < hurst < 1.0:
-        return False
-    a, b = kernel.support
-    grid = np.linspace(a, b, 2001)
-    return bool(np.isfinite(a) and np.isfinite(b) and np.all(np.isfinite(kernel.evaluate(grid))))
-
-
 # ---------------------------------------------------------- serialization --
 
 
@@ -400,9 +381,11 @@ def kernel_from_text(text: str) -> Kernel:
         if fields[0] == "order" and len(fields) == 2:
             order = int(fields[1])
         elif fields[0] == "piece" and len(fields) >= 4:
-            lo, hi = Fraction(fields[1]), Fraction(fields[2])
-            coeffs = tuple(Fraction(f) for f in fields[3:])
-            pieces.append(KernelPiece(lo, hi, coeffs))
+            try:
+                lo, hi, *coeffs = (Fraction(f) for f in fields[1:])
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator on kernel line {lineno}: {raw!r}") from None
+            pieces.append(KernelPiece(lo, hi, tuple(coeffs)))
         else:
             raise ValueError(f"unrecognised kernel line {lineno}: {raw!r}")
     if order is None or not pieces:

@@ -55,15 +55,15 @@ class PathConfig:
     m: int = field(default=0)
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n < 64:
             raise ValueError(f"n must be >= 64 for integrator accuracy, got {self.n}")
         # eps = 0 is allowed: the path collapses to the noiseless ODE solution.
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"eps must lie in [0, 1], got {self.eps}")
-        if self.x0 == 0:
-            raise ValueError("x0 must be nonzero")
+        if self.x0 == 0 or not np.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite and nonzero, got {self.x0}")
 
     def hermite_spec(self) -> HermiteSpec:
         return HermiteSpec(

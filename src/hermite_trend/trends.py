@@ -168,6 +168,15 @@ def weierstrass_trend(
         raise ValueError(f"lacunarity must exceed 1, got {lacunarity}")
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
+    try:  # the largest sine argument, horizon * lacunarity^(terms-1), must be finite
+        top_phase = horizon * math.pow(lacunarity, terms - 1)
+    except OverflowError:
+        top_phase = math.inf
+    if not math.isfinite(top_phase):
+        raise ValueError(
+            f"weier top frequency {lacunarity:g}^{terms - 1} overflows on "
+            f"[0, {horizon:g}]; use fewer terms"
+        )
     j = np.arange(terms)
     weights = amplitude * decay**j / lacunarity**j
     freqs = lacunarity**j
@@ -218,6 +227,8 @@ def parse_trend(text: str, horizon: float = 1.0) -> TrendFunction:
         args = [float(a) for a in argstr.split(",")] if argstr else []
     except ValueError as exc:
         raise ValueError(f"trend spec {text!r}: non-numeric argument") from exc
+    if not all(math.isfinite(a) for a in args):
+        raise ValueError(f"trend spec {text!r}: arguments must be finite")
     if kind == "const":
         if len(args) != 1:
             raise ValueError(f"const trend takes 1 argument, got {len(args)}")

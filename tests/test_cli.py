@@ -1,9 +1,12 @@
+import gc
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from hermite_trend import experiments
 from hermite_trend.cli import main
 
 PASSING_CONSISTENCY = """
@@ -84,6 +87,18 @@ class TestSimulate:
     def test_bad_trend_exit_2(self, capsys):
         assert run(["simulate", "--trend", "spline:1,2"]) == 2
         assert "spline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["const:nan", "weier:0.3,0.5,3,inf", "weier:0.3,0.5,3,700"])
+    def test_non_finite_trend_exit_2(self, spec, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert run(["simulate", "--trend", spec, "--n", "64", "--out", str(out)]) == 2
+        assert spec.split(":")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("x0", "nan"), ("x0", "inf"), ("horizon", "inf")])
+    def test_non_finite_flag_exit_2(self, flag, value, capsys):
+        assert run(["simulate", "--trend", "const:0.5", f"--{flag}", value, "--n", "64"]) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
 
     def test_bad_rank_names_flag(self, capsys):
         assert run(["simulate", "--trend", "const:0.5", "--q", "0"]) == 2
@@ -225,6 +240,33 @@ class TestExperiment:
         assert run(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, name", [("x0 = nan", "'x0'"), ("trend = const:nan", "const:nan")])
+    def test_non_finite_config_exit_2(self, line, name, tmp_path, capsys, monkeypatch):
+        def simulate(task):
+            raise RuntimeError("paths simulated for a non-finite config")
+
+        monkeypatch.setattr(experiments, "_error_block", simulate)
+        key = line.split(" =")[0]
+        text = "\n".join(ln for ln in PASSING_CONSISTENCY.splitlines()
+                         if not ln.startswith(key + " ="))
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(text + "\n" + line + "\n")
+        out = tmp_path / "rep"
+        assert run(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_replication_exit_3(self, tmp_path, capsys, monkeypatch):
+        def nan_block(task):
+            _, _, _, start, stop = task
+            return np.full((stop - start, 21), np.nan)
+
+        monkeypatch.setattr(experiments, "_error_block", nan_block)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(PASSING_CONSISTENCY)
+        assert run(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+        assert "ReplicationFailure" in capsys.readouterr().err
+
     def test_rate_summary_echoes_theory(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
         cfg.write_text(PASSING_RATE)
@@ -268,6 +310,17 @@ class TestReport:
         slope = float(refit.split("slope=")[1].split(",")[0])
         assert abs(slope - 40 / 23) < 0.6
         assert "pass=True" in stdout
+
+    def test_closes_summary_files(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(PASSING_CONSISTENCY)
+        out = tmp_path / "rep"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert run(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+            assert run(["report", "--in", str(out)]) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_missing_dir_exit_2(self, tmp_path):
         assert run(["report", "--in", str(tmp_path / "nothing")]) == 2

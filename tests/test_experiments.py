@@ -13,6 +13,7 @@ from hermite_trend.experiments import (
     ExperimentConfig,
     FitDegenerate,
     RateFit,
+    ReplicationFailure,
     consistency_side_conditions,
     parse_experiment_config,
     run_clt,
@@ -95,6 +96,14 @@ class TestParser:
             i for i, line in enumerate(text.splitlines(), 1) if line.startswith("replications")
         )
         with pytest.raises(ValueError, match=f"line {lineno}.*replications"):
+            parse_experiment_config(text)
+
+    @pytest.mark.parametrize("key, value", [("x0", "nan"), ("horizon", "inf"),
+                                            ("var_tol", "-inf"), ("hurst", "nan")])
+    def test_non_finite_float_names_key_and_line(self, key, value):
+        text = config_text(**{key: value})
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key))
+        with pytest.raises(ValueError, match=f"line {lineno}: '{key}' must be finite"):
             parse_experiment_config(text)
 
     def test_missing_required_keys_listed(self):
@@ -324,6 +333,17 @@ class TestRunners:
         monkeypatch.setattr(experiments, "_sup_mse_per_rung", simulate)
         with pytest.raises(error):
             run_rate(cfg)
+
+    def test_nan_block_raises_typed_error(self, monkeypatch):
+        cfg = parse_experiment_config(GOOD_RATE)
+
+        def nan_block(task):
+            _, _, _, start, stop = task
+            return np.full((stop - start, cfg.eval_points), np.nan)
+
+        monkeypatch.setattr(experiments, "_error_block", nan_block)
+        with pytest.raises(ReplicationFailure, match="NaN"):
+            run_experiment(cfg)
 
     def test_workers_do_not_change_bytes(self, small_consistency, tmp_path):
         res2 = run_experiment(small_consistency.config, workers=2)

@@ -14,19 +14,11 @@ from hermite_trend.hermite import (
     hermite_polynomial,
     max_moment_scaling_check,
     sample_hermite,
-    scaling_constant,
 )
 from hermite_trend.gaussian import sample_fbm
 from hermite_trend.rng import philox_generator
 
-# Oracle: Beta(0.35, 0.30) by direct singular quadrature (QUADPACK 'alg' weight),
-# frozen here; feeds the scaling-constant cross-check for order 2, hurst 0.7.
-BETA_035_030 = 5.500434197070812
-# Oracle: Beta(0.2, 0.6) the same way, for order 1, hurst 0.7.
-BETA_020_060 = 5.872250803102903
-# Frozen closed-form values.
-C_2_07 = 0.06802476409528749
-C_1_07 = 0.21836182617678246
+# Frozen closed-form value.
 COV_1_2_H07 = 1.3195079107728942
 # Frozen brute-force double sum sum_{i,j<4} r(i-j)^2 at h0=0.85 and the b it implies.
 BRUTE_D_M4 = 7.6596299509053125
@@ -45,24 +37,6 @@ class TestHZero:
 
     def test_order_one_is_identity(self):
         assert h_zero(1, 0.77) == pytest.approx(0.77, abs=1e-15)
-
-
-class TestScalingConstant:
-    def test_against_quadrature_beta_oracle_order2(self):
-        # c^2 = h(2h-1) / (q! Beta(h0-1/2, 2-2h0)^q); h0 = 0.85 for (2, 0.7).
-        expected = math.sqrt(0.7 * 0.4 / (2.0 * BETA_035_030**2))
-        assert scaling_constant(2, 0.7) == pytest.approx(expected, rel=1e-10)
-        assert scaling_constant(2, 0.7) == pytest.approx(C_2_07, rel=1e-12)
-
-    def test_against_quadrature_beta_oracle_order1(self):
-        expected = math.sqrt(0.7 * 0.4 / BETA_020_060)
-        assert scaling_constant(1, 0.7) == pytest.approx(expected, rel=1e-10)
-        assert scaling_constant(1, 0.7) == pytest.approx(C_1_07, rel=1e-12)
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    @pytest.mark.parametrize("hurst", [0.55, 0.7, 0.9])
-    def test_positive(self, order, hurst):
-        assert scaling_constant(order, hurst) > 0.0
 
 
 class TestHermitePolynomial:

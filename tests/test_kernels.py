@@ -19,7 +19,6 @@ from hermite_trend.kernels import (
     order_k_legendre_coefficients,
     rescale_kernel,
     vanishing_moment_kernel,
-    wiener_integrability_check,
 )
 
 H_GRID = [0.55, 0.7, 0.9]
@@ -204,12 +203,3 @@ class TestSerialization:
     def test_requires_order_and_pieces(self):
         with pytest.raises(ValueError):
             kernel_from_text("order 1\n")
-
-
-class TestIntegrabilityGuard:
-    @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_polynomial_kernels_admissible(self, k):
-        assert wiener_integrability_check(vanishing_moment_kernel(k), 0.7)
-
-    def test_rejects_bad_hurst(self):
-        assert not wiener_integrability_check(box_kernel(1.0), 0.5)

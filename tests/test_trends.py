@@ -144,11 +144,24 @@ class TestParser:
             "step:1.0",  # unknown kind
             "poly:",  # empty coefficient list
             "const:abc",
+            "const:nan",
+            "sin:0,0.5,inf",
+            "poly:1,-inf",
+            "weier:0.3,0.5,3,inf",  # infinite term count
+            "weier:0.3,0.5,3,700",  # 3^699 overflows a double
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_trend(text, horizon=2.0)
+
+    def test_longest_finite_weier_stays_finite(self):
+        # 2 * 3^645 is the largest sine argument below the double maximum
+        th = parse_trend("weier:0.3,0.5,3,646", horizon=2.0)
+        ts = np.linspace(0.0, 2.0, 5)
+        assert np.all(np.isfinite(th(ts))) and np.all(np.isfinite(th.derivative(1)(ts)))
+        with pytest.raises(ValueError, match="top frequency"):
+            parse_trend("weier:0.3,0.5,3,647", horizon=2.0)
 
     def test_error_names_the_kind(self):
         with pytest.raises(ValueError, match="sin"):

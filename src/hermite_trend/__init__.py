@@ -43,12 +43,12 @@ from .experiments import (
 from .gaussian import (
     EmbeddingFailure,
     FgnSpec,
-    GaussianPath,
     fgn_autocovariance,
     sample_fbm,
     sample_fgn,
 )
 from .hermite import (
+    MAX_HERMITE_ORDER,
     HermitePath,
     HermiteSpec,
     covariance_oracle,

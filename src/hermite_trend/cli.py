@@ -17,6 +17,7 @@ import numpy as np
 
 from .estimators import EstimatorConfig, bandwidth_main, estimate_series
 from .experiments import _fmt, load_experiment_config, run_experiment, write_report
+from .hermite import MAX_HERMITE_ORDER
 from .kernels import (
     MAX_KERNEL_ORDER,
     asymptotic_variance,
@@ -52,8 +53,10 @@ def _check_hurst(hurst: float) -> None:
 
 def _cmd_simulate(args) -> int:
     _check_hurst(args.hurst)
-    if args.q < 1:
-        raise ValueError(f"--q: Hermite rank must be >= 1, got {args.q}")
+    if not 1 <= args.q <= MAX_HERMITE_ORDER:
+        raise ValueError(
+            f"--q: Hermite rank must lie in [1, {MAX_HERMITE_ORDER}], got {args.q}"
+        )
     if not 0.0 <= args.eps <= 1.0:
         raise ValueError(f"--eps: noise amplitude must lie in [0, 1], got {args.eps}")
     trend = parse_trend(args.trend, args.horizon)
@@ -90,7 +93,7 @@ def _read_path_csv(path: str) -> tuple:
     rows = []
     columns = None
     with open(path, "r") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -101,12 +104,22 @@ def _read_path_csv(path: str) -> tuple:
                 continue
             if columns is None:
                 columns = [c.strip() for c in line.split(",")]
+                if columns != ["t", "Z", "x", "X"]:
+                    raise ValueError(f"--in: expected a t,Z,x,X path file, got columns {columns}")
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if columns != ["t", "Z", "x", "X"]:
-        raise ValueError(f"--in: expected a t,Z,x,X path file, got columns {columns}")
-    data = np.asarray(rows)
-    return header, data
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != 4 or not all(math.isfinite(v) for v in row):
+                raise ValueError(f"--in: line {lineno} is not four finite numbers: {line!r}")
+            rows.append(row)
+    if columns is None:
+        raise ValueError("--in: expected a t,Z,x,X path file, found no column line")
+    missing = [key for key in ("horizon", "eps", "hurst", "x0") if key not in header]
+    if missing:
+        raise ValueError(f"--in: header lacks {', '.join(missing)} ('# key = value' lines)")
+    return header, np.asarray(rows)
 
 
 def _cmd_estimate(args) -> int:
@@ -121,7 +134,7 @@ def _cmd_estimate(args) -> int:
         order=int(header.get("q", 1)), hurst=hurst,
     )
     path = SdePath(times=data[:, 0], values=data[:, 3], ode=data[:, 2],
-                   noise=data[:, 1], config=cfg, seed=int(header.get("seed", 0)))
+                   noise=data[:, 1], config=cfg)
     kernel = vanishing_moment_kernel(args.order)
     if args.bandwidth == "auto":
         if eps <= 0.0:

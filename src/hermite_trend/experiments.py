@@ -35,6 +35,7 @@ from .estimators import (
     bias_center_term,
     kernel_estimate_product,
 )
+from .hermite import MAX_HERMITE_ORDER
 from .kernels import asymptotic_variance, box_kernel, vanishing_moment_kernel
 from .rng import derive_seed
 from .sde import PathConfig, simulate_path, solve_ode
@@ -107,8 +108,8 @@ class ExperimentConfig:
             raise ValueError(f"kind must be one of {'|'.join(KINDS)}, got {self.kind!r}")
         if not self.trends:
             raise ValueError("at least one trend is required")
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
+        if not 1 <= self.q <= MAX_HERMITE_ORDER:
+            raise ValueError(f"q must lie in [1, {MAX_HERMITE_ORDER}], got {self.q}")
         if not 0.5 < self.hurst < 1.0:
             raise ValueError(f"hurst must lie in (1/2, 1), got {self.hurst}")
         if self.replications < 100:

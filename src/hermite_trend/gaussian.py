@@ -21,7 +21,6 @@ from .rng import philox_generator
 __all__ = [
     "EmbeddingFailure",
     "FgnSpec",
-    "GaussianPath",
     "fgn_autocovariance",
     "sample_fgn",
     "sample_fbm",
@@ -45,32 +44,16 @@ class FgnSpec:
         Hurst index, strictly inside (1/2, 1).
     n : int
         Number of samples, >= 1.
-    step : float
-        Time spacing between consecutive samples (metadata used by samplers
-        that integrate the noise; the marginal law does not depend on it).
     """
 
     hurst: float
     n: int
-    step: float = 1.0
 
     def __post_init__(self):
         if not 0.5 < self.hurst < 1.0:
             raise ValueError(f"hurst must lie strictly in (0.5, 1), got {self.hurst}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not self.step > 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-
-
-@dataclass(frozen=True)
-class GaussianPath:
-    """Sampled Gaussian path plus the spec and seed that produced it."""
-
-    times: np.ndarray
-    values: np.ndarray
-    spec: FgnSpec
-    seed: int
 
 
 # ----------------------------------------------------------- covariance ----
@@ -130,21 +113,18 @@ def _sample_dense(spec: FgnSpec, rng: np.random.Generator) -> np.ndarray:
     return chol @ rng.standard_normal(spec.n)
 
 
-def sample_fgn(spec: FgnSpec, seed: int) -> GaussianPath:
-    """Draw one exact fGn path.  Pure function of (spec, seed)."""
+def sample_fgn(spec: FgnSpec, seed: int) -> np.ndarray:
+    """Draw the spec.n values of one exact fGn path.  Pure function of (spec, seed)."""
     rng = philox_generator(seed)
     eig = _circulant_eigenvalues(spec.n, spec.hurst)
     # Tiny negative eigenvalues are FFT roundoff on a genuinely PSD embedding.
     if eig.min() >= -1e-12 * eig.max():
-        values = _sample_circulant(np.clip(eig, 0.0, None), spec.n, rng)
-    else:
-        values = _sample_dense(spec, rng)
-    times = spec.step * np.arange(spec.n, dtype=float)
-    return GaussianPath(times=times, values=values, spec=spec, seed=int(seed))
+        return _sample_circulant(np.clip(eig, 0.0, None), spec.n, rng)
+    return _sample_dense(spec, rng)
 
 
-def sample_fbm(hurst: float, horizon: float, n: int, seed: int) -> GaussianPath:
-    """Fractional Brownian motion on [0, horizon] observed at n+1 uniform times.
+def sample_fbm(hurst: float, horizon: float, n: int, seed: int) -> np.ndarray:
+    """Fractional Brownian motion at the n+1 uniform times j*horizon/n, j = 0..n.
 
     B_0 = 0 and increments are (horizon/n)^hurst times exact unit fGn, so the
     path covariance is (s^(2h) + t^(2h) - |t-s|^(2h)) / 2 without
@@ -152,8 +132,5 @@ def sample_fbm(hurst: float, horizon: float, n: int, seed: int) -> GaussianPath:
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    spec = FgnSpec(hurst=hurst, n=n, step=horizon / n)
-    noise = sample_fgn(spec, seed)
-    values = np.concatenate([[0.0], np.cumsum(spec.step**hurst * noise.values)])
-    times = np.linspace(0.0, horizon, n + 1)
-    return GaussianPath(times=times, values=values, spec=spec, seed=int(seed))
+    noise = sample_fgn(FgnSpec(hurst=hurst, n=n), seed)
+    return np.concatenate([[0.0], np.cumsum((horizon / n) ** hurst * noise)])

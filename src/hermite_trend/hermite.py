@@ -19,6 +19,7 @@ from .gaussian import FgnSpec, fgn_autocovariance, sample_fbm, sample_fgn
 from .rng import derive_seed, philox_generator
 
 __all__ = [
+    "MAX_HERMITE_ORDER",
     "HermiteSpec",
     "HermitePath",
     "MomentScalingReport",
@@ -29,6 +30,10 @@ __all__ = [
     "sample_hermite",
     "max_moment_scaling_check",
 ]
+
+
+# Highest supported Hermite rank; the config key and the CLI flag share it.
+MAX_HERMITE_ORDER = 8
 
 
 # ---------------------------------------------------------------- types ----
@@ -51,8 +56,10 @@ class HermiteSpec:
     m: int = field(default=0)
 
     def __post_init__(self):
-        if not 1 <= self.order <= 8:
-            raise ValueError(f"order must be an integer in 1..8, got {self.order}")
+        if not 1 <= self.order <= MAX_HERMITE_ORDER:
+            raise ValueError(
+                f"order must be an integer in 1..{MAX_HERMITE_ORDER}, got {self.order}"
+            )
         if not 0.5 < self.hurst < 1.0:
             raise ValueError(f"hurst must lie strictly in (0.5, 1), got {self.hurst}")
         if not self.horizon > 0.0:
@@ -70,7 +77,6 @@ class HermitePath:
     times: np.ndarray
     values: np.ndarray
     spec: HermiteSpec
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -152,19 +158,16 @@ def sample_hermite(spec: HermiteSpec, seed: int) -> HermitePath:
     Pure function of (spec, seed).  Z_0 = 0 and Var(Z_horizon) equals
     horizon^(2 hurst) exactly by construction.
     """
-    if spec.order == 1:
-        fbm = sample_fbm(spec.hurst, spec.horizon, spec.n, seed)
-        return HermitePath(times=fbm.times, values=fbm.values, spec=spec, seed=int(seed))
-
-    fine = FgnSpec(
-        hurst=h_zero(spec.order, spec.hurst), n=spec.m, step=spec.horizon / spec.m
-    )
-    noise = sample_fgn(fine, seed)
-    partial = np.concatenate([[0.0], np.cumsum(hermite_polynomial(spec.order, noise.values))])
-    idx = (np.arange(spec.n + 1, dtype=np.int64) * spec.m) // spec.n
-    b = discrete_normalizer(spec.order, spec.hurst, spec.m, spec.horizon)
     times = np.linspace(0.0, spec.horizon, spec.n + 1)
-    return HermitePath(times=times, values=b * partial[idx], spec=spec, seed=int(seed))
+    if spec.order == 1:
+        values = sample_fbm(spec.hurst, spec.horizon, spec.n, seed)
+    else:
+        noise = sample_fgn(FgnSpec(hurst=h_zero(spec.order, spec.hurst), n=spec.m), seed)
+        partial = np.concatenate([[0.0], np.cumsum(hermite_polynomial(spec.order, noise))])
+        idx = (np.arange(spec.n + 1, dtype=np.int64) * spec.m) // spec.n
+        b = discrete_normalizer(spec.order, spec.hurst, spec.m, spec.horizon)
+        values = b * partial[idx]
+    return HermitePath(times=times, values=values, spec=spec)
 
 
 def max_moment_scaling_check(

@@ -34,8 +34,6 @@ __all__ = [
     "kernel_autocorrelation",
     "asymptotic_variance",
     "asymptotic_variance_quadrature",
-    "kernel_to_text",
-    "kernel_from_text",
     "MAX_KERNEL_ORDER",
 ]
 
@@ -82,8 +80,6 @@ class Kernel:
 
     def evaluate(self, u):
         return _evaluate_pieces(self._float_pieces, u)
-
-    __call__ = evaluate
 
 
 def _to_float_pieces(pieces) -> list:
@@ -356,38 +352,3 @@ def asymptotic_variance_quadrature(kernel: Kernel, hurst: float) -> float:
                 val, _ = quad(lambda w: psi(w) * (-w) ** exponent, w0, w1, limit=200)
         total += val
     return hurst * (2.0 * hurst - 1.0) * total
-
-
-# ---------------------------------------------------------- serialization --
-
-
-def kernel_to_text(kernel: Kernel) -> str:
-    """Lossless text form: declared order plus per-piece rational coefficients."""
-    lines = [f"order {kernel.order}"]
-    for p in kernel.pieces:
-        coeffs = " ".join(str(c) for c in p.coeffs)
-        lines.append(f"piece {p.lo} {p.hi} {coeffs}")
-    return "\n".join(lines) + "\n"
-
-
-def kernel_from_text(text: str) -> Kernel:
-    order = None
-    pieces = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] == "order" and len(fields) == 2:
-            order = int(fields[1])
-        elif fields[0] == "piece" and len(fields) >= 4:
-            try:
-                lo, hi, *coeffs = (Fraction(f) for f in fields[1:])
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator on kernel line {lineno}: {raw!r}") from None
-            pieces.append(KernelPiece(lo, hi, tuple(coeffs)))
-        else:
-            raise ValueError(f"unrecognised kernel line {lineno}: {raw!r}")
-    if order is None or not pieces:
-        raise ValueError("kernel text needs an 'order' line and at least one piece")
-    return Kernel(order=order, pieces=tuple(pieces))

@@ -80,7 +80,6 @@ class SdePath:
     ode: np.ndarray  # x, the eps = 0 solution on the same grid
     noise: np.ndarray  # Z
     config: PathConfig
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -145,9 +144,7 @@ def simulate_sde(
             values[jj + 1] = values[jj] * (1.0 + theta_left[jj] * dt) + config.eps * dz[jj]
     else:
         raise ValueError(f"unknown method {method!r} (expected 'exact' or 'euler')")
-    return SdePath(
-        times=times, values=values, ode=ode, noise=z, config=config, seed=noise.seed
-    )
+    return SdePath(times=times, values=values, ode=ode, noise=z, config=config)
 
 
 def simulate_path(

@@ -30,6 +30,12 @@ __all__ = [
 ]
 
 
+# Cap on weier partial-sum terms: value and derivative allocate len(t) x terms
+# doubles per evaluation.  On [0, 1] the top-frequency check already stops
+# lacunarity >= 2 by this count, so the cap binds only for lacunarity near 1.
+MAX_WEIER_TERMS = 1024
+
+
 class DerivativeUnavailable(ValueError):
     """Requested derivative order is not guaranteed for this trend's class."""
 
@@ -166,8 +172,8 @@ def weierstrass_trend(
         raise ValueError(f"decay must lie in (0, 1), got {decay}")
     if lacunarity <= 1.0:
         raise ValueError(f"lacunarity must exceed 1, got {lacunarity}")
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
+    if not 1 <= terms <= MAX_WEIER_TERMS:
+        raise ValueError(f"weier terms must lie in [1, {MAX_WEIER_TERMS}], got {terms}")
     try:  # the largest sine argument, horizon * lacunarity^(terms-1), must be finite
         top_phase = horizon * math.pow(lacunarity, terms - 1)
     except OverflowError:

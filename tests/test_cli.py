@@ -104,6 +104,10 @@ class TestSimulate:
         assert run(["simulate", "--trend", "const:0.5", "--q", "0"]) == 2
         assert "--q" in capsys.readouterr().err
 
+    def test_rank_above_max_names_flag(self, capsys):
+        assert run(["simulate", "--trend", "const:0.5", "--q", "9"]) == 2
+        assert "--q" in capsys.readouterr().err
+
     def test_unknown_flag_exit_2(self, capsys):
         assert run(["simulate", "--trend", "const:0.5", "--wat", "3"]) == 2
 
@@ -177,6 +181,26 @@ class TestEstimate:
         bad.write_text("a,b\n1,2\n")
         assert run(["estimate", "--in", str(bad)]) == 2
         assert "t,Z,x,X" in capsys.readouterr().err
+
+    def test_non_finite_row_names_line(self, noisy_path, tmp_path, capsys):
+        lines = noisy_path.read_text().splitlines()
+        row = next(i for i, ln in enumerate(lines) if ln.startswith("t,")) + 5
+        t, z, x, _ = lines[row].split(",")
+        lines[row] = f"{t},{z},{x},nan"
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["estimate", "--in", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "--in" in err and f"line {row + 1}" in err
+
+    def test_missing_header_key_named(self, noisy_path, tmp_path, capsys):
+        text = noisy_path.read_text()
+        bad = tmp_path / "nohorizon.csv"
+        bad.write_text("".join(ln for ln in text.splitlines(keepends=True)
+                               if not ln.startswith("# horizon")))
+        assert run(["estimate", "--in", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "--in" in err and "horizon" in err
 
 
 class TestKernel:

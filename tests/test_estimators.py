@@ -34,7 +34,7 @@ def noiseless_path(trend, horizon, n, x0=1.0):
     cfg = PathConfig(horizon=horizon, n=n, eps=0.0, x0=x0)
     ts = np.linspace(0.0, horizon, n + 1)
     x = solve_ode(trend, x0, ts)
-    return SdePath(times=ts, values=x, ode=x, noise=np.zeros(n + 1), config=cfg, seed=0)
+    return SdePath(times=ts, values=x, ode=x, noise=np.zeros(n + 1), config=cfg)
 
 
 def lopsided_box():
@@ -164,7 +164,7 @@ class TestProductEstimator:
         tampered[-100:] -= 3.0  # t > 0.90
         path2 = SdePath(
             times=path.times, values=tampered, ode=path.ode, noise=path.noise,
-            config=path.config, seed=path.seed,
+            config=path.config,
         )
         assert kernel_estimate_product(path2, cfg, 0.5) == base
 
@@ -181,7 +181,7 @@ class TestProductEstimator:
         )
         ests = [
             kernel_estimate_product(
-                SdePath(times=ts, values=v, ode=v, noise=z, config=base, seed=0), cfg, 0.5
+                SdePath(times=ts, values=v, ode=v, noise=z, config=base), cfg, 0.5
             )
             for v in (v1, v2, mix)
         ]
@@ -198,7 +198,6 @@ class TestProductEstimator:
             ode=fine.ode[::2],
             noise=fine.noise[::2],
             config=PathConfig(horizon=1.0, n=1024, eps=0.05, x0=1.0, order=1, hurst=0.7),
-            seed=17,
         )
         cfg = EstimatorConfig(
             kernel=vanishing_moment_kernel(1), bandwidth=BW_MAIN_001, window=(0.4, 0.6), horizon=1.0
@@ -352,7 +351,7 @@ class TestAlternateEstimate:
         vals[200:] = 0.01  # far below any threshold
         cfg_path = PathConfig(horizon=1.0, n=256, eps=0.1, x0=1.0)
         path = SdePath(
-            times=ts, values=vals, ode=vals, noise=np.zeros(257), config=cfg_path, seed=0
+            times=ts, values=vals, ode=vals, noise=np.zeros(257), config=cfg_path
         )
         est = alternate_estimate(path, self.make_cfg(), 0.5, 0.5, 1.0)
         assert est == 0.0

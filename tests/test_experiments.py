@@ -194,6 +194,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="hurst"):
             parse_experiment_config(config_text(hurst="0.5"))
 
+    def test_hermite_rank_domain(self):
+        with pytest.raises(ValueError, match=r"q must lie in \[1, 8\]"):
+            parse_experiment_config(config_text(q="9"))
+
 
 class TestTheoreticalRates:
     def test_main_values(self):

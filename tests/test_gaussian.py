@@ -60,8 +60,6 @@ class TestSpecValidation:
             FgnSpec(hurst=0.5, n=8)
         with pytest.raises(ValueError):
             FgnSpec(hurst=0.7, n=0)
-        with pytest.raises(ValueError):
-            FgnSpec(hurst=0.7, n=8, step=0.0)
 
 
 class TestCirculantSampler:
@@ -70,12 +68,12 @@ class TestCirculantSampler:
         a = sample_fgn(spec, 42)
         b = sample_fgn(spec, 42)
         c = sample_fgn(spec, 43)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_single_sample_edge_case(self):
         path = sample_fgn(FgnSpec(hurst=0.9, n=1), 7)
-        assert path.values.shape == (1,)
+        assert path.shape == (1,)
 
     @pytest.mark.parametrize("hurst", [0.6, 0.85])
     def test_marginals_and_lags_match_target(self, hurst):
@@ -83,7 +81,7 @@ class TestCirculantSampler:
         # closed-form autocovariance.
         spec = FgnSpec(hurst=hurst, n=64)
         reps = 4000
-        paths = np.stack([sample_fgn(spec, 1000 + r).values for r in range(reps)])
+        paths = np.stack([sample_fgn(spec, 1000 + r) for r in range(reps)])
         for lag in (0, 1, 5):
             prods = paths[:, 10] * paths[:, 10 + lag]
             est = prods.mean()
@@ -100,9 +98,9 @@ class TestDenseFallback:
         monkeypatch.setattr(gaussian_mod, "_circulant_eigenvalues", lambda n, h: bad)
         a = sample_fgn(spec, 5)
         b = sample_fgn(spec, 5)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         reps = 3000
-        paths = np.stack([sample_fgn(spec, r).values for r in range(reps)])
+        paths = np.stack([sample_fgn(spec, r) for r in range(reps)])
         prods = paths[:, 3] * paths[:, 4]
         se = prods.std(ddof=1) / np.sqrt(reps)
         assert abs(prods.mean() - fgn_autocovariance(1, 0.7)) < 4 * se
@@ -124,19 +122,18 @@ class TestDenseFallback:
 class TestFbm:
     def test_starts_at_zero_with_full_grid(self):
         path = sample_fbm(0.7, horizon=2.0, n=100, seed=11)
-        assert path.values[0] == 0.0
-        assert path.values.shape == (101,)
-        assert path.times[0] == 0.0 and path.times[-1] == pytest.approx(2.0)
+        assert path[0] == 0.0
+        assert path.shape == (101,)
 
     def test_deterministic_in_seed(self):
         a = sample_fbm(0.8, 1.0, 64, seed=3)
         b = sample_fbm(0.8, 1.0, 64, seed=3)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_terminal_variance_self_similarity(self):
         hurst, horizon, reps = 0.75, 1.5, 8000
         finals = np.array(
-            [sample_fbm(hurst, horizon, 32, seed=20_000 + r).values[-1] for r in range(reps)]
+            [sample_fbm(hurst, horizon, 32, seed=20_000 + r)[-1] for r in range(reps)]
         )
         sq = finals**2
         est, se = sq.mean(), sq.std(ddof=1) / np.sqrt(reps)
@@ -147,7 +144,7 @@ class TestFbm:
     def test_covariance_matches_oracle(self):
         hurst, reps = 0.7, 8000
         paths = np.stack(
-            [sample_fbm(hurst, 2.0, 32, seed=50_000 + r).values for r in range(reps)]
+            [sample_fbm(hurst, 2.0, 32, seed=50_000 + r) for r in range(reps)]
         )
         # grid index 16 -> t=1.0, index 32 -> t=2.0
         prods = paths[:, 16] * paths[:, 32]

@@ -135,7 +135,8 @@ class TestSamplePaths:
         spec = HermiteSpec(order=1, hurst=0.8, horizon=2.0, n=128)
         path = sample_hermite(spec, 77)
         fbm = sample_fbm(0.8, 2.0, 128, 77)
-        assert np.array_equal(path.values, fbm.values)
+        assert np.array_equal(path.values, fbm)
+        assert path.times[0] == 0.0 and path.times[-1] == pytest.approx(2.0)
 
     def test_terminal_variance_is_exact_by_normalizer(self):
         spec = HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=128)

@@ -13,9 +13,7 @@ from hermite_trend.kernels import (
     asymptotic_variance_quadrature,
     box_kernel,
     kernel_autocorrelation,
-    kernel_from_text,
     kernel_moment,
-    kernel_to_text,
     order_k_legendre_coefficients,
     rescale_kernel,
     vanishing_moment_kernel,
@@ -186,20 +184,3 @@ class TestAsymptoticVariance:
         with pytest.raises(ValueError):
             asymptotic_variance(box_kernel(1.0), 0.5)
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("make", [lambda: box_kernel(1.0)] + [
-        (lambda k=k: vanishing_moment_kernel(k)) for k in (0, 1, 3)
-    ])
-    def test_round_trip_is_exact(self, make):
-        kernel = make()
-        again = kernel_from_text(kernel_to_text(kernel))
-        assert again == kernel
-
-    def test_rejects_garbage_with_line_number(self):
-        with pytest.raises(ValueError, match="line 2"):
-            kernel_from_text("order 1\nwhat is this\n")
-
-    def test_requires_order_and_pieces(self):
-        with pytest.raises(ValueError):
-            kernel_from_text("order 1\n")

@@ -1,7 +1,5 @@
 """Property tests for the text parsers: the program's input surface."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +9,6 @@ from hermite_trend.experiments import (
     _config_lines,
     parse_experiment_config,
 )
-from hermite_trend.kernels import Kernel, KernelPiece, kernel_from_text, kernel_to_text
 from hermite_trend.trends import parse_trend
 
 FEW = settings(max_examples=60, deadline=None)
@@ -109,42 +106,3 @@ def test_trend_parser_raises_only_value_error(text, horizon):
         parse_trend(text, horizon)
     except ValueError:
         pass
-
-
-kernel_lines = st.one_of(
-    st.text(max_size=40),
-    st.builds(lambda head, fields: " ".join([head, *fields]),
-              st.sampled_from(("order", "piece", "#")),
-              st.lists(st.one_of(st.text(max_size=6), st.fractions().map(str),
-                                 st.integers(-5, 5).map(str), st.just("1/0")),
-                       max_size=5)),
-)
-
-
-@FEW
-@given(st.lists(kernel_lines, max_size=8))
-def test_kernel_parser_raises_only_value_error(lines):
-    try:
-        kernel_from_text("\n".join(lines))
-    except ValueError:
-        pass
-
-
-@st.composite
-def rational_kernels(draw):
-    breaks = sorted(draw(st.sets(st.fractions(-10, 10, max_denominator=64),
-                                 min_size=2, max_size=6)))
-    spans = list(zip(breaks, breaks[1:]))
-    # pieces may leave gaps between them, but never overlap
-    kept = [s for s in spans if draw(st.booleans())] or spans[:1]
-    coeffs = st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=6)
-    pieces = tuple(KernelPiece(lo, hi, tuple(draw(coeffs))) for lo, hi in kept)
-    return Kernel(order=draw(st.integers(0, 12)), pieces=pieces)
-
-
-@FEW
-@given(rational_kernels())
-def test_kernel_text_round_trip(kernel):
-    again = kernel_from_text(kernel_to_text(kernel))
-    assert again == kernel
-    assert all(isinstance(c, Fraction) for p in again.pieces for c in p.coeffs)

@@ -223,3 +223,26 @@ class TestMeanSquareBound:
         th = constant_trend(0.5, horizon=2.0)
         with pytest.raises(ValueError, match="reps"):
             mean_square_bound_check(th, make_config(), reps=100, seed=0)
+
+
+class TestPinnedStreams:
+    # Frozen draws at fixed seeds: any change to the Philox streams, the
+    # circulant sampler, the Hermite map or the integrator moves them.
+    IDX = [1, 17, 32, 64]
+    HERMITE_Q1 = [0.005198091936813594, -0.19100111975692935,
+                  -0.33579760787574403, -0.4928862434997603]
+    HERMITE_Q2 = [-0.01814747906496887, -0.3478161982420268,
+                  -0.6468459745200507, -1.0332400890076734]
+    SDE_X = [1.0212682332556402, 1.6884318418328146, 2.7165652683278476, 2.6998604591677533]
+    SDE_Z = [0.042573859352907854, -0.17394147497341406,
+             -0.5069579048220393, -0.14729609729723617]
+
+    def test_streams_match_frozen_values(self):
+        q1 = sample_hermite(HermiteSpec(order=1, hurst=0.7, horizon=1.0, n=64), 2024)
+        q2 = sample_hermite(HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=64, m=512), 2024)
+        th = sinusoid_trend(offset=0.5, amplitude=0.8, omega=3.0, horizon=2.0)
+        cfg = PathConfig(horizon=2.0, n=64, eps=0.1, x0=1.0, order=2, hurst=0.7)
+        path = simulate_path(th, cfg, 99)
+        for got, frozen in [(q1.values, self.HERMITE_Q1), (q2.values, self.HERMITE_Q2),
+                            (path.values, self.SDE_X), (path.noise, self.SDE_Z)]:
+            np.testing.assert_allclose(got[self.IDX], frozen, rtol=1e-12, atol=0)

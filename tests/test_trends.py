@@ -149,6 +149,7 @@ class TestParser:
             "poly:1,-inf",
             "weier:0.3,0.5,3,inf",  # infinite term count
             "weier:0.3,0.5,3,700",  # 3^699 overflows a double
+            "weier:0.3,0.5,1.000001,1025",  # finite frequencies, but over the term cap
         ],
     )
     def test_rejects_malformed(self, text):
@@ -162,6 +163,14 @@ class TestParser:
         assert np.all(np.isfinite(th(ts))) and np.all(np.isfinite(th.derivative(1)(ts)))
         with pytest.raises(ValueError, match="top frequency"):
             parse_trend("weier:0.3,0.5,3,647", horizon=2.0)
+
+    def test_weier_term_cap_names_the_limit(self):
+        # near lacunarity 1 every frequency is finite, so only the cap bounds
+        # the len(t) x terms arrays that each evaluation allocates
+        th = parse_trend("weier:0.3,0.5,1.000001,1024", horizon=2.0)
+        assert np.isfinite(th(1.0))
+        with pytest.raises(ValueError, match="1024"):
+            parse_trend("weier:0.3,0.5,1.000001,2000000", horizon=2.0)
 
     def test_error_names_the_kind(self):
         with pytest.raises(ValueError, match="sin"):

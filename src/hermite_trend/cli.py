@@ -122,6 +122,16 @@ def _read_path_csv(path: str) -> tuple:
     return header, np.asarray(rows)
 
 
+def _parse_window(text: str, horizon: float) -> tuple:
+    try:
+        a, b = (float(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"--window: expected two numbers a,b, got {text!r}") from None
+    if not 0.0 < a <= b < horizon:
+        raise ValueError(f"--window: need 0 < a <= b < horizon = {_fmt(horizon)}, got {text!r}")
+    return a, b
+
+
 def _cmd_estimate(args) -> int:
     header, data = _read_path_csv(args.infile)
     horizon = float(header["horizon"])
@@ -144,9 +154,11 @@ def _cmd_estimate(args) -> int:
     else:
         phi = float(args.bandwidth)
         rule = "manual"
+    if args.points < 1:
+        raise ValueError(f"--points: need at least one evaluation point, got {args.points}")
     hi = float(kernel.support[1])
     if args.window:
-        a, b = (float(tok) for tok in args.window.split(","))
+        a, b = _parse_window(args.window, horizon)
     else:
         a, b = hi * phi, horizon - hi * phi
     est_cfg = EstimatorConfig(kernel=kernel, bandwidth=phi, window=(a, b),
@@ -204,6 +216,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise ValueError(f"--workers: must lie in [1, {cpus}] (the CPU count), got {args.workers}")
     cfg = load_experiment_config(args.config)
     result = run_experiment(cfg, workers=args.workers)
     write_report(result, args.out)

@@ -117,6 +117,28 @@ def default_division_floor(x0: float, bound_constant: float, horizon: float) -> 
 # ----------------------------------------------------------- estimators ----
 
 
+def _weight_rows(
+    times: np.ndarray, kernel: Kernel, bandwidth: float, t, reflect: bool = False
+) -> list:
+    """Kernel weights G(arg/phi) at the grid midpoints, one row per evaluation time."""
+    mids = 0.5 * (times[:-1] + times[1:])
+    rows = []
+    for s in np.atleast_1d(np.asarray(t, dtype=float)):
+        arg = (s - mids) if reflect else (mids - s)
+        rows.append(kernel.evaluate(arg / bandwidth))
+    return rows
+
+
+def _weighted_sums(rows: list, increments: np.ndarray, bandwidth: float) -> np.ndarray:
+    """(1/phi) sum_j w_j dI_j for each weight row.
+
+    One row dot at a time on purpose: a matrix product sums in another order,
+    and BLAS picks gemv or gemm by row count, so the last bits would depend on
+    how many rows (hence on the worker count) a call sees.
+    """
+    return np.array([float(w @ increments) / bandwidth for w in rows])
+
+
 def _weighted_increment_sum(
     times: np.ndarray,
     increments: np.ndarray,
@@ -126,15 +148,8 @@ def _weighted_increment_sum(
     reflect: bool = False,
 ):
     """(1/phi) sum_j G(arg_j) dI_j with midpoint kernel arguments; float for scalar t."""
-    scalar = np.ndim(t) == 0
-    eval_times = np.atleast_1d(np.asarray(t, dtype=float))
-    mids = 0.5 * (times[:-1] + times[1:])
-    out = np.empty(len(eval_times))
-    for i, s in enumerate(eval_times):
-        arg = (s - mids) if reflect else (mids - s)
-        weights = kernel.evaluate(arg / bandwidth)
-        out[i] = float(weights @ increments) / bandwidth
-    return float(out[0]) if scalar else out
+    sums = _weighted_sums(_weight_rows(times, kernel, bandwidth, t, reflect), increments, bandwidth)
+    return float(sums[0]) if np.ndim(t) == 0 else sums
 
 
 def _divide_by_level(path: SdePath, t, product, division_floor: float):
@@ -207,6 +222,31 @@ def indicator_path(times: np.ndarray, values: np.ndarray, x0: float, bound_const
     return np.logical_and.accumulate(ok)
 
 
+def _oracle_drift(times: np.ndarray, trend: TrendFunction, eps: float, horizon: float,
+                  x0: float, bound_constant: float) -> tuple:
+    """(theta dt at the left grid points, eps (2/x0) e^{LT}): the oracle's noise-free terms."""
+    dt = times[1] - times[0]
+    amp = eps * (2.0 / x0) * math.exp(bound_constant * horizon)
+    return np.asarray(trend.value(times[:-1]), dtype=float) * dt, amp
+
+
+def _truncated_increments(times: np.ndarray, values: np.ndarray, noise: np.ndarray,
+                          x0: float, bound_constant: float, oracle: tuple = None) -> tuple:
+    """(dY, I(A_T)): observable dY = I dX / X, or oracle dY = I (theta dt + amp dZ).
+
+    ``oracle`` is None for the observable form, else ``_oracle_drift``'s pair.
+    """
+    indicator = indicator_path(times, values, x0, bound_constant)
+    ind_left = indicator[:-1].astype(float)
+    if oracle is None:
+        safe = np.where(ind_left > 0, values[:-1], 1.0)
+        dy = ind_left * np.diff(values) / safe
+    else:
+        drift, amp = oracle
+        dy = ind_left * (drift + amp * np.diff(noise))
+    return dy, float(indicator[-1])
+
+
 def alternate_estimate(
     path: SdePath,
     cfg: EstimatorConfig,
@@ -222,21 +262,17 @@ def alternate_estimate(
     "oracle" builds dY = theta I dt + eps (2/x0) e^{LT} I dZ from the true
     trend and driving noise, so it is only available in simulations.
     """
-    indicator = indicator_path(path.times, path.values, x0, bound_constant)
-    ind_left = indicator[:-1].astype(float)
     if variant == "observable":
-        x_left = path.values[:-1]
-        safe = np.where(ind_left > 0, x_left, 1.0)
-        dy = ind_left * np.diff(path.values) / safe
+        oracle = None
     elif variant == "oracle":
         if trend is None:
             raise ValueError("variant 'oracle' needs the true trend")
-        dt = path.times[1] - path.times[0]
-        amp = path.config.eps * (2.0 / x0) * math.exp(bound_constant * path.config.horizon)
-        theta_left = np.asarray(trend.value(path.times[:-1]), dtype=float)
-        dy = ind_left * (theta_left * dt + amp * np.diff(path.noise))
+        oracle = _oracle_drift(path.times, trend, path.config.eps, path.config.horizon,
+                               x0, bound_constant)
     else:
         raise ValueError(f"unknown variant {variant!r} (expected 'observable' or 'oracle')")
-    return float(indicator[-1]) * _weighted_increment_sum(
+    dy, alive = _truncated_increments(path.times, path.values, path.noise, x0,
+                                      bound_constant, oracle)
+    return alive * _weighted_increment_sum(
         path.times, dy, cfg.kernel, cfg.bandwidth, t, reflect=True
     )

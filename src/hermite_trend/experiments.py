@@ -29,16 +29,18 @@ import numpy as np
 
 from .estimators import (
     EstimatorConfig,
-    alternate_estimate,
+    _oracle_drift,
+    _truncated_increments,
+    _weight_rows,
+    _weighted_sums,
     bandwidth_alt,
     bandwidth_main,
     bias_center_term,
-    kernel_estimate_product,
 )
-from .hermite import MAX_HERMITE_ORDER
+from .hermite import MAX_HERMITE_ORDER, sample_hermite
 from .kernels import asymptotic_variance, box_kernel, vanishing_moment_kernel
 from .rng import derive_seed
-from .sde import PathConfig, simulate_path, solve_ode
+from .sde import PathConfig, _growth_factors, _variation_of_constants
 from .trends import parse_trend
 
 __all__ = [
@@ -353,34 +355,45 @@ def _error_block(task) -> np.ndarray:
     Rows are replications, columns evaluation points.  The sup-MSE kinds
     return squared errors on the eval grid; clt (rung 0, trend 0) returns the
     normalized error eps^{-alpha} (est - J(t0) - phi^{k+1} bias) at t0.
+
+    Only the noise differs between the replications of a block, so the trend
+    integral and its growth factors, the target, the kernel weight rows and
+    the oracle drift are built once here; each replication then samples,
+    integrates and takes one dot per weight row, through the same cores as
+    ``simulate_sde``, ``kernel_estimate_product`` and ``alternate_estimate``.
     """
     cfg, rung, trend_idx, start, stop = task
     trend = parse_trend(cfg.trends[trend_idx], cfg.horizon)
     kernel = _build_kernel(cfg)
     eps = cfg.ladder[rung]
     phi = _bandwidth(cfg, kernel, eps)
+    alt = cfg.kind == "rate-alt"
     est = EstimatorConfig(
         kernel=kernel, bandwidth=phi, window=cfg.window, horizon=cfg.horizon, eps=eps,
-        rule="alt" if cfg.kind == "rate-alt" else "main",
+        rule="alt" if alt else "main",
     )
-    pc = PathConfig(horizon=cfg.horizon, n=cfg.n, eps=eps, x0=cfg.x0,
-                    order=cfg.q, hurst=cfg.hurst, m=cfg.m)
+    spec = PathConfig(horizon=cfg.horizon, n=cfg.n, eps=eps, x0=cfg.x0,
+                      order=cfg.q, hurst=cfg.hurst, m=cfg.m).hermite_spec()
     grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
+    growth, decay = _growth_factors(trend, grid)
     ts = cfg.t0 if cfg.kind == "clt" else est.eval_grid(cfg.eval_points)
-    if cfg.kind == "rate-alt":
+    rows = _weight_rows(grid, kernel, phi, ts, reflect=alt)
+    if alt:
         target = np.asarray(trend.value(ts), dtype=float)
+        oracle = None
+        if cfg.variant == "oracle":
+            oracle = _oracle_drift(grid, trend, eps, cfg.horizon, cfg.x0, trend.bound)
     else:
-        ode = solve_ode(trend, cfg.x0, grid)
-        target = np.asarray(trend.value(ts), dtype=float) * np.interp(ts, grid, ode)
+        target = np.asarray(trend.value(ts), dtype=float) * np.interp(ts, grid, cfg.x0 * growth)
     estimates = np.empty((stop - start, np.size(ts)))
     for i, r in enumerate(range(start, stop)):
-        path = simulate_path(trend, pc, derive_seed(cfg.seed, rung, trend_idx, r))
-        if cfg.kind == "rate-alt":
-            estimates[i] = alternate_estimate(
-                path, est, ts, trend.bound, cfg.x0, cfg.variant, trend
-            )
+        z = sample_hermite(spec, derive_seed(cfg.seed, rung, trend_idx, r)).values
+        x = _variation_of_constants(growth, decay, cfg.x0, eps, z)
+        if alt:
+            dy, alive = _truncated_increments(grid, x, z, cfg.x0, trend.bound, oracle)
+            estimates[i] = alive * _weighted_sums(rows, dy, phi)
         else:
-            estimates[i] = kernel_estimate_product(path, est, ts)
+            estimates[i] = _weighted_sums(rows, np.diff(x), phi)
     if cfg.kind == "clt":
         k = kernel.order
         alpha = (k + 1.0) / (k - cfg.hurst + 2.0)
@@ -404,7 +417,7 @@ def _gather(cfg: ExperimentConfig, workers: int) -> np.ndarray:
     if workers <= 1:
         blocks = map(_error_block, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             blocks = list(pool.map(_error_block, tasks))
     for (_, rung, trend_idx, start, stop), block in zip(tasks, blocks):
         out[rung, trend_idx, start:stop] = block

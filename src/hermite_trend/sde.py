@@ -112,6 +112,20 @@ def solve_ode(trend: TrendFunction, x0: float, times: np.ndarray) -> np.ndarray:
     return x0 * np.exp(cumulative_trend_integral(trend, times))
 
 
+def _growth_factors(trend: TrendFunction, times: np.ndarray) -> tuple:
+    """(e^{I}, e^{-I} at the left grid points): the noise-free half of the VoC integrator."""
+    integral = cumulative_trend_integral(trend, times)
+    return np.exp(integral), np.exp(-integral[:-1])
+
+
+def _variation_of_constants(
+    growth: np.ndarray, decay: np.ndarray, x0: float, eps: float, z: np.ndarray
+) -> np.ndarray:
+    """X = e^{I} (x0 + eps sum e^{-I} dZ), with the left-point Stieltjes sum."""
+    stieltjes = np.concatenate([[0.0], np.cumsum(decay * np.diff(z))])
+    return growth * (x0 + eps * stieltjes)
+
+
 def simulate_sde(
     trend: TrendFunction,
     config: PathConfig,
@@ -125,15 +139,11 @@ def simulate_sde(
             f"noise grid (n={noise.spec.n}, horizon={noise.spec.horizon}) does not "
             f"match config (n={config.n}, horizon={config.horizon})"
         )
-    integral = cumulative_trend_integral(trend, times)
-    ode = config.x0 * np.exp(integral)
+    growth, decay = _growth_factors(trend, times)
+    ode = config.x0 * growth
     z = noise.values
     if method == "exact":
-        # Left-point Stieltjes sum for int e^{-I} dZ, then variation of constants.
-        stieltjes = np.concatenate(
-            [[0.0], np.cumsum(np.exp(-integral[:-1]) * np.diff(z))]
-        )
-        values = np.exp(integral) * (config.x0 + config.eps * stieltjes)
+        values = _variation_of_constants(growth, decay, config.x0, config.eps, z)
     elif method == "euler":
         dt = times[1] - times[0]
         theta_left = np.asarray(trend.value(times[:-1]), dtype=float)
@@ -197,11 +207,16 @@ def mean_square_bound_check(
     """
     if reps < 500:
         raise ValueError(f"reps must be >= 500 for a usable MC error, got {reps}")
+    spec = config.hermite_spec()
+    tgrid = np.linspace(0.0, config.horizon, config.n + 1)
+    # only the noise differs between replications: integrate the trend once
+    growth, decay = _growth_factors(trend, tgrid)
+    ode = config.x0 * growth
     sq = None
     sq_sq = None
     for r in range(reps):
-        path = simulate_path(trend, config, derive_seed(seed, r))
-        dev2 = (path.values - path.ode) ** 2
+        z = sample_hermite(spec, derive_seed(seed, r)).values
+        dev2 = (_variation_of_constants(growth, decay, config.x0, config.eps, z) - ode) ** 2
         sq = dev2 if sq is None else sq + dev2
         sq_sq = dev2**2 if sq_sq is None else sq_sq + dev2**2
     mean = sq / reps
@@ -220,7 +235,6 @@ def mean_square_bound_check(
             f"mean-square bound violated: sup_t E(X-x)^2 = {estimate:.6g} "
             f"> {bound:.6g} * (1 + 3*{rel_mc:.3g})"
         )
-    tgrid = np.linspace(0.0, config.horizon, config.n + 1)
     return MeanSquareReport(
         estimate=estimate,
         bound=float(bound),

@@ -202,6 +202,15 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "--in" in err and "horizon" in err
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--window", "0.1,0.2,0.3"], "--window"),
+        (["--window", "0.5,0.2"], "--window"),
+        (["--points", "0"], "--points"),
+    ])
+    def test_bad_window_or_points_names_flag(self, flags, name, noisy_path, capsys):
+        assert run(["estimate", "--in", str(noisy_path), *flags]) == 2
+        assert name in capsys.readouterr().err
+
 
 class TestKernel:
     def test_unit_box_variance_is_one(self, capsys):
@@ -307,6 +316,24 @@ class TestExperiment:
         out = tmp_path / "rep"
         assert run(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
         assert "phi^{2H-2}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_workers_out_of_range_exit_2(self, workers, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("a process pool was built")
+
+        def no_block(task):
+            raise RuntimeError("paths simulated")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments, "_error_block", no_block)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(PASSING_CONSISTENCY)
+        out = tmp_path / "rep"
+        assert run(["experiment", "--config", str(cfg), "--out", str(out),
+                    "--workers", str(workers)]) == 2
+        assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):

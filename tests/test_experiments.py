@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from hermite_trend import experiments
-from hermite_trend.estimators import bandwidth_alt
+from hermite_trend.estimators import (
+    EstimatorConfig,
+    alternate_estimate,
+    bandwidth_alt,
+    bias_center_term,
+    kernel_estimate_product,
+)
 from hermite_trend.experiments import (
     CltReport,
     ConditionViolated,
@@ -24,6 +30,9 @@ from hermite_trend.experiments import (
     theoretical_rate_main,
     write_report,
 )
+from hermite_trend.rng import derive_seed
+from hermite_trend.sde import PathConfig, simulate_path, solve_ode
+from hermite_trend.trends import parse_trend
 
 GOOD_RATE = """
 # four-rung geometric ladder
@@ -349,6 +358,33 @@ class TestRunners:
         with pytest.raises(ReplicationFailure, match="NaN"):
             run_experiment(cfg)
 
+    def test_pool_never_larger_than_task_list(self, monkeypatch, tmp_path):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return list(map(fn, tasks))
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        cfg = parse_experiment_config(
+            config_text(kind="consistency", eps="0.2,0.05", n="64", seed="5")
+        )
+        pooled = run_experiment(cfg, workers=1000)  # one replication per task
+        assert sizes == [len(cfg.ladder) * cfg.replications]
+        a = write_report(pooled, tmp_path / "pooled")
+        b = write_report(run_experiment(cfg), tmp_path / "serial")
+        for pa, pb in zip(a, b):
+            assert open(pa, "rb").read() == open(pb, "rb").read()
+
     def test_workers_do_not_change_bytes(self, small_consistency, tmp_path):
         res2 = run_experiment(small_consistency.config, workers=2)
         a = write_report(small_consistency, tmp_path / "serial")
@@ -362,6 +398,66 @@ def _as_kwargs(cfg):
     from dataclasses import asdict
 
     return asdict(cfg)
+
+
+def per_replication_errors(cfg, rung, trend_idx, start, stop):
+    """_error_block's rows through the public per-path route: simulate, then estimate."""
+    trend = parse_trend(cfg.trends[trend_idx], cfg.horizon)
+    kernel = experiments._build_kernel(cfg)
+    eps = cfg.ladder[rung]
+    phi = experiments._bandwidth(cfg, kernel, eps)
+    est = EstimatorConfig(kernel=kernel, bandwidth=phi, window=cfg.window,
+                          horizon=cfg.horizon, eps=eps)
+    pc = PathConfig(horizon=cfg.horizon, n=cfg.n, eps=eps, x0=cfg.x0,
+                    order=cfg.q, hurst=cfg.hurst, m=cfg.m)
+    ts = cfg.t0 if cfg.kind == "clt" else est.eval_grid(cfg.eval_points)
+    estimates = []
+    for r in range(start, stop):
+        path = simulate_path(trend, pc, derive_seed(cfg.seed, rung, trend_idx, r))
+        if cfg.kind == "rate-alt":
+            estimates.append(alternate_estimate(path, est, ts, trend.bound, cfg.x0,
+                                                cfg.variant, trend))
+        else:
+            estimates.append(kernel_estimate_product(path, est, ts))
+    estimates = np.array(estimates).reshape(stop - start, -1)
+    target = np.asarray(trend.value(ts), dtype=float)
+    if cfg.kind != "rate-alt":
+        grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
+        target = target * np.interp(ts, grid, solve_ode(trend, cfg.x0, grid))
+    if cfg.kind == "clt":
+        k = kernel.order
+        alpha = (k + 1.0) / (k - cfg.hurst + 2.0)
+        center = target + phi ** (k + 1) * bias_center_term(trend, cfg.x0, cfg.t0, k, kernel)
+        return eps ** (-alpha) * (estimates - center)
+    return (estimates - target) ** 2
+
+
+BLOCK_CASES = {
+    "consistency-panel": (dict(kind="consistency", trend="sin:0.5,0.8,3.0 | const:0.4",
+                               eps="0.2,0.05"), 1, 1),
+    "rate-main-q2": (dict(q="2", kernel="legendre:2"), 2, 0),
+    "clt": (dict(kind="clt", trend="const:0.5", kernel="box:1", eps="0.01",
+                 horizon="1.0", window="0.45,0.55", t0="0.5"), 0, 0),
+    "rate-alt-oracle": (dict(kind="rate-alt", kernel=None, rho="2.0",
+                             variant="oracle"), 3, 0),
+    "rate-alt-observable": (dict(kind="rate-alt", kernel=None, rho="2.0",
+                                 variant="observable"), 1, 0),
+}
+
+
+class TestBlockEquivalence:
+    """The hoisted block must equal the per-path public route bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_block_rows_equal_public_route(self, case):
+        overrides, rung, trend_idx = BLOCK_CASES[case]
+        cfg = parse_experiment_config(config_text(**overrides))
+        block = experiments._error_block((cfg, rung, trend_idx, 0, 25))
+        assert block.shape == (25, 1 if cfg.kind == "clt" else cfg.eval_points)
+        assert np.array_equal(block, per_replication_errors(cfg, rung, trend_idx, 0, 25))
+        # a one-row block (the size many workers give) sums exactly as a 25-row one
+        single = experiments._error_block((cfg, rung, trend_idx, 7, 8))
+        assert np.array_equal(single, block[7:8])
 
 
 class TestReports:

@@ -219,6 +219,17 @@ class TestMeanSquareBound:
             sups.append(float(np.max(acc / 200)))
         assert sups[1] / sups[0] == pytest.approx(4.0, rel=1e-9)
 
+    def test_matches_per_path_route(self):
+        # the hoisted integrator must give simulate_path's deviations bit for bit
+        th = sinusoid_trend(offset=0.5, amplitude=0.8, omega=3.0, horizon=2.0)
+        cfg = make_config(eps=0.05, n=128)
+        report = mean_square_bound_check(th, cfg, reps=500, seed=21)
+        acc = np.zeros(cfg.n + 1)
+        for r in range(500):
+            path = simulate_path(th, cfg, derive_seed(21, r))
+            acc = acc + (path.values - path.ode) ** 2
+        assert report.estimate == float(np.max(acc / 500))
+
     def test_reps_floor(self):
         th = constant_trend(0.5, horizon=2.0)
         with pytest.raises(ValueError, match="reps"):

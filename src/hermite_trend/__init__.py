@@ -90,5 +90,6 @@ from .trends import (
     sinusoid_trend,
     weierstrass_trend,
 )
+from .validation import ParameterError
 
 __version__ = "0.1.0"

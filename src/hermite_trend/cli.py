@@ -4,6 +4,14 @@ Exit codes: 0 success, 1 experiment verdict FAIL, 2 usage or config
 error, 3 runtime failure.  Every output artifact starts with its fully
 resolved configuration as ``# key = value`` lines, so a run can be
 reproduced from its own header; nothing here writes timestamps.
+
+Each parameter is checked by the layer that uses it, and exit 2 names the
+flag that set it (``_FLAGS``).  An experiment config is checked key by key
+when it is read, before any path is drawn: besides each key's own domain,
+n >= 64, m = 0 or m >= n, seed >= 0, eval_points >= 1, ceiling, slope_tol and
+var_tol >= 0, the kernel reach inside [0, horizon] at every rung, rho at most
+the trend smoothness (rate-alt) and, for clt, a trend with the derivative of
+order k + 1 the bias term needs.
 """
 
 from __future__ import annotations
@@ -17,16 +25,10 @@ import numpy as np
 
 from .estimators import EstimatorConfig, bandwidth_main, estimate_series
 from .experiments import _fmt, load_experiment_config, run_experiment, write_report
-from .hermite import MAX_HERMITE_ORDER
-from .kernels import (
-    MAX_KERNEL_ORDER,
-    asymptotic_variance,
-    box_kernel,
-    kernel_moment,
-    vanishing_moment_kernel,
-)
-from .sde import PathConfig, SdePath, simulate_path, solve_ode
+from .kernels import asymptotic_variance, box_kernel, kernel_moment, vanishing_moment_kernel
+from .sde import PathConfig, SdePath, simulate_path
 from .trends import parse_trend
+from .validation import ParameterError
 
 TREND_HELP = (
     "trend grammar: const:<c> | sin:<base>,<amp>,<omega> | "
@@ -43,27 +45,41 @@ def _write_lines(out, lines) -> None:
             fh.write(text)
 
 
-def _check_hurst(hurst: float) -> None:
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"--hurst: H must lie in (0.5, 1), got {hurst}")
+# Layer field -> the flag that sets it, per subcommand.
+_FLAGS = {
+    "simulate": {"order": "--q", "hurst": "--hurst", "horizon": "--horizon", "n": "--n",
+                 "m": "--m", "eps": "--eps", "x0": "--x0", "seed": "--seed"},
+    "estimate": {"k": "--order", "bandwidth": "--bandwidth", "window": "--window",
+                 "points": "--points"},
+    "kernel": {"k": "--order", "width": "--width", "hurst": "--hurst"},
+}
+
+
+def _floats(text: str) -> list:
+    """argparse type: comma-separated numbers."""
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}") from None
+
+
+def _auto_or_number(text: str):
+    """argparse type for --bandwidth."""
+    try:
+        return text if text == "auto" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
 
 
 # ------------------------------------------------------------- simulate ----
 
 
 def _cmd_simulate(args) -> int:
-    _check_hurst(args.hurst)
-    if not 1 <= args.q <= MAX_HERMITE_ORDER:
-        raise ValueError(
-            f"--q: Hermite rank must lie in [1, {MAX_HERMITE_ORDER}], got {args.q}"
-        )
-    if not 0.0 <= args.eps <= 1.0:
-        raise ValueError(f"--eps: noise amplitude must lie in [0, 1], got {args.eps}")
-    trend = parse_trend(args.trend, args.horizon)
     cfg = PathConfig(
         horizon=args.horizon, n=args.n, eps=args.eps, x0=args.x0,
         order=args.q, hurst=args.hurst, m=args.m,
     )
+    trend = parse_trend(args.trend, args.horizon)
     path = simulate_path(trend, cfg, args.seed, method=args.method)
     spec = cfg.hermite_spec()
     lines = [
@@ -122,16 +138,6 @@ def _read_path_csv(path: str) -> tuple:
     return header, np.asarray(rows)
 
 
-def _parse_window(text: str, horizon: float) -> tuple:
-    try:
-        a, b = (float(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"--window: expected two numbers a,b, got {text!r}") from None
-    if not 0.0 < a <= b < horizon:
-        raise ValueError(f"--window: need 0 < a <= b < horizon = {_fmt(horizon)}, got {text!r}")
-    return a, b
-
-
 def _cmd_estimate(args) -> int:
     header, data = _read_path_csv(args.infile)
     horizon = float(header["horizon"])
@@ -146,30 +152,18 @@ def _cmd_estimate(args) -> int:
     path = SdePath(times=data[:, 0], values=data[:, 3], ode=data[:, 2],
                    noise=data[:, 1], config=cfg)
     kernel = vanishing_moment_kernel(args.order)
-    if args.bandwidth == "auto":
-        if eps <= 0.0:
-            raise ValueError("--bandwidth auto needs a noisy path (eps > 0)")
-        phi = bandwidth_main(eps, args.order, hurst)
-        rule = "main"
-    else:
-        phi = float(args.bandwidth)
-        rule = "manual"
-    if args.points < 1:
-        raise ValueError(f"--points: need at least one evaluation point, got {args.points}")
+    rule = "main" if args.bandwidth == "auto" else "manual"
+    phi = bandwidth_main(eps, args.order, hurst) if rule == "main" else args.bandwidth
     hi = float(kernel.support[1])
-    if args.window:
-        a, b = _parse_window(args.window, horizon)
-    else:
-        a, b = hi * phi, horizon - hi * phi
-    est_cfg = EstimatorConfig(kernel=kernel, bandwidth=phi, window=(a, b),
-                              horizon=horizon, eps=eps, rule=rule)
+    est_cfg = EstimatorConfig(kernel=kernel, bandwidth=phi, horizon=horizon, eps=eps, rule=rule,
+                              window=tuple(args.window or (hi * phi, horizon - hi * phi)))
     series = estimate_series(path, est_cfg, points=args.points)
     lines = [f"# {k} = {v}" for k, v in header.items()]
     lines += [
         f"# order = {args.order}",
         f"# bandwidth = {_fmt(phi)}",
         f"# rule = {rule}",
-        f"# window = {_fmt(a)},{_fmt(b)}",
+        f"# window = {','.join(_fmt(v) for v in est_cfg.window)}",
         f"# points = {args.points}",
         "t,product_estimate,theta_hat,valid",
     ]
@@ -184,20 +178,11 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_kernel(args) -> int:
     if args.width is not None:
-        if args.width <= 0:
-            raise ValueError(f"--width: box width must be positive, got {args.width}")
         kernel = box_kernel(args.width)
         label = f"box:{_fmt(args.width)}"
     else:
-        if not 0 <= args.order <= MAX_KERNEL_ORDER:
-            raise ValueError(
-                f"--order: kernel order must lie in [0, {MAX_KERNEL_ORDER}], got {args.order}"
-            )
         kernel = vanishing_moment_kernel(args.order)
         label = f"legendre:{args.order}"
-    hursts = [float(tok) for tok in args.hurst.split(",")]
-    for h in hursts:
-        _check_hurst(h)
     lo, hi = kernel.support
     lines = [
         f"# kernel = {label}",
@@ -206,7 +191,7 @@ def _cmd_kernel(args) -> int:
     ]
     for j in range(kernel.order + 2):
         lines.append(f"moment j={j}: {_fmt(float(kernel_moment(kernel, j)))}")
-    for h in hursts:
+    for h in args.hurst:
         lines.append(f"sigma2 H={_fmt(h)}: {_fmt(asymptotic_variance(kernel, h))}")
     _write_lines(args.out, lines)
     return 0
@@ -285,8 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="kernel-estimate theta from a path CSV")
     est.add_argument("--in", dest="infile", required=True, help="simulate output CSV")
     est.add_argument("--order", type=int, default=1, help="vanishing-moment kernel order")
-    est.add_argument("--bandwidth", default="auto", help="'auto' (main rule) or a number")
-    est.add_argument("--window", default="", help="a,b evaluation window (default widest)")
+    est.add_argument("--bandwidth", type=_auto_or_number, default="auto",
+                     help="'auto' (main rule) or a number")
+    est.add_argument("--window", type=_floats, default=None,
+                     help="a,b evaluation window (default widest)")
     est.add_argument("--points", type=int, default=21)
     est.add_argument("--out", default="-")
     est.set_defaults(func=_cmd_estimate)
@@ -295,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     ker.add_argument("--order", type=int, default=0)
     ker.add_argument("--width", type=float, default=None,
                      help="use a box kernel of this width instead of --order")
-    ker.add_argument("--hurst", "--H", default="0.7", help="comma-separated H values")
+    ker.add_argument("--hurst", "--H", type=_floats, default="0.7",
+                     help="comma-separated H values")
     ker.add_argument("--out", default="-")
     ker.set_defaults(func=_cmd_kernel)
 
@@ -317,6 +305,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ParameterError as exc:
+        flag = _FLAGS.get(args.command, {}).get(exc.field)
+        print(f"error: {exc.renamed(flag) if flag else exc}", file=sys.stderr)
+        return 2
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from scipy.integrate import quad
 from .kernels import Kernel, kernel_moment
 from .sde import SdePath
 from .trends import TrendFunction
+from .validation import ParameterError, check_hurst
 
 __all__ = [
     "EstimatorConfig",
@@ -57,23 +58,24 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+            raise ParameterError("bandwidth", f"sets a bandwidth of {self.bandwidth}, not > 0")
+        if len(self.window) != 2 or not 0.0 < self.window[0] <= self.window[1] < self.horizon:
+            raise ParameterError("window", f"must be exactly two numbers a <= b strictly inside "
+                                 f"(0, {self.horizon}), got {list(self.window)}")
         a, b = self.window
-        if not (0.0 < a <= b < self.horizon):
-            raise ValueError(
-                f"window [{a}, {b}] must sit strictly inside (0, {self.horizon})"
-            )
         lo, hi = self.kernel.support
         phi = self.bandwidth
         reach_lo = min(a - hi * phi, a + lo * phi)
         reach_hi = max(b - lo * phi, b + hi * phi)
         if reach_lo < 0.0 or reach_hi > self.horizon:
-            raise ValueError(
-                f"kernel window [{reach_lo:.6g}, {reach_hi:.6g}] overflows "
-                f"[0, {self.horizon}]; shrink the bandwidth or the window"
+            raise ParameterError(
+                "bandwidth", f"makes the kernel (bandwidth {phi:.6g}) reach [{reach_lo:.6g}, "
+                f"{reach_hi:.6g}], which overflows [0, {self.horizon}]; shrink it or the window"
             )
 
     def eval_grid(self, points: int = 21) -> np.ndarray:
+        if points < 1:
+            raise ParameterError("points", f"must be >= 1, got {points}")
         a, b = self.window
         return np.linspace(a, b, points)
 
@@ -92,20 +94,19 @@ class EstimateSeries:
 def bandwidth_main(eps: float, k: int, hurst: float) -> float:
     """phi = eps^{1/(k - H + 2)}, the rate-optimal choice for order k."""
     if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
+        raise ParameterError("eps", f"must lie in (0, 1], got {eps}")
+    check_hurst(hurst)
     if k < 0:
-        raise ValueError(f"kernel order must be >= 0, got {k}")
+        raise ParameterError("k", f"must be >= 0, got {k}")
     return eps ** (1.0 / (k - hurst + 2.0))
 
 
 def bandwidth_alt(eps: float, rho: float, hurst: float) -> float:
     """phi = eps^{1/(rho - H)} for the truncated estimator, rho > H."""
     if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+        raise ParameterError("eps", f"must lie in (0, 1], got {eps}")
     if not rho > hurst:
-        raise ValueError(f"smoothness rho must exceed hurst, got rho={rho}, H={hurst}")
+        raise ParameterError("rho", f"must exceed hurst (rho > hurst), got rho={rho}, H={hurst}")
     return eps ** (1.0 / (rho - hurst))
 
 

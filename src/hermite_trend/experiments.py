@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -37,11 +37,12 @@ from .estimators import (
     bandwidth_main,
     bias_center_term,
 )
-from .hermite import MAX_HERMITE_ORDER, sample_hermite
+from .hermite import sample_hermite
 from .kernels import asymptotic_variance, box_kernel, vanishing_moment_kernel
 from .rng import derive_seed
 from .sde import PathConfig, _growth_factors, _variation_of_constants
-from .trends import parse_trend
+from .trends import DerivativeUnavailable, parse_trend
+from .validation import ParameterError, check_hurst
 
 __all__ = [
     "ConditionViolated",
@@ -106,50 +107,57 @@ class ExperimentConfig:
     var_tol: float = 0.25  # clt only
 
     def __post_init__(self):
+        """Check every key before any path: build what each rung of the run builds."""
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {'|'.join(KINDS)}, got {self.kind!r}")
         if not self.trends:
             raise ValueError("at least one trend is required")
-        if not 1 <= self.q <= MAX_HERMITE_ORDER:
-            raise ValueError(f"q must lie in [1, {MAX_HERMITE_ORDER}], got {self.q}")
-        if not 0.5 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie in (1/2, 1), got {self.hurst}")
+        trends = [parse_trend(t, self.horizon) for t in self.trends]
         if self.replications < 100:
             raise ValueError(f"replications must be >= 100, got {self.replications}")
-        if self.m < 0:
-            raise ValueError(f"rank-grid size m must be >= 0, got {self.m}")
-        lad = tuple(float(e) for e in self.ladder)
-        if any(not 0.0 < e <= 1.0 for e in lad):
-            raise ValueError("every eps must lie in (0, 1]")
-        if any(a <= b for a, b in zip(lad, lad[1:])):
+        if any(a <= b for a, b in zip(self.ladder, self.ladder[1:])):
             raise ValueError("eps ladder must be strictly decreasing")
+        rungs = len(self.ladder)
         min_rungs = {"consistency": 2, "rate-main": 4, "rate-alt": 4, "clt": 1}[self.kind]
-        max_rungs = 1 if self.kind == "clt" else None
-        if len(lad) < min_rungs:
-            raise ValueError(f"{self.kind} needs >= {min_rungs} ladder rungs, got {len(lad)}")
-        if max_rungs is not None and len(lad) > max_rungs:
-            raise ValueError(f"{self.kind} takes exactly {max_rungs} eps value")
-        a, b = self.window
-        if not (0.0 < a <= b < self.horizon):
-            raise ValueError(f"window [{a}, {b}] must sit strictly inside (0, {self.horizon})")
+        if rungs < min_rungs:
+            raise ValueError(f"{self.kind} needs >= {min_rungs} ladder rungs, got {rungs}")
+        if self.kind == "clt" and rungs > 1:
+            raise ValueError("clt takes exactly 1 eps value")
         if self.kind == "rate-alt":
-            if not self.rho > self.hurst:
-                raise ValueError(f"rate-alt needs rho > hurst, got rho={self.rho}")
             if self.variant not in ("observable", "oracle"):
                 raise ValueError(f"variant must be observable|oracle, got {self.variant!r}")
             if self.kernel:
                 raise ValueError("rate-alt derives its kernel from rho; drop the kernel key")
-        else:
-            head, _, arg = self.kernel.partition(":")
-            if head not in ("legendre", "box") or not arg:
-                raise ValueError(
-                    f"kernel must be 'legendre:<order>' or 'box:<width>', got {self.kernel!r}"
-                )
+        for key in ("ceiling", "slope_tol", "var_tol"):  # 0 = kind default for the first two
+            if getattr(self, key) < 0:
+                raise ParameterError(key, f"must be >= 0, got {getattr(self, key)}")
+        try:
+            for rung in range(rungs):
+                est = _rung_setup(self, rung)[0]
+            derive_seed(self.seed)  # every stream of the run derives from it
+        except ParameterError as exc:  # rate-alt derives the kernel order k from rho
+            alt_k = exc.field == "k" and self.kind == "rate-alt"
+            raise exc.renamed("rho" if alt_k else _FIELD_KEYS.get(exc.field, exc.field)) from exc
+        smoothness = min(t.rho for t in trends)  # k + gamma; inf for smooth trends
+        if self.kind == "rate-alt" and self.rho > smoothness:
+            raise ParameterError("rho", f"must not exceed the trend smoothness {smoothness:.6g}, "
+                                 f"got {self.rho}")
         if self.kind == "clt":
             if len(self.trends) != 1:
                 raise ValueError("clt uses a single trend, not a panel")
+            a, b = self.window
             if not a <= self.t0 <= b:
                 raise ValueError(f"t0={self.t0} must lie in the window [{a}, {b}]")
+            try:  # the bias centre needs theta^{(k+1)}
+                trends[0].derivative(est.kernel.order + 1)
+            except DerivativeUnavailable as exc:
+                raise ParameterError("kernel", f"needs more trend smoothness for the clt bias "
+                                     f"term: {exc}") from exc
+
+
+# Layer field -> config key, where the layer names the field differently.
+_FIELD_KEYS = {"order": "q", "master_seed": "seed", "bandwidth": "eps",
+               "points": "eval_points", "k": "kernel", "width": "kernel"}
 
 
 def _build_kernel(cfg: ExperimentConfig):
@@ -157,9 +165,15 @@ def _build_kernel(cfg: ExperimentConfig):
         # rho = k + gamma with gamma in (0, 1]
         return vanishing_moment_kernel(math.ceil(cfg.rho) - 1)
     head, _, arg = cfg.kernel.partition(":")
-    if head == "legendre":
-        return vanishing_moment_kernel(int(arg))
-    return box_kernel(float(arg))
+    try:
+        value = int(arg) if head == "legendre" else float(arg)
+    except ValueError:
+        value = None
+    if head not in ("legendre", "box") or value is None:
+        raise ParameterError(
+            "kernel", f"must be 'legendre:<order>' or 'box:<width>', got {cfg.kernel!r}"
+        )
+    return vanishing_moment_kernel(value) if head == "legendre" else box_kernel(value)
 
 
 def _bandwidth(cfg: ExperimentConfig, kernel, eps: float) -> float:
@@ -168,37 +182,33 @@ def _bandwidth(cfg: ExperimentConfig, kernel, eps: float) -> float:
     return bandwidth_main(eps, kernel.order, cfg.hurst)
 
 
+def _rung_setup(cfg: ExperimentConfig, rung: int) -> tuple:
+    """(EstimatorConfig with kernel and bandwidth, HermiteSpec, eval times) of a rung."""
+    kernel = _build_kernel(cfg)
+    eps = cfg.ladder[rung]
+    phi = _bandwidth(cfg, kernel, eps)
+    spec = PathConfig(horizon=cfg.horizon, n=cfg.n, eps=eps, x0=cfg.x0,
+                      order=cfg.q, hurst=cfg.hurst, m=cfg.m).hermite_spec()
+    est = EstimatorConfig(
+        kernel=kernel, bandwidth=phi, window=cfg.window, horizon=cfg.horizon, eps=eps,
+        rule="alt" if cfg.kind == "rate-alt" else "main",
+    )
+    grid = est.eval_grid(cfg.eval_points)  # checks eval_points for every kind
+    return est, spec, cfg.t0 if cfg.kind == "clt" else grid
+
+
 def _slope_tolerance(cfg: ExperimentConfig) -> float:
     if cfg.slope_tol > 0:
         return cfg.slope_tol
     return 0.5 if cfg.kind == "rate-alt" else 0.35
 
 
-_KEY_TYPES = {
-    "kind": str,
-    "trend": str,
-    "q": int,
-    "hurst": float,
-    "kernel": str,
-    "rho": float,
-    "eps": str,
-    "replications": int,
-    "n": int,
-    "horizon": float,
-    "window": str,
-    "seed": int,
-    "x0": float,
-    "m": int,
-    "eval_points": int,
-    "t0": float,
-    "variant": str,
-    "ceiling": float,
-    "slope_tol": float,
-    "var_tol": float,
-}
-
-_REQUIRED_KEYS = ("kind", "trend", "q", "hurst", "eps", "replications", "n",
-                  "horizon", "window", "seed")
+# Each field is one config key, of the field's type; the tuples are parsed from text.
+_KEY_OF = {"trends": "trend", "ladder": "eps"}
+_KEY_TYPES = {_KEY_OF.get(f.name, f.name): {"int": int, "float": float}.get(f.type, str)
+              for f in fields(ExperimentConfig)}
+_REQUIRED_KEYS = tuple(_KEY_OF.get(f.name, f.name) for f in fields(ExperimentConfig)
+                       if f.default is MISSING)
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
@@ -234,28 +244,9 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         window = tuple(float(tok) for tok in raw["window"].split(","))
     except ValueError as exc:
         raise ValueError(f"eps/window must be comma-separated numbers: {exc}") from exc
-    if len(window) != 2:
-        raise ValueError(f"window takes exactly two numbers, got {len(window)}")
     trends = tuple(tok.strip() for tok in raw["trend"].split("|"))
-    for t in trends:
-        parse_trend(t, raw["horizon"])  # fail fast, with the trend's own message
-    kwargs = dict(
-        kind=raw["kind"],
-        trends=trends,
-        q=raw["q"],
-        hurst=raw["hurst"],
-        ladder=ladder,
-        replications=raw["replications"],
-        n=raw["n"],
-        horizon=raw["horizon"],
-        window=window,
-        seed=raw["seed"],
-    )
-    for key in ("kernel", "rho", "x0", "m", "eval_points", "t0", "variant", "ceiling",
-                "slope_tol", "var_tol"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    return ExperimentConfig(**kwargs)
+    kwargs = {key: value for key, value in raw.items() if key not in ("trend", "eps", "window")}
+    return ExperimentConfig(**kwargs, trends=trends, ladder=ladder, window=window)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -270,8 +261,7 @@ def theoretical_rate_main(k: int, hurst: float) -> float:
     """MSE decay exponent min(2, 2(k+1)/(k+2-H)); the cap never binds for H<1."""
     if k < 0:
         raise ValueError(f"kernel order must be >= 0, got {k}")
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
+    check_hurst(hurst)
     return min(2.0, 2.0 * (k + 1) / (k + 2.0 - hurst))
 
 
@@ -285,8 +275,7 @@ def theoretical_rate_alt(rho: float, hurst: float) -> float:
     every rho, so it sets the rate.  It is positive only for rho > 1; for
     H < rho <= 1 the noise term does not shrink with eps and there is no rate.
     """
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
+    check_hurst(hurst)
     if not rho > hurst:
         raise ValueError(f"rho must exceed hurst, got rho={rho}, H={hurst}")
     if not rho > 1.0:
@@ -364,19 +353,11 @@ def _error_block(task) -> np.ndarray:
     """
     cfg, rung, trend_idx, start, stop = task
     trend = parse_trend(cfg.trends[trend_idx], cfg.horizon)
-    kernel = _build_kernel(cfg)
-    eps = cfg.ladder[rung]
-    phi = _bandwidth(cfg, kernel, eps)
+    est, spec, ts = _rung_setup(cfg, rung)
+    kernel, phi, eps = est.kernel, est.bandwidth, cfg.ladder[rung]
     alt = cfg.kind == "rate-alt"
-    est = EstimatorConfig(
-        kernel=kernel, bandwidth=phi, window=cfg.window, horizon=cfg.horizon, eps=eps,
-        rule="alt" if alt else "main",
-    )
-    spec = PathConfig(horizon=cfg.horizon, n=cfg.n, eps=eps, x0=cfg.x0,
-                      order=cfg.q, hurst=cfg.hurst, m=cfg.m).hermite_spec()
     grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
     growth, decay = _growth_factors(trend, grid)
-    ts = cfg.t0 if cfg.kind == "clt" else est.eval_grid(cfg.eval_points)
     rows = _weight_rows(grid, kernel, phi, ts, reflect=alt)
     if alt:
         target = np.asarray(trend.value(ts), dtype=float)

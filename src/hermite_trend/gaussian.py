@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .rng import philox_generator
+from .validation import ParameterError, check_hurst
 
 __all__ = [
     "EmbeddingFailure",
@@ -50,10 +51,9 @@ class FgnSpec:
     n: int
 
     def __post_init__(self):
-        if not 0.5 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie strictly in (0.5, 1), got {self.hurst}")
+        check_hurst(self.hurst)
         if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+            raise ParameterError("n", f"must be >= 1, got {self.n}")
 
 
 # ----------------------------------------------------------- covariance ----
@@ -65,8 +65,7 @@ def fgn_autocovariance(lag, hurst: float):
     r(lag) = ((|lag|+1)^(2h) - 2|lag|^(2h) + ||lag|-1|^(2h)) / 2.  Accepts a
     scalar or an array of lags; r(0) = 1 for every admissible h.
     """
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie strictly in (0.5, 1), got {hurst}")
+    check_hurst(hurst)
     scalar = np.ndim(lag) == 0
     k = np.abs(np.asarray(lag, dtype=float))
     two_h = 2.0 * hurst
@@ -131,6 +130,6 @@ def sample_fbm(hurst: float, horizon: float, n: int, seed: int) -> np.ndarray:
     discretisation bias at the grid times.
     """
     if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+        raise ParameterError("horizon", f"must be positive, got {horizon}")
     noise = sample_fgn(FgnSpec(hurst=hurst, n=n), seed)
     return np.concatenate([[0.0], np.cumsum((horizon / n) ** hurst * noise)])

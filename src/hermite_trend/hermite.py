@@ -17,6 +17,7 @@ import numpy as np
 
 from .gaussian import FgnSpec, fgn_autocovariance, sample_fbm, sample_fgn
 from .rng import derive_seed, philox_generator
+from .validation import ParameterError, check_hurst
 
 __all__ = [
     "MAX_HERMITE_ORDER",
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 
-# Highest supported Hermite rank; the config key and the CLI flag share it.
+# Highest supported Hermite rank; HermiteSpec checks it for the config key and the CLI flag.
 MAX_HERMITE_ORDER = 8
 
 
@@ -57,19 +58,16 @@ class HermiteSpec:
 
     def __post_init__(self):
         if not 1 <= self.order <= MAX_HERMITE_ORDER:
-            raise ValueError(
-                f"order must be an integer in 1..{MAX_HERMITE_ORDER}, got {self.order}"
-            )
-        if not 0.5 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie strictly in (0.5, 1), got {self.hurst}")
+            raise ParameterError("order", f"must lie in [1, {MAX_HERMITE_ORDER}], got {self.order}")
+        check_hurst(self.hurst)
         if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+            raise ParameterError("horizon", f"must be positive, got {self.horizon}")
         if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+            raise ParameterError("n", f"must be >= 1, got {self.n}")
         if self.m == 0:
             object.__setattr__(self, "m", 8 * self.n)
         if self.m < self.n:
-            raise ValueError(f"internal resolution m={self.m} must be >= n={self.n}")
+            raise ParameterError("m", f"must be 0 (for 8n) or >= n = {self.n}, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +101,7 @@ def h_zero(order: int, hurst: float) -> float:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie strictly in (0.5, 1), got {hurst}")
+    check_hurst(hurst)
     return 1.0 + (hurst - 1.0) / order
 
 

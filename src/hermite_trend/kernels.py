@@ -23,6 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import exactpoly as xp
+from .validation import ParameterError, check_hurst
 
 __all__ = [
     "Kernel",
@@ -161,11 +162,9 @@ def vanishing_moment_kernel(k: int) -> Kernel:
     kernel.  Orders above MAX_KERNEL_ORDER are rejected (float evaluation of
     the resulting coefficients would lose the moment guarantees).
     """
-    if k < 0:
-        raise ValueError(f"order must be >= 0, got {k}")
-    if k > MAX_KERNEL_ORDER:
-        raise ValueError(
-            f"order {k} exceeds the conditioning guard ({MAX_KERNEL_ORDER})"
+    if not 0 <= k <= MAX_KERNEL_ORDER:
+        raise ParameterError(
+            "k", f"gives kernel order {k}, outside [0, {MAX_KERNEL_ORDER}] (the conditioning guard)"
         )
     if k == 0:
         piece = KernelPiece(Fraction(-1), Fraction(1), (Fraction(1, 2),))
@@ -179,8 +178,8 @@ def vanishing_moment_kernel(k: int) -> Kernel:
 
 def box_kernel(width: float = 1.0) -> Kernel:
     """Uniform kernel of the given width centred at zero (order 0 by label)."""
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width}")
+    if not 0 < width < np.inf:
+        raise ParameterError("width", f"must be positive and finite, got {width}")
     half = Fraction(width) / 2
     piece = KernelPiece(-half, half, (1 / Fraction(width),))
     return Kernel(order=0, pieces=(piece,))
@@ -284,8 +283,7 @@ def asymptotic_variance(kernel: Kernel, hurst: float) -> float:
     proper despite the singular weight.  For the unit-width box this equals 1
     for every admissible h.
     """
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie strictly in (0.5, 1), got {hurst}")
+    check_hurst(hurst)
     exponent = 2.0 * hurst - 2.0
     total = sum(
         _power_law_piece_integral(p, exponent) for p in _autocorrelation_pieces(kernel)
@@ -323,8 +321,7 @@ def asymptotic_variance_quadrature(kernel: Kernel, hurst: float) -> float:
     subintervals touching the |w|^(2h-2) singularity, and evaluates psi itself
     numerically.  Serves as the independent cross-check of the closed form.
     """
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie strictly in (0.5, 1), got {hurst}")
+    check_hurst(hurst)
     exponent = 2.0 * hurst - 2.0
     ends = sorted(
         {

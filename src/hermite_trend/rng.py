@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .validation import ParameterError
+
 __all__ = ["philox_generator", "derive_seed"]
 
 
@@ -19,7 +21,7 @@ def philox_generator(seed: int) -> np.random.Generator:
     """Generator backed by counter-based Philox, keyed by a single integer seed."""
     seed = int(seed)
     if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+        raise ParameterError("seed", f"must be a nonnegative integer, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -30,6 +32,6 @@ def derive_seed(master_seed: int, *key: int) -> int:
     yield streams that are independent for all practical purposes.
     """
     if int(master_seed) < 0:
-        raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
+        raise ParameterError("master_seed", f"must be nonnegative, got {master_seed}")
     ss = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])

@@ -19,6 +19,7 @@ from scipy.integrate import cumulative_simpson
 from .hermite import HermitePath, HermiteSpec, sample_hermite
 from .rng import derive_seed
 from .trends import TrendFunction
+from .validation import ParameterError
 
 __all__ = [
     "BoundViolation",
@@ -56,14 +57,15 @@ class PathConfig:
 
     def __post_init__(self):
         if not 0 < self.horizon < np.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+            raise ParameterError("horizon", f"must be positive and finite, got {self.horizon}")
         if self.n < 64:
-            raise ValueError(f"n must be >= 64 for integrator accuracy, got {self.n}")
+            raise ParameterError("n", f"must be >= 64 for integrator accuracy, got {self.n}")
         # eps = 0 is allowed: the path collapses to the noiseless ODE solution.
         if not 0.0 <= self.eps <= 1.0:
-            raise ValueError(f"eps must lie in [0, 1], got {self.eps}")
+            raise ParameterError("eps", f"must lie in [0, 1], got {self.eps}")
         if self.x0 == 0 or not np.isfinite(self.x0):
-            raise ValueError(f"x0 must be finite and nonzero, got {self.x0}")
+            raise ParameterError("x0", f"must be finite and nonzero, got {self.x0}")
+        self.hermite_spec()  # checks order, hurst and m
 
     def hermite_spec(self) -> HermiteSpec:
         return HermiteSpec(

@@ -37,6 +37,21 @@ window = 0.6,1.4
 seed = 31415
 """
 
+PASSING_CLT = """
+kind = clt
+trend = const:0.5
+q = 1
+hurst = 0.7
+kernel = legendre:1
+eps = 0.05
+replications = 100
+n = 1024
+horizon = 2.0
+window = 0.6,1.4
+t0 = 1.0
+seed = 5
+"""
+
 
 def run(argv):
     try:
@@ -107,6 +122,18 @@ class TestSimulate:
     def test_rank_above_max_names_flag(self, capsys):
         assert run(["simulate", "--trend", "const:0.5", "--q", "9"]) == 2
         assert "--q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--n", "10"], "--n"),
+        (["--m", "100"], "--m"),
+        (["--eps", "1.5"], "--eps"),
+        (["--seed", "-1", "--n", "64"], "--seed"),
+    ])
+    def test_layer_check_names_flag(self, flags, name, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert run(["simulate", "--trend", "const:0.5", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} ")
+        assert not out.exists()
 
     def test_unknown_flag_exit_2(self, capsys):
         assert run(["simulate", "--trend", "const:0.5", "--wat", "3"]) == 2
@@ -211,6 +238,11 @@ class TestEstimate:
         assert run(["estimate", "--in", str(noisy_path), *flags]) == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_bandwidth_names_flag(self, value, noisy_path, capsys):
+        assert run(["estimate", "--in", str(noisy_path), "--bandwidth", value]) == 2
+        assert "--bandwidth" in capsys.readouterr().err
+
 
 class TestKernel:
     def test_unit_box_variance_is_one(self, capsys):
@@ -246,6 +278,10 @@ class TestKernel:
     def test_bad_hurst_exit_2(self, capsys):
         assert run(["kernel", "--order", "0", "--hurst", "0.7,0.4"]) == 2
         assert "(0.5, 1)" in capsys.readouterr().err
+
+    def test_unparsable_hurst_names_flag(self, capsys):
+        assert run(["kernel", "--hurst", "0.7,abc"]) == 2
+        assert "--hurst" in capsys.readouterr().err
 
 
 class TestExperiment:
@@ -287,6 +323,22 @@ class TestExperiment:
         out = tmp_path / "rep"
         assert run(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, key", [("x0 = 0", "x0"), ("eval_points = 0", "eval_points"),
+                                           ("trend = weier:0.3,0.5,3,12", "kernel")])
+    def test_unrunnable_config_exit_2(self, line, key, tmp_path, capsys, monkeypatch):
+        def no_path(spec, seed):
+            raise RuntimeError("a path was drawn")
+
+        monkeypatch.setattr(experiments, "sample_hermite", no_path)
+        name = line.split(" =")[0]
+        text = "\n".join(ln for ln in PASSING_CLT.splitlines() if not ln.startswith(name + " ="))
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(text + "\n" + line + "\n")
+        out = tmp_path / "rep"
+        assert run(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
         assert not out.exists()
 
     def test_nan_replication_exit_3(self, tmp_path, capsys, monkeypatch):

@@ -33,6 +33,7 @@ from hermite_trend.experiments import (
 from hermite_trend.rng import derive_seed
 from hermite_trend.sde import PathConfig, simulate_path, solve_ode
 from hermite_trend.trends import parse_trend
+from hermite_trend.validation import ParameterError
 
 GOOD_RATE = """
 # four-rung geometric ladder
@@ -206,6 +207,60 @@ class TestValidation:
     def test_hermite_rank_domain(self):
         with pytest.raises(ValueError, match=r"q must lie in \[1, 8\]"):
             parse_experiment_config(config_text(q="9"))
+
+
+# Configs the run cannot use, each with the key its error must name.  Each one
+# used to pass the parser and fail in, or silently bend, the run itself.
+WEIER = "weier:0.3,0.5,3,12"  # rho = 1 + log 2 / log 3 = 1.63
+CLT = dict(kind="clt", trend="const:0.5", kernel="box:1", eps="0.01", horizon="1.0",
+           window="0.45,0.55", t0="0.5")
+REJECTED_AT_PARSE = {
+    "x0-zero": (dict(x0="0"), "x0"),
+    "seed-negative": (dict(seed="-1"), "seed"),
+    "m-below-n": (dict(m="512"), "m"),
+    "n-below-64": (dict(n="32"), "n"),
+    "eval-points-zero": (dict(eval_points="0"), "eval_points"),
+    "eval-points-negative": (dict(eval_points="-3"), "eval_points"),
+    "slope-tol-negative": (dict(slope_tol="-1"), "slope_tol"),
+    "ceiling-negative": (dict(kind="consistency", eps="0.2,0.05", ceiling="-1"), "ceiling"),
+    "var-tol-negative": (dict(CLT, var_tol="-0.1"), "var_tol"),
+    # phi is largest at the first rung, so the reach overflows there first
+    "kernel-reach-overflow": (dict(window="0.2,1.8"), "eps"),
+    # eps^{1/(rho-H)} underflows to 0 at the last rung only
+    "bandwidth-zero-last-rung": (dict(kind="rate-alt", kernel=None, rho="0.71",
+                                      eps="0.125,0.0625,0.03125,1e-300"), "eps"),
+    "rho-above-trend-smoothness": (dict(kind="rate-alt", kernel=None, rho="2.0",
+                                        trend=WEIER), "rho"),
+    "clt-bias-needs-missing-derivative": (dict(kind="clt", trend=WEIER, kernel="legendre:1",
+                                               eps="0.05", t0="1.0"), "kernel"),
+}
+
+
+class TestParseTimeChecks:
+    """Each unusable config fails as it is read, naming its key; no path is drawn."""
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_AT_PARSE))
+    def test_rejected_before_any_path(self, case, monkeypatch):
+        def no_path(spec, seed):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(experiments, "sample_hermite", no_path)
+        overrides, key = REJECTED_AT_PARSE[case]
+        with pytest.raises(ParameterError) as info:
+            run_experiment(parse_experiment_config(config_text(**overrides)))
+        assert info.value.field == key
+        assert str(info.value).startswith(f"{key} ")
+
+    def test_zero_keeps_kind_defaults(self):
+        cfg = parse_experiment_config(config_text(slope_tol="0", ceiling="0"))
+        assert experiments._slope_tolerance(cfg) == 0.35
+
+    def test_rho_at_trend_smoothness_accepted(self):
+        rho = parse_trend(WEIER).rho
+        cfg = parse_experiment_config(
+            config_text(kind="rate-alt", kernel=None, rho=repr(rho), trend=WEIER)
+        )
+        assert cfg.rho == rho
 
 
 class TestTheoreticalRates:

@@ -15,11 +15,9 @@ from .estimators import (
     bandwidth_alt,
     bandwidth_main,
     bias_center_term,
-    default_division_floor,
     estimate_series,
     indicator_path,
     kernel_estimate_product,
-    kernel_estimate_theta,
 )
 from .experiments import (
     CltReport,
@@ -51,7 +49,6 @@ from .hermite import (
     MAX_HERMITE_ORDER,
     HermitePath,
     HermiteSpec,
-    covariance_oracle,
     discrete_normalizer,
     h_zero,
     hermite_polynomial,
@@ -65,7 +62,6 @@ from .kernels import (
     box_kernel,
     kernel_autocorrelation,
     kernel_moment,
-    rescale_kernel,
     vanishing_moment_kernel,
 )
 from .rng import derive_seed, philox_generator

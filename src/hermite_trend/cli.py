@@ -6,12 +6,12 @@ resolved configuration as ``# key = value`` lines, so a run can be
 reproduced from its own header; nothing here writes timestamps.
 
 Each parameter is checked by the layer that uses it, and exit 2 names the
-flag that set it (``_FLAGS``).  An experiment config is checked key by key
-when it is read, before any path is drawn: besides each key's own domain,
-n >= 64, m = 0 or m >= n, seed >= 0, eval_points >= 1, ceiling, slope_tol and
-var_tol >= 0, the kernel reach inside [0, horizon] at every rung, rho at most
-the trend smoothness (rate-alt) and, for clt, a trend with the derivative of
-order k + 1 the bias term needs.
+flag (or the ``--in`` header key) that set it (``_FLAGS``).  An experiment
+config is checked key by key when it is read, before any path is drawn:
+besides each key's own domain, n >= 64, m = 0 or m >= n, seed >= 0,
+eval_points >= 1, ceiling, slope_tol and var_tol >= 0, the kernel reach inside
+[0, horizon] at every rung, rho at most the trend smoothness (rate-alt) and,
+for clt, a trend with the derivative of order k + 1 the bias term needs.
 """
 
 from __future__ import annotations
@@ -45,12 +45,16 @@ def _write_lines(out, lines) -> None:
             fh.write(text)
 
 
-# Layer field -> the flag that sets it, per subcommand.
+# PathConfig field -> the header key of an estimate --in file; q may be absent (then 1).
+_HEADER_KEYS = {"horizon": "horizon", "eps": "eps", "hurst": "hurst", "x0": "x0", "order": "q"}
+
+# Layer field -> the flag (or --in part) that sets it, per subcommand.
 _FLAGS = {
     "simulate": {"order": "--q", "hurst": "--hurst", "horizon": "--horizon", "n": "--n",
                  "m": "--m", "eps": "--eps", "x0": "--x0", "seed": "--seed"},
     "estimate": {"k": "--order", "bandwidth": "--bandwidth", "window": "--window",
-                 "points": "--points"},
+                 "points": "--points", "n": "--in: n (data rows - 1)",
+                 **{field: f"--in: header {key}" for field, key in _HEADER_KEYS.items()}},
     "kernel": {"k": "--order", "width": "--width", "hurst": "--hurst"},
 }
 
@@ -104,7 +108,17 @@ def _cmd_simulate(args) -> int:
 # ------------------------------------------------------------- estimate ----
 
 
+def _finite_floats(tokens):
+    """The tokens as a list of finite floats, or None if one is not."""
+    try:
+        values = [float(tok) for tok in tokens]
+    except ValueError:
+        return None
+    return values if all(math.isfinite(v) for v in values) else None
+
+
 def _read_path_csv(path: str) -> tuple:
+    """(raw header, SdePath) of a simulate CSV; a bad line, key or value names --in."""
     header = {}
     rows = []
     columns = None
@@ -123,11 +137,8 @@ def _read_path_csv(path: str) -> tuple:
                 if columns != ["t", "Z", "x", "X"]:
                     raise ValueError(f"--in: expected a t,Z,x,X path file, got columns {columns}")
                 continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                row = []
-            if len(row) != 4 or not all(math.isfinite(v) for v in row):
+            row = _finite_floats(line.split(","))
+            if row is None or len(row) != 4:
                 raise ValueError(f"--in: line {lineno} is not four finite numbers: {line!r}")
             rows.append(row)
     if columns is None:
@@ -135,22 +146,23 @@ def _read_path_csv(path: str) -> tuple:
     missing = [key for key in ("horizon", "eps", "hurst", "x0") if key not in header]
     if missing:
         raise ValueError(f"--in: header lacks {', '.join(missing)} ('# key = value' lines)")
-    return header, np.asarray(rows)
+    values = {}
+    for field, key in _HEADER_KEYS.items():
+        kind = int if key == "q" else float
+        try:
+            values[field] = kind(header.get(key, "1"))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"--in: header {key} must be {noun}, got {header[key]!r}") from None
+    cfg = PathConfig(n=len(rows) - 1, **values)  # _FLAGS names --in for its errors
+    data = np.asarray(rows)
+    return header, SdePath(times=data[:, 0], values=data[:, 3], ode=data[:, 2],
+                           noise=data[:, 1], config=cfg)
 
 
 def _cmd_estimate(args) -> int:
-    header, data = _read_path_csv(args.infile)
-    horizon = float(header["horizon"])
-    eps = float(header["eps"])
-    hurst = float(header["hurst"])
-    x0 = float(header["x0"])
-    n = data.shape[0] - 1
-    cfg = PathConfig(
-        horizon=horizon, n=n, eps=eps, x0=x0,
-        order=int(header.get("q", 1)), hurst=hurst,
-    )
-    path = SdePath(times=data[:, 0], values=data[:, 3], ode=data[:, 2],
-                   noise=data[:, 1], config=cfg)
+    header, path = _read_path_csv(args.infile)
+    horizon, eps, hurst = path.config.horizon, path.config.eps, path.config.hurst
     kernel = vanishing_moment_kernel(args.order)
     rule = "main" if args.bandwidth == "auto" else "manual"
     phi = bandwidth_main(eps, args.order, hurst) if rule == "main" else args.bandwidth
@@ -212,30 +224,38 @@ def _cmd_experiment(args) -> int:
     return 0 if result.passed else 1
 
 
+# results.csv columns of write_report -> the indices that hold numbers.
+_RESULT_COLUMNS = {("eps", "sup_mse", "log_eps", "log_mse"): (0, 1, 2, 3),
+                   ("eps", "statistic", "value"): (0, 2)}
+
+
 def _cmd_report(args) -> int:
     results = os.path.join(args.indir, "results.csv")
     if not os.path.exists(results):
         raise ValueError(f"--in: no results.csv under {args.indir}")
     with open(results) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if header == ["eps", "sup_mse", "log_eps", "log_mse"]:
-        if not rows:
-            sys.stdout.write("no experiments\n")
-            return 0
-        for row in rows:
+        columns = tuple(fh.readline().strip().split(","))
+        rows = [(n, ln.strip().split(",")) for n, ln in enumerate(fh, start=2) if ln.strip()]
+    numeric = _RESULT_COLUMNS.get(columns)
+    if numeric is None:
+        raise ValueError(f"--in: unrecognized results.csv columns {list(columns)}")
+    if not rows:
+        raise ValueError(f"--in: results.csv under {args.indir} has no result rows")
+    for lineno, row in rows:
+        if len(row) != len(columns) or _finite_floats(row[i] for i in numeric) is None:
+            raise ValueError(f"--in: results.csv line {lineno} is not a well-formed "
+                             f"{','.join(columns)} row: {','.join(row)!r}")
+    if columns[1] == "sup_mse":
+        for _, row in rows:
             sys.stdout.write(f"eps={row[0]} sup_mse={row[1]}\n")
         if len(rows) >= 2:
-            log_eps = np.array([float(r[2]) for r in rows])
-            log_mse = np.array([float(r[3]) for r in rows])
+            log_eps, log_mse = np.array([[float(r[2]), float(r[3])] for _, r in rows]).T
             slope, intercept = np.polyfit(log_eps, log_mse, 1)
             sys.stdout.write(f"refit slope={_fmt(float(slope))}, "
                              f"intercept={_fmt(float(intercept))}\n")
-    elif header == ["eps", "statistic", "value"]:
-        for row in rows:
-            sys.stdout.write(f"{row[1]}={row[2]}\n")
     else:
-        raise ValueError(f"--in: unrecognized results.csv columns {header}")
+        for _, row in rows:
+            sys.stdout.write(f"{row[1]}={row[2]}\n")
     summary = os.path.join(args.indir, "summary.txt")
     if os.path.exists(summary):
         with open(summary) as fh:

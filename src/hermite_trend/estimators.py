@@ -27,9 +27,7 @@ __all__ = [
     "EstimateSeries",
     "bandwidth_main",
     "bandwidth_alt",
-    "default_division_floor",
     "kernel_estimate_product",
-    "kernel_estimate_theta",
     "estimate_series",
     "bias_center_term",
     "indicator_path",
@@ -110,11 +108,6 @@ def bandwidth_alt(eps: float, rho: float, hurst: float) -> float:
     return eps ** (1.0 / (rho - hurst))
 
 
-def default_division_floor(x0: float, bound_constant: float, horizon: float) -> float:
-    """Half the worst-case noiseless level, x0 e^{-LT} / 2."""
-    return 0.5 * x0 * math.exp(-bound_constant * horizon)
-
-
 # ----------------------------------------------------------- estimators ----
 
 
@@ -167,19 +160,15 @@ def kernel_estimate_product(path: SdePath, cfg: EstimatorConfig, t):
     )
 
 
-def kernel_estimate_theta(path: SdePath, cfg: EstimatorConfig, t, division_floor: float):
-    """Product estimate divided by X_t; NaN wherever |X_t| < division_floor."""
-    theta, _ = _divide_by_level(path, t, kernel_estimate_product(path, cfg, t), division_floor)
-    return float(theta) if theta.ndim == 0 else theta
-
-
 def estimate_series(
     path: SdePath,
     cfg: EstimatorConfig,
     points: int = 21,
     division_floor: float = None,
 ) -> EstimateSeries:
-    """Product and theta estimates over the evaluation window."""
+    """Product and theta estimates over the evaluation window; theta is NaN
+    wherever |X_t| < division_floor (default x0 / 2).
+    """
     if division_floor is None:
         division_floor = 0.5 * path.config.x0
     ts = cfg.eval_grid(points)

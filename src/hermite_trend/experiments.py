@@ -548,12 +548,8 @@ def _config_lines(cfg: ExperimentConfig):
         yield f"# {key} = {_fmt(value)}"
 
 
-def write_report(result, out_dir) -> list:
-    """results.csv + summary.txt (+ rate_fit.csv for rate kinds); no timestamps.
-
-    ``result=None`` writes header-only files, for pipelines that filtered
-    every experiment out.
-    """
+def write_report(result: ExperimentResult, out_dir) -> list:
+    """results.csv + summary.txt (+ rate_fit.csv for rates), no timestamps; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -562,11 +558,6 @@ def write_report(result, out_dir) -> list:
         with open(path, "w", newline="") as fh:
             fh.write(text)
         written.append(path)
-
-    if result is None:
-        emit("results.csv", "eps,sup_mse,log_eps,log_mse\n")
-        emit("summary.txt", "no experiments\n")
-        return written
 
     cfg, rep = result.config, result.report
     header = "\n".join(_config_lines(cfg))

@@ -26,7 +26,6 @@ __all__ = [
     "MomentScalingReport",
     "h_zero",
     "hermite_polynomial",
-    "covariance_oracle",
     "discrete_normalizer",
     "sample_hermite",
     "max_moment_scaling_check",
@@ -120,14 +119,6 @@ def hermite_polynomial(order: int, x):
     for k in range(1, order):
         h, h_prev = x * h - k * h_prev, h
     return float(h) if scalar else h
-
-
-def covariance_oracle(s: float, t: float, hurst: float) -> float:
-    """Target covariance (s^(2h) + t^(2h) - |t-s|^(2h)) / 2 of any Hermite process."""
-    if s < 0 or t < 0:
-        raise ValueError(f"times must be nonnegative, got ({s}, {t})")
-    two_h = 2.0 * hurst
-    return 0.5 * (s**two_h + t**two_h - abs(t - s) ** two_h)
 
 
 def discrete_normalizer(order: int, hurst: float, m: int, horizon: float) -> float:

@@ -30,7 +30,6 @@ __all__ = [
     "KernelPiece",
     "vanishing_moment_kernel",
     "box_kernel",
-    "rescale_kernel",
     "kernel_moment",
     "kernel_autocorrelation",
     "asymptotic_variance",
@@ -183,22 +182,6 @@ def box_kernel(width: float = 1.0) -> Kernel:
     half = Fraction(width) / 2
     piece = KernelPiece(-half, half, (1 / Fraction(width),))
     return Kernel(order=0, pieces=(piece,))
-
-
-def rescale_kernel(kernel: Kernel, scale: float) -> Kernel:
-    """Affine rescale G_s(u) = G(u/s)/s; preserves all vanishing moments."""
-    s = Fraction(scale)
-    if not s > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    pieces = tuple(
-        KernelPiece(
-            p.lo * s,
-            p.hi * s,
-            tuple(c / s ** (i + 1) for i, c in enumerate(p.coeffs)),
-        )
-        for p in kernel.pieces
-    )
-    return Kernel(order=kernel.order, pieces=pieces)
 
 
 # ------------------------------------------------------------ functionals --

@@ -1,10 +1,10 @@
 """Trend (multiplier) function library with certified bounds and derivatives.
 
 Every trend carries a certified bound on sup |theta| over [0, horizon] (used
-by pathwise error bounds and by the truncated estimator's threshold) and an
-analytic derivative factory.  Rough trends expose Hoelder metadata
-(k, gamma, rho = k + gamma) and deliberately refuse derivative orders beyond
-what the class guarantees.
+by pathwise error bounds and by the truncated estimator's threshold), an
+analytic derivative factory and one smoothness index rho: infinity for smooth
+trends, k + gamma for a trend whose k-th derivative is gamma-Hoelder.  Rough
+trends refuse derivative orders above ceil(rho) - 1.
 
 A small grammar builds trends from strings, e.g. ``const:0.5``,
 ``sin:0,0.5,6.283185307179586``, ``poly:1,-0.5,0.25``,
@@ -44,10 +44,10 @@ class DerivativeUnavailable(ValueError):
 class TrendFunction:
     """A multiplier t -> theta(t) on [0, horizon] with certified metadata.
 
-    bound      : certified sup_{[0, horizon]} |theta|.
-    smoothness : "smooth" (every derivative available) or "holder".
-    gamma, holder_constant, holder_k : for "holder" trends the k-th derivative
-    is gamma-Hoelder with the given constant; rho = k + gamma.
+    horizon : the interval of the bound; only perfbench/tracing.py reads it.
+    bound   : certified sup_{[0, horizon]} |theta|.
+    rho     : smoothness index k + gamma (the k-th derivative is gamma-Hoelder);
+              infinity for smooth trends, whose every derivative is available.
     """
 
     label: str
@@ -55,13 +55,7 @@ class TrendFunction:
     bound: float
     value: Callable = field(compare=False, repr=False)
     _deriv: Callable = field(compare=False, repr=False)
-    smoothness: str = "smooth"
-    holder_k: int = 0
-    gamma: float = 1.0
-    holder_constant: float = 0.0
-
-    def __call__(self, t):
-        return self.value(t)
+    rho: float = math.inf
 
     def derivative(self, order: int) -> Callable:
         if order < 0:
@@ -72,14 +66,9 @@ class TrendFunction:
         if fn is None:
             raise DerivativeUnavailable(
                 f"trend {self.label!r} guarantees derivatives only up to order "
-                f"{self.holder_k}; order {order} requested"
+                f"{math.ceil(self.rho) - 1}; order {order} requested"
             )
         return fn
-
-    @property
-    def rho(self) -> float:
-        """Smoothness index k + gamma; infinity for smooth trends."""
-        return math.inf if self.smoothness == "smooth" else self.holder_k + self.gamma
 
 
 # ---------------------------------------------------------- constructors ---
@@ -187,10 +176,6 @@ def weierstrass_trend(
     weights = amplitude * decay**j / lacunarity**j
     freqs = lacunarity**j
     gamma = min(1.0, math.log(1.0 / decay) / math.log(lacunarity))
-    # |cos x - cos y| <= 2^(1-gamma) |x-y|^gamma, summed over the partial sum.
-    holder_constant = (
-        amplitude * 2.0 ** (1.0 - gamma) * float(np.sum((decay * lacunarity**gamma) ** j))
-    )
 
     def value(t):
         t = np.asarray(t, dtype=float)
@@ -214,10 +199,7 @@ def weierstrass_trend(
         bound=float(np.sum(np.abs(weights))),
         value=value,
         _deriv=deriv,
-        smoothness="holder",
-        holder_k=1,
-        gamma=gamma,
-        holder_constant=holder_constant,
+        rho=1 + gamma,
     )
 
 

@@ -243,6 +243,28 @@ class TestEstimate:
         assert run(["estimate", "--in", str(noisy_path), "--bandwidth", value]) == 2
         assert "--bandwidth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("hurst", "abc"), ("q", "1.5"), ("hurst", "0.4"), ("eps", "nan"), ("horizon", "-1"),
+        ("x0", "0"), ("q", "9"),
+    ])
+    def test_bad_header_value_names_in_and_key(self, key, value, noisy_path, tmp_path,
+                                               capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(f"# {key} = {value}\n" if ln.startswith(f"# {key} =") else ln
+                               for ln in noisy_path.read_text().splitlines(keepends=True)))
+        assert run(["estimate", "--in", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --in: header {key} "), err
+
+    def test_too_few_rows_names_in_and_n(self, noisy_path, tmp_path, capsys):
+        lines = noisy_path.read_text().splitlines(keepends=True)
+        first = next(i for i, ln in enumerate(lines) if ln.startswith("t,")) + 1
+        short = tmp_path / "short.csv"
+        short.write_text("".join(lines[:first + 20]))
+        assert run(["estimate", "--in", str(short)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --in: n ") and "got 19" in err, err
+
 
 class TestKernel:
     def test_unit_box_variance_is_one(self, capsys):
@@ -427,6 +449,24 @@ class TestReport:
 
     def test_missing_dir_exit_2(self, tmp_path):
         assert run(["report", "--in", str(tmp_path / "nothing")]) == 2
+
+    @pytest.mark.parametrize("text, needle", [
+        pytest.param("eps,sup_mse,log_eps,log_mse\n0.1,0.2\n0.05,0.1\n", "line 2 ",
+                     id="rate-too-few-fields"),
+        pytest.param("eps,sup_mse,log_eps,log_mse\n0.1,0.2,-2.3,-1.6\n0.05,0.1,abc,-2.3\n",
+                     "line 3 ", id="rate-non-numeric"),
+        pytest.param("eps,sup_mse,log_eps,log_mse\n0.1,0.2,-2.3,-1.6,7\n", "line 2 ",
+                     id="rate-too-many-fields"),
+        pytest.param("eps,sup_mse,log_eps,log_mse\n0.1,0.2,-2.3,nan\n", "line 2 ",
+                     id="rate-nan"),
+        pytest.param("eps,statistic,value\n0.01,mean\n", "line 2 ", id="clt-too-few-fields"),
+        pytest.param("eps,sup_mse,log_eps,log_mse\n", "no result rows", id="header-only"),
+    ])
+    def test_malformed_results_name_in(self, text, needle, tmp_path, capsys):
+        (tmp_path / "results.csv").write_text(text)
+        assert run(["report", "--in", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --in: ") and needle in err, err
 
     def test_clt_stats_rendered(self, tmp_path, capsys):
         phi = 80 * 2**-12

@@ -13,11 +13,9 @@ from hermite_trend.estimators import (
     bandwidth_alt,
     bandwidth_main,
     bias_center_term,
-    default_division_floor,
     estimate_series,
     indicator_path,
     kernel_estimate_product,
-    kernel_estimate_theta,
 )
 from hermite_trend.kernels import Kernel, KernelPiece, vanishing_moment_kernel
 from hermite_trend.rng import derive_seed
@@ -101,11 +99,6 @@ class TestBandwidthRules:
         with pytest.raises(ValueError, match="rho"):
             bandwidth_alt(0.1, 0.6, 0.7)
 
-    def test_division_floor(self):
-        assert default_division_floor(2.0, 0.5, 2.0) == pytest.approx(
-            math.exp(-1.0), rel=1e-15
-        )
-
 
 class TestProductEstimator:
     def test_flat_path_gives_zero(self):
@@ -142,7 +135,7 @@ class TestProductEstimator:
         th = sinusoid_trend(offset=0.5, amplitude=0.8, omega=3.0, horizon=2.0)
         path = noiseless_path(th, 2.0, n)
         t = 1.0
-        truth = th(t) * float(np.interp(t, path.times, path.values))
+        truth = th.value(t) * float(np.interp(t, path.times, path.values))
         errs = []
         for phi in ladder:
             cfg = EstimatorConfig(
@@ -225,10 +218,11 @@ class TestThetaEstimator:
         th = constant_trend(c, horizon=1.0)
         path = noiseless_path(th, 1.0, 4096)
         cfg = EstimatorConfig(
-            kernel=vanishing_moment_kernel(1), bandwidth=0.1, window=(0.3, 0.7), horizon=1.0
+            kernel=vanishing_moment_kernel(1), bandwidth=0.1, window=(0.5, 0.5), horizon=1.0
         )
-        floor = default_division_floor(1.0, c, 1.0)
-        assert kernel_estimate_theta(path, cfg, 0.5, floor) == pytest.approx(c, abs=1e-3)
+        floor = 0.5 * math.exp(-c * 1.0)  # x0 e^{-LT} / 2
+        series = estimate_series(path, cfg, points=1, division_floor=floor)
+        assert series.theta[0] == pytest.approx(c, abs=1e-3)
 
     def test_guard_fires_below_floor(self):
         th = constant_trend(-1.0, horizon=1.0)  # decaying path
@@ -248,9 +242,10 @@ class TestThetaEstimator:
         th = constant_trend(-1.0, horizon=1.0)
         path = noiseless_path(th, 1.0, 256)
         cfg = EstimatorConfig(
-            kernel=vanishing_moment_kernel(1), bandwidth=0.05, window=(0.1, 0.9), horizon=1.0
+            kernel=vanishing_moment_kernel(1), bandwidth=0.05, window=(0.9, 0.9), horizon=1.0
         )
-        assert math.isnan(kernel_estimate_theta(path, cfg, 0.9, 0.5))
+        series = estimate_series(path, cfg, points=1, division_floor=0.5)
+        assert math.isnan(series.theta[0]) and not series.valid[0]
 
     def test_mc_mse_sinusoid(self):
         # theta(t) = 0.5 sin(2 pi t), eps = 0.01, fBm driver: MSE at t = 0.5
@@ -261,12 +256,12 @@ class TestThetaEstimator:
         cfg = EstimatorConfig(
             kernel=vanishing_moment_kernel(1), bandwidth=phi, window=(0.5, 0.5), horizon=1.0
         )
-        floor = default_division_floor(1.0, th.bound, 1.0)
+        floor = 0.5 * math.exp(-th.bound * 1.0)  # x0 e^{-LT} / 2
         errs = []
         for r in range(500):
             path = simulate_path(th, cfg_path, derive_seed(1234, r))
-            est = kernel_estimate_theta(path, cfg, 0.5, floor)
-            errs.append((est - th(0.5)) ** 2)
+            est = estimate_series(path, cfg, points=1, division_floor=floor).theta[0]
+            errs.append((est - th.value(0.5)) ** 2)
         assert np.mean(errs) < 1e-2
 
 
@@ -304,7 +299,7 @@ class TestBiasCenterTerm:
         t, h = 0.5, 1e-4
 
         def j_exact(s):
-            return th(s) * math.exp(0.5 * s + 0.8 * (1.0 - math.cos(3.0 * s)) / 3.0)
+            return th.value(s) * math.exp(0.5 * s + 0.8 * (1.0 - math.cos(3.0 * s)) / 3.0)
 
         j2 = (j_exact(t + h) - 2.0 * j_exact(t) + j_exact(t - h)) / h**2
         term = bias_center_term(th, 1.0, t, 1, vanishing_moment_kernel(1))

@@ -516,12 +516,6 @@ class TestBlockEquivalence:
 
 
 class TestReports:
-    def test_empty_report(self, tmp_path):
-        paths = write_report(None, tmp_path)
-        results, summary = (open(p).read() for p in paths)
-        assert results == "eps,sup_mse,log_eps,log_mse\n"
-        assert "no experiments" in summary
-
     def test_rate_report_layout(self, small_rate, tmp_path):
         paths = write_report(small_rate, tmp_path)
         names = [os.path.basename(p) for p in paths]

@@ -8,7 +8,6 @@ import pytest
 from hermite_trend.gaussian import fgn_autocovariance
 from hermite_trend.hermite import (
     HermiteSpec,
-    covariance_oracle,
     discrete_normalizer,
     h_zero,
     hermite_polynomial,
@@ -23,6 +22,12 @@ COV_1_2_H07 = 1.3195079107728942
 # Frozen brute-force double sum sum_{i,j<4} r(i-j)^2 at h0=0.85 and the b it implies.
 BRUTE_D_M4 = 7.6596299509053125
 B_M4_Q2_H07 = 0.25549423659980547
+
+
+def covariance_oracle(s: float, t: float, hurst: float) -> float:
+    """Target covariance (s^(2h) + t^(2h) - |t-s|^(2h)) / 2 of any Hermite process."""
+    two_h = 2.0 * hurst
+    return 0.5 * (s**two_h + t**two_h - abs(t - s) ** two_h)
 
 
 class TestHZero:

@@ -15,7 +15,6 @@ from hermite_trend.kernels import (
     kernel_autocorrelation,
     kernel_moment,
     order_k_legendre_coefficients,
-    rescale_kernel,
     vanishing_moment_kernel,
 )
 
@@ -104,13 +103,6 @@ class TestMoments:
         assert kernel_moment(box, 1) == pytest.approx(0.0, abs=1e-15)
         assert kernel_moment(box, 2) == pytest.approx(1.0 / 12.0, abs=1e-15)
 
-    @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_rescaling_preserves_vanishing_moments(self, k):
-        kernel = rescale_kernel(vanishing_moment_kernel(k), 0.5)
-        assert kernel_moment(kernel, 0) == pytest.approx(1.0, abs=1e-13)
-        for j in range(1, k + 1):
-            assert abs(kernel_moment(kernel, j)) <= 1e-13
-
 
 class TestAutocorrelation:
     @pytest.mark.parametrize("w,expected", [(0.0, 1.0), (0.25, 0.75), (-0.25, 0.75), (0.99, 0.01)])
@@ -165,9 +157,26 @@ class TestAsymptoticVariance:
     def test_width_scaling_law(self):
         # G_s(u) = G(u/s)/s multiplies the variance functional by s^(2h-2).
         hurst = 0.7
-        base = asymptotic_variance(vanishing_moment_kernel(1), hurst)
-        scaled = asymptotic_variance(rescale_kernel(vanishing_moment_kernel(1), 2.0), hurst)
+        base_kernel = vanishing_moment_kernel(1)
+        s = Fraction(2)
+        scaled_kernel = Kernel(
+            order=base_kernel.order,
+            pieces=tuple(
+                KernelPiece(
+                    p.lo * s,
+                    p.hi * s,
+                    tuple(c / s ** (i + 1) for i, c in enumerate(p.coeffs)),
+                )
+                for p in base_kernel.pieces
+            ),
+        )
+        base = asymptotic_variance(base_kernel, hurst)
+        scaled = asymptotic_variance(scaled_kernel, hurst)
         assert scaled == pytest.approx(2.0 ** (2 * hurst - 2) * base, rel=1e-12)
+        # The box of width w is the unit box rescaled by w.
+        for width in (0.5, 2.0, 3.0):
+            got = asymptotic_variance(box_kernel(width), hurst)
+            assert got == pytest.approx(width ** (2 * hurst - 2), rel=1e-12), width
 
     def test_two_wide_box_from_scaling(self):
         # vanishing_moment_kernel(0) is the box of width 2.

@@ -16,6 +16,8 @@ from hermite_trend.trends import (
 W_AT_1 = 0.8925553267706385
 W_AT_037 = 0.5276509974043655
 W_GAMMA = 0.4649735207179272
+# |cos x - cos y| <= 2^(1-gamma) |x-y|^gamma summed over the partial sum:
+# amplitude 2^(1-gamma) sum_j (decay lacunarity^gamma)^j.
 W_HOLDER_CONST = 17.387624984889342
 
 
@@ -26,46 +28,42 @@ def central_diff(f, t, h=1e-5):
 class TestValuesAndBounds:
     def test_constant(self):
         th = constant_trend(0.7, horizon=2.0)
-        assert th(0.3) == 0.7
-        assert np.all(th(np.linspace(0, 2, 50)) == 0.7)
+        assert th.value(0.3) == 0.7
+        assert np.all(th.value(np.linspace(0, 2, 50)) == 0.7)
         assert th.bound == 0.7
         assert th.rho == np.inf
 
     def test_sinusoid_value_and_bound(self):
         th = sinusoid_trend(offset=0.5, amplitude=0.8, omega=3.0, horizon=2.0)
         ts = np.linspace(0.0, 2.0, 801)
-        vals = th(ts)
+        vals = th.value(ts)
         assert np.allclose(vals, 0.5 + 0.8 * np.sin(3.0 * ts), atol=0, rtol=1e-15)
         assert th.bound == pytest.approx(1.3)
         assert np.max(np.abs(vals)) <= th.bound + 1e-12
 
     def test_polynomial_value_and_bound(self):
         th = polynomial_trend([0.2, -0.4, 0.1], horizon=2.0)
-        assert th(1.5) == pytest.approx(0.2 - 0.4 * 1.5 + 0.1 * 1.5**2)
+        assert th.value(1.5) == pytest.approx(0.2 - 0.4 * 1.5 + 0.1 * 1.5**2)
         # bound sum |c_i| T^i dominates the dense-grid sup
         ts = np.linspace(0.0, 2.0, 2001)
-        assert np.max(np.abs(th(ts))) <= th.bound + 1e-12
+        assert np.max(np.abs(th.value(ts))) <= th.bound + 1e-12
         assert th.bound == pytest.approx(0.2 + 0.8 + 0.4)
 
     def test_weierstrass_values(self):
         th = weierstrass_trend(
             amplitude=1.0, decay=0.6, lacunarity=3.0, terms=12, horizon=2.0
         )
-        assert th(1.0) == pytest.approx(W_AT_1, abs=1e-14)
-        assert th(0.37) == pytest.approx(W_AT_037, abs=1e-14)
+        assert th.value(1.0) == pytest.approx(W_AT_1, abs=1e-14)
+        assert th.value(0.37) == pytest.approx(W_AT_037, abs=1e-14)
 
     def test_weierstrass_holder_metadata(self):
         th = weierstrass_trend(
             amplitude=1.0, decay=0.6, lacunarity=3.0, terms=12, horizon=2.0
         )
-        assert th.smoothness == "holder"
-        assert th.holder_k == 1
-        assert th.gamma == pytest.approx(W_GAMMA, abs=1e-15)
-        assert th.rho == pytest.approx(1.0 + W_GAMMA)
-        assert th.holder_constant == pytest.approx(W_HOLDER_CONST, rel=1e-13)
+        assert th.rho == pytest.approx(1.0 + W_GAMMA, abs=1e-15)
 
     def test_weierstrass_holder_inequality_sampled(self):
-        # |theta'(t) - theta'(s)| <= C |t - s|^gamma on a grid of pairs
+        # |theta'(t) - theta'(s)| <= C |t - s|^gamma, gamma = rho - 1, on a grid of pairs
         th = weierstrass_trend(
             amplitude=1.0, decay=0.6, lacunarity=3.0, terms=12, horizon=2.0
         )
@@ -73,9 +71,9 @@ class TestValuesAndBounds:
         ts = np.linspace(0.0, 2.0, 257)
         vals = d1(ts)
         diff = np.abs(vals[:, None] - vals[None, :])
-        gaps = np.abs(ts[:, None] - ts[None, :]) ** th.gamma
+        gaps = np.abs(ts[:, None] - ts[None, :]) ** (th.rho - 1.0)
         mask = gaps > 0
-        assert np.max(diff[mask] / gaps[mask]) <= th.holder_constant
+        assert np.max(diff[mask] / gaps[mask]) <= W_HOLDER_CONST
 
 
 class TestDerivatives:
@@ -114,26 +112,26 @@ class TestDerivatives:
 
     def test_derivative_order_zero_is_value(self):
         th = sinusoid_trend(offset=0.0, amplitude=1.0, omega=2.0, horizon=1.0)
-        assert th.derivative(0)(0.4) == th(0.4)
+        assert th.derivative(0)(0.4) == th.value(0.4)
 
 
 class TestParser:
     def test_const(self):
         th = parse_trend("const:0.5", horizon=2.0)
-        assert th(1.0) == 0.5
+        assert th.value(1.0) == 0.5
         assert th.label == "const:0.5"
 
     def test_sin(self):
         th = parse_trend("sin:0.5,0.8,3.0", horizon=2.0)
-        assert th(0.7) == pytest.approx(0.5 + 0.8 * np.sin(2.1))
+        assert th.value(0.7) == pytest.approx(0.5 + 0.8 * np.sin(2.1))
 
     def test_poly(self):
         th = parse_trend("poly:0.2,-0.4,0.1", horizon=2.0)
-        assert th(1.5) == pytest.approx(0.2 - 0.6 + 0.225)
+        assert th.value(1.5) == pytest.approx(0.2 - 0.6 + 0.225)
 
     def test_weier(self):
         th = parse_trend("weier:1.0,0.6,3.0,12", horizon=2.0)
-        assert th(1.0) == pytest.approx(W_AT_1, abs=1e-14)
+        assert th.value(1.0) == pytest.approx(W_AT_1, abs=1e-14)
 
     @pytest.mark.parametrize(
         "text",
@@ -160,7 +158,7 @@ class TestParser:
         # 2 * 3^645 is the largest sine argument below the double maximum
         th = parse_trend("weier:0.3,0.5,3,646", horizon=2.0)
         ts = np.linspace(0.0, 2.0, 5)
-        assert np.all(np.isfinite(th(ts))) and np.all(np.isfinite(th.derivative(1)(ts)))
+        assert np.all(np.isfinite(th.value(ts))) and np.all(np.isfinite(th.derivative(1)(ts)))
         with pytest.raises(ValueError, match="top frequency"):
             parse_trend("weier:0.3,0.5,3,647", horizon=2.0)
 
@@ -168,7 +166,7 @@ class TestParser:
         # near lacunarity 1 every frequency is finite, so only the cap bounds
         # the len(t) x terms arrays that each evaluation allocates
         th = parse_trend("weier:0.3,0.5,1.000001,1024", horizon=2.0)
-        assert np.isfinite(th(1.0))
+        assert np.isfinite(th.value(1.0))
         with pytest.raises(ValueError, match="1024"):
             parse_trend("weier:0.3,0.5,1.000001,2000000", horizon=2.0)
 

@@ -120,7 +120,7 @@ def _finite_floats(tokens):
 def _read_path_csv(path: str) -> tuple:
     """(raw header, SdePath) of a simulate CSV; a bad line, key or value names --in."""
     header = {}
-    rows = []
+    rows, linenos = [], []
     columns = None
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -141,6 +141,7 @@ def _read_path_csv(path: str) -> tuple:
             if row is None or len(row) != 4:
                 raise ValueError(f"--in: line {lineno} is not four finite numbers: {line!r}")
             rows.append(row)
+            linenos.append(lineno)
     if columns is None:
         raise ValueError("--in: expected a t,Z,x,X path file, found no column line")
     missing = [key for key in ("horizon", "eps", "hurst", "x0") if key not in header]
@@ -156,6 +157,15 @@ def _read_path_csv(path: str) -> tuple:
             raise ValueError(f"--in: header {key} must be {noun}, got {header[key]!r}") from None
     cfg = PathConfig(n=len(rows) - 1, **values)  # _FLAGS names --in for its errors
     data = np.asarray(rows)
+    # The estimator reads the grid from the header; a t column off j*horizon/n
+    # by more than a few ulps means the file and its header disagree.
+    grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
+    off = np.flatnonzero(np.abs(data[:, 0] - grid) > 4 * np.spacing(cfg.horizon))
+    if off.size:
+        j = int(off[0])
+        raise ValueError(f"--in: line {linenos[j]} has t = {_fmt(float(data[j, 0]))}, but the "
+                         f"header grid puts j*horizon/n = {_fmt(float(grid[j]))} there "
+                         f"(j = {j}, horizon = {_fmt(cfg.horizon)}, n = {cfg.n})")
     return header, SdePath(times=data[:, 0], values=data[:, 3], ode=data[:, 2],
                            noise=data[:, 1], config=cfg)
 

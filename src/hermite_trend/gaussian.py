@@ -6,6 +6,13 @@ vector has the target autocovariance in every coordinate, not asymptotically.
 If the circulant eigenvalues fail to be nonnegative the sampler falls back to
 a dense Cholesky factorisation of the covariance; ``EmbeddingFailure`` is
 raised only when both routes fail.
+
+Everything that depends only on the spec (n, hurst) is computed once and
+cached read-only: the 2n circulant eigenvalues, the route decision and the
+n+1 amplitudes of the half spectrum.  A path then costs one draw of 2n
+normals and one inverse real FFT of the conjugated half spectrum (n+1
+complex values), which equals the forward FFT of the full Hermitian 2n
+spectrum to rounding.
 """
 
 from __future__ import annotations
@@ -84,21 +91,43 @@ def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
     return eig
 
 
+@lru_cache(maxsize=8)
+def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray | None:
+    """The n+1 half-spectrum amplitudes, or None when the embedding is not PSD.
+
+    The route decision and the square roots depend only on (n, hurst), so they
+    are taken once per spec; the array is read-only like the eigenvalues.
+    """
+    eig = _circulant_eigenvalues(n, hurst)
+    # Tiny negative eigenvalues are FFT roundoff on a genuinely PSD embedding.
+    if eig.min() < -1e-12 * eig.max():
+        return None
+    eig = np.clip(eig[: n + 1], 0.0, None)
+    amp = np.empty(n + 1)
+    amp[0] = np.sqrt(eig[0])
+    amp[n] = np.sqrt(eig[n])
+    amp[1:n] = np.sqrt(0.5 * eig[1:n])
+    amp.flags.writeable = False
+    return amp
+
+
 # -------------------------------------------------------------- sampling ---
 
 
-def _sample_circulant(eig: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    m = 2 * n
-    w = np.zeros(m, dtype=complex)
-    head = rng.standard_normal(2)
-    u = rng.standard_normal(n - 1)
-    v = rng.standard_normal(n - 1)
-    w[0] = np.sqrt(eig[0]) * head[0]
-    w[n] = np.sqrt(eig[n]) * head[1]
-    w[1:n] = np.sqrt(0.5 * eig[1:n]) * (u + 1j * v)
-    w[n + 1 :] = np.conj(w[1:n][::-1])
-    # FFT of a conjugate-symmetric vector is real; /sqrt(m) restores covariance.
-    return np.fft.fft(w).real[:n] / np.sqrt(m)
+def _sample_circulant(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    # Draw layout: z[0], z[1] for frequencies 0 and n, then the n-1 real
+    # parts, then the n-1 imaginary parts of frequencies 1..n-1.
+    z = rng.standard_normal(2 * n)
+    half = np.empty(n + 1, dtype=complex)
+    half.real[0] = amp[0] * z[0]
+    half.real[n] = amp[n] * z[1]
+    half.real[1:n] = amp[1:n] * z[2 : n + 1]
+    # Conjugated, so the inverse real FFT equals the forward FFT of the
+    # Hermitian 2n spectrum; *sqrt(2n) undoes irfft's 1/(2n) and restores
+    # the covariance.
+    half.imag[1:n] = -amp[1:n] * z[n + 1 :]
+    half.imag[[0, n]] = 0.0
+    return np.fft.irfft(half, 2 * n)[:n] * np.sqrt(2 * n)
 
 
 def _sample_dense(spec: FgnSpec, rng: np.random.Generator) -> np.ndarray:
@@ -115,10 +144,9 @@ def _sample_dense(spec: FgnSpec, rng: np.random.Generator) -> np.ndarray:
 def sample_fgn(spec: FgnSpec, seed: int) -> np.ndarray:
     """Draw the spec.n values of one exact fGn path.  Pure function of (spec, seed)."""
     rng = philox_generator(seed)
-    eig = _circulant_eigenvalues(spec.n, spec.hurst)
-    # Tiny negative eigenvalues are FFT roundoff on a genuinely PSD embedding.
-    if eig.min() >= -1e-12 * eig.max():
-        return _sample_circulant(np.clip(eig, 0.0, None), spec.n, rng)
+    amp = _half_spectrum_amplitudes(spec.n, spec.hurst)
+    if amp is not None:
+        return _sample_circulant(amp, spec.n, rng)
     return _sample_dense(spec, rng)
 
 

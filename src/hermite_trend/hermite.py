@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,12 +122,14 @@ def hermite_polynomial(order: int, x):
     return float(h) if scalar else h
 
 
+@lru_cache(maxsize=16)
 def discrete_normalizer(order: int, hurst: float, m: int, horizon: float) -> float:
     """Exact b with Var(b * sum_{i<m} H_q(xi_i)) = horizon^(2 hurst).
 
     The double sum sum_{i,j<m} r(i-j)^q collapses to
     sum_{|l|<m} (m-|l|) r(l)^q, an O(m) expression; no asymptotic constant is
-    involved, so the identity holds at every finite m.
+    involved, so the identity holds at every finite m.  A pure function of its
+    arguments, memoised because every path of a spec needs the same value.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -151,7 +154,9 @@ def sample_hermite(spec: HermiteSpec, seed: int) -> HermitePath:
         values = sample_fbm(spec.hurst, spec.horizon, spec.n, seed)
     else:
         noise = sample_fgn(FgnSpec(hurst=h_zero(spec.order, spec.hurst), n=spec.m), seed)
-        partial = np.concatenate([[0.0], np.cumsum(hermite_polynomial(spec.order, noise))])
+        partial = np.empty(spec.m + 1)
+        partial[0] = 0.0
+        np.cumsum(hermite_polynomial(spec.order, noise), out=partial[1:])
         idx = (np.arange(spec.n + 1, dtype=np.int64) * spec.m) // spec.n
         b = discrete_normalizer(spec.order, spec.hurst, spec.m, spec.horizon)
         values = b * partial[idx]
@@ -183,9 +188,9 @@ def max_moment_scaling_check(
     sups = []
     for horizon in horizons:
         stream_idx = unique.index(horizon)
+        spec = HermiteSpec(order=order, hurst=hurst, horizon=horizon, n=n)
         vals = np.empty(reps)
         for r in range(reps):
-            spec = HermiteSpec(order=order, hurst=hurst, horizon=horizon, n=n)
             path = sample_hermite(spec, derive_seed(seed, stream_idx, r))
             vals[r] = np.max(np.abs(path.values)) ** p
         sups.append(vals)

@@ -256,6 +256,22 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --in: header {key} "), err
 
+    @pytest.mark.parametrize("horizon", ["2.0", "0.5"])
+    def test_time_column_off_header_grid_names_in_and_line(self, horizon, noisy_path,
+                                                           tmp_path, capsys):
+        lines = noisy_path.read_text().splitlines(keepends=True)
+        bad = tmp_path / "horizon.csv"
+        bad.write_text("".join(f"# horizon = {horizon}\n" if ln.startswith("# horizon =")
+                               else ln for ln in lines))
+        out = tmp_path / "est.csv"
+        assert run(["estimate", "--in", str(bad), "--bandwidth", "0.2",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        first = next(i for i, ln in enumerate(lines) if ln.startswith("t,")) + 1
+        # t_0 = 0 fits any horizon; t_1 = 1/1024 is the first row off the grid
+        assert err.startswith("error: --in: line ") and f"line {first + 2} " in err, err
+        assert not out.exists()
+
     def test_too_few_rows_names_in_and_n(self, noisy_path, tmp_path, capsys):
         lines = noisy_path.read_text().splitlines(keepends=True)
         first = next(i for i, ln in enumerate(lines) if ln.startswith("t,")) + 1

@@ -11,6 +11,7 @@ from hermite_trend.gaussian import (
     sample_fgn,
 )
 import hermite_trend.gaussian as gaussian_mod
+from hermite_trend.rng import philox_generator
 
 # Frozen oracles, evaluated directly from ((l+1)^{2h} - 2 l^{2h} + (l-1)^{2h})/2.
 R1_H085 = 0.624504792712471
@@ -91,16 +92,80 @@ class TestCirculantSampler:
             assert abs(est - target) < 4 * se
 
 
+class TestHalfSpectrum:
+    """The half-spectrum inverse FFT against the full 2n complex-FFT embedding."""
+
+    @staticmethod
+    def full_spectrum_reference(spec, seed):
+        # Full-spectrum Davies-Harte: three draws (2, n-1, n-1), a Hermitian
+        # 2n vector built from its first half, and a complex forward FFT.
+        n, m = spec.n, 2 * spec.n
+        eig = np.clip(gaussian_mod._circulant_eigenvalues(n, spec.hurst), 0.0, None)
+        rng = philox_generator(seed)
+        head, u, v = rng.standard_normal(2), rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+        w = np.zeros(m, dtype=complex)
+        w[0] = np.sqrt(eig[0]) * head[0]
+        w[n] = np.sqrt(eig[n]) * head[1]
+        w[1:n] = np.sqrt(0.5 * eig[1:n]) * (u + 1j * v)
+        w[n + 1 :] = np.conj(w[1:n][::-1])
+        return np.fft.fft(w).real[:n] / np.sqrt(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 4097])
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_matches_full_spectrum_reference(self, n, seed):
+        spec = FgnSpec(hurst=0.75, n=n)
+        ref = self.full_spectrum_reference(spec, seed)
+        # The two FFTs round differently, so the difference is a few ulps of
+        # the path's scale; entries near zero carry it too, hence the atol.
+        np.testing.assert_allclose(sample_fgn(spec, seed), ref, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 4097])
+    def test_one_draw_equals_three_call_layout(self, n):
+        one = philox_generator(11).standard_normal(2 * n)
+        rng = philox_generator(11)
+        three = np.concatenate([rng.standard_normal(2), rng.standard_normal(n - 1),
+                                rng.standard_normal(n - 1)])
+        assert np.array_equal(one, three)
+
+    def test_cached_arrays_are_read_only(self):
+        eig = gaussian_mod._circulant_eigenvalues(64, 0.75)
+        amp = gaussian_mod._half_spectrum_amplitudes(64, 0.75)
+        assert amp.shape == (65,)
+        for cached in (eig, amp):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+
+
 class TestDenseFallback:
+    # The route decision is cached per (n, hurst), so a decision taken before
+    # the eigenvalues are patched would bypass the fallback; clear it on both
+    # sides, and count the dense draws to prove the fallback ran.
+    @pytest.fixture(autouse=True)
+    def fresh_route_cache(self):
+        gaussian_mod._half_spectrum_amplitudes.cache_clear()
+        yield
+        gaussian_mod._half_spectrum_amplitudes.cache_clear()
+
     def test_fallback_used_when_eigenvalues_negative(self, monkeypatch):
         spec = FgnSpec(hurst=0.7, n=32)
         bad = np.full(2 * spec.n, -1.0)
         monkeypatch.setattr(gaussian_mod, "_circulant_eigenvalues", lambda n, h: bad)
+        dense = gaussian_mod._sample_dense
+        dense_calls = []
+
+        def spy(spec, rng):
+            dense_calls.append(spec)
+            return dense(spec, rng)
+
+        monkeypatch.setattr(gaussian_mod, "_sample_dense", spy)
         a = sample_fgn(spec, 5)
         b = sample_fgn(spec, 5)
         assert np.array_equal(a, b)
         reps = 3000
         paths = np.stack([sample_fgn(spec, r) for r in range(reps)])
+        assert len(dense_calls) == reps + 2
         prods = paths[:, 3] * paths[:, 4]
         se = prods.std(ddof=1) / np.sqrt(reps)
         assert abs(prods.mean() - fgn_autocovariance(1, 0.7)) < 4 * se

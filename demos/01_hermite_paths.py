@@ -8,9 +8,7 @@ Gaussian noise, normalized so Var(Z_T) = T^{2H} exactly.
 Run:  python3 demos/01_hermite_paths.py
 """
 
-import numpy as np
-
-from hermite_trend import HermiteSpec, derive_seed, sample_hermite
+from hermite_trend import HermiteSpec, derive_seed, replicate, sample_hermite
 
 T, N, REPS = 1.0, 512, 2000
 
@@ -19,12 +17,8 @@ for q, hurst in [(1, 0.7), (2, 0.7)]:
     name = "fBm" if q == 1 else "Rosenblatt"
     print(f"\n{name} (q={q}, H={hurst}), {REPS} paths on a {N}-step grid")
 
-    terminal = np.empty(REPS)
-    half = np.empty(REPS)
-    for r in range(REPS):
-        path = sample_hermite(spec, derive_seed(2024, q, r))
-        terminal[r] = path.values[-1]
-        half[r] = path.values[N // 2]
+    # path r draws from derive_seed(2024, q, r); each row is (Z_T, Z_{T/2})
+    terminal, half = replicate(spec, 2024, (q,), range(REPS), lambda z: z[[-1, N // 2]]).T
 
     for label, sample, t in [("Z_T", terminal, T), ("Z_{T/2}", half, T / 2)]:
         var = sample.var(ddof=1)

@@ -53,6 +53,7 @@ from .hermite import (
     h_zero,
     hermite_polynomial,
     max_moment_scaling_check,
+    replicate,
     sample_hermite,
 )
 from .kernels import (

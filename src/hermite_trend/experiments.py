@@ -37,7 +37,7 @@ from .estimators import (
     bandwidth_main,
     bias_center_term,
 )
-from .hermite import sample_hermite
+from .hermite import replicate
 from .kernels import asymptotic_variance, box_kernel, vanishing_moment_kernel
 from .rng import derive_seed
 from .sde import PathConfig, _growth_factors, _variation_of_constants
@@ -347,8 +347,8 @@ def _error_block(task) -> np.ndarray:
 
     Only the noise differs between the replications of a block, so the trend
     integral and its growth factors, the target, the kernel weight rows and
-    the oracle drift are built once here; each replication then samples,
-    integrates and takes one dot per weight row, through the same cores as
+    the oracle drift are built once here; each path ``replicate`` draws is then
+    integrated and takes one dot per weight row, through the same cores as
     ``simulate_sde``, ``kernel_estimate_product`` and ``alternate_estimate``.
     """
     cfg, rung, trend_idx, start, stop = task
@@ -359,22 +359,21 @@ def _error_block(task) -> np.ndarray:
     grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
     growth, decay = _growth_factors(trend, grid)
     rows = _weight_rows(grid, kernel, phi, ts, reflect=alt)
-    if alt:
-        target = np.asarray(trend.value(ts), dtype=float)
-        oracle = None
-        if cfg.variant == "oracle":
-            oracle = _oracle_drift(grid, trend, eps, cfg.horizon, cfg.x0, trend.bound)
-    else:
-        target = np.asarray(trend.value(ts), dtype=float) * np.interp(ts, grid, cfg.x0 * growth)
-    estimates = np.empty((stop - start, np.size(ts)))
-    for i, r in enumerate(range(start, stop)):
-        z = sample_hermite(spec, derive_seed(cfg.seed, rung, trend_idx, r)).values
+    target = np.asarray(trend.value(ts), dtype=float)
+    if not alt:  # the product estimate targets theta(t) x(t)
+        target = target * np.interp(ts, grid, cfg.x0 * growth)
+    oracle = None
+    if alt and cfg.variant == "oracle":
+        oracle = _oracle_drift(grid, trend, eps, cfg.horizon, cfg.x0, trend.bound)
+
+    def estimate(z):
         x = _variation_of_constants(growth, decay, cfg.x0, eps, z)
         if alt:
             dy, alive = _truncated_increments(grid, x, z, cfg.x0, trend.bound, oracle)
-            estimates[i] = alive * _weighted_sums(rows, dy, phi)
-        else:
-            estimates[i] = _weighted_sums(rows, np.diff(x), phi)
+            return alive * _weighted_sums(rows, dy, phi)
+        return _weighted_sums(rows, np.diff(x), phi)
+
+    estimates = replicate(spec, cfg.seed, (rung, trend_idx), range(start, stop), estimate)
     if cfg.kind == "clt":
         k = kernel.order
         alpha = (k + 1.0) / (k - cfg.hurst + 2.0)

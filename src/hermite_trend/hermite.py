@@ -29,6 +29,7 @@ __all__ = [
     "hermite_polynomial",
     "discrete_normalizer",
     "sample_hermite",
+    "replicate",
     "max_moment_scaling_check",
 ]
 
@@ -115,8 +116,7 @@ def hermite_polynomial(order: int, x):
         raise ValueError(f"order must be >= 1, got {order}")
     scalar = np.ndim(x) == 0
     x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    h = x.copy()
+    h_prev, h = 1.0, x.copy() if order == 1 else x  # never hand back the caller's array
     for k in range(1, order):
         h, h_prev = x * h - k * h_prev, h
     return float(h) if scalar else h
@@ -163,6 +163,16 @@ def sample_hermite(spec: HermiteSpec, seed: int) -> HermitePath:
     return HermitePath(times=times, values=values, spec=spec)
 
 
+def replicate(spec: HermiteSpec, seed: int, key: tuple, reps: range, statistic) -> np.ndarray:
+    """Rows statistic(values), one per path r in ``reps``, drawn from derive_seed(seed, *key, r).
+
+    The one replication loop: every Monte Carlo check and experiment draws its paths here,
+    and row r does not depend on the range it is drawn in.
+    """
+    return np.array([statistic(sample_hermite(spec, derive_seed(seed, *key, r)).values)
+                     for r in reps])
+
+
 def max_moment_scaling_check(
     order: int,
     hurst: float,
@@ -183,17 +193,13 @@ def max_moment_scaling_check(
     """
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
+    if bootstrap < 1:
+        raise ValueError(f"bootstrap must be >= 1, got {bootstrap}")
     horizons = [float(t1), float(t2)]
     unique = sorted(set(horizons))
-    sups = []
-    for horizon in horizons:
-        stream_idx = unique.index(horizon)
-        spec = HermiteSpec(order=order, hurst=hurst, horizon=horizon, n=n)
-        vals = np.empty(reps)
-        for r in range(reps):
-            path = sample_hermite(spec, derive_seed(seed, stream_idx, r))
-            vals[r] = np.max(np.abs(path.values)) ** p
-        sups.append(vals)
+    specs = [HermiteSpec(order=order, hurst=hurst, horizon=h, n=n) for h in horizons]
+    sups = [replicate(spec, seed, (unique.index(spec.horizon),), range(reps),
+                      lambda z: np.max(np.abs(z)) ** p) for spec in specs]
     moment_t1, moment_t2 = float(sups[0].mean()), float(sups[1].mean())
     mc_ratio = moment_t2 / moment_t1
     rng = philox_generator(derive_seed(seed, 0xB007))

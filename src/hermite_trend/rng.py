@@ -2,10 +2,10 @@
 
 Every sampler in this package is a pure function of (spec, seed).  Replicated
 experiments derive one integer seed per replication from a master seed and a
-tuple of indices (rung, trend, replication, ...) through ``derive_seed``; the
-derived streams are statistically independent and do not depend on worker
-count or scheduling order.  Philox is counter-based, so stream creation is
-cheap and jump-free.
+tuple of indices (rung, trend, replication, ...) through ``derive_seed``;
+``hermite.replicate`` is the one place that applies this rule and loops over
+paths.  The streams are statistically independent and do not depend on worker
+count or scheduling order.  Philox is counter-based: cheap, jump-free streams.
 """
 
 from __future__ import annotations

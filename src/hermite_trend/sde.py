@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .hermite import HermitePath, HermiteSpec, sample_hermite
-from .rng import derive_seed
+from .hermite import HermitePath, HermiteSpec, replicate, sample_hermite
 from .trends import TrendFunction
 from .validation import ParameterError
 
@@ -209,22 +208,16 @@ def mean_square_bound_check(
     """
     if reps < 500:
         raise ValueError(f"reps must be >= 500 for a usable MC error, got {reps}")
-    spec = config.hermite_spec()
     tgrid = np.linspace(0.0, config.horizon, config.n + 1)
     # only the noise differs between replications: integrate the trend once
     growth, decay = _growth_factors(trend, tgrid)
     ode = config.x0 * growth
-    sq = None
-    sq_sq = None
-    for r in range(reps):
-        z = sample_hermite(spec, derive_seed(seed, r)).values
-        dev2 = (_variation_of_constants(growth, decay, config.x0, config.eps, z) - ode) ** 2
-        sq = dev2 if sq is None else sq + dev2
-        sq_sq = dev2**2 if sq_sq is None else sq_sq + dev2**2
-    mean = sq / reps
+    dev2 = replicate(config.hermite_spec(), seed, (), range(reps), lambda z: (
+        _variation_of_constants(growth, decay, config.x0, config.eps, z) - ode) ** 2)
+    mean = dev2.sum(axis=0) / reps
     worst = int(np.argmax(mean))
     estimate = float(mean[worst])
-    var = max(float(sq_sq[worst] / reps - estimate**2), 0.0)
+    var = max(float((dev2**2).sum(axis=0)[worst] / reps - estimate**2), 0.0)
     rel_mc = float(np.sqrt(var / reps) / estimate) if estimate > 0 else 0.0
     bound = (
         np.exp(2.0 * trend.bound * config.horizon)

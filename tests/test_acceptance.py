@@ -16,7 +16,7 @@ from hermite_trend.hermite import (
     HermiteSpec,
     discrete_normalizer,
     max_moment_scaling_check,
-    sample_hermite,
+    replicate,
 )
 from hermite_trend.kernels import (
     asymptotic_variance,
@@ -41,9 +41,7 @@ def test_ac01_process_fidelity():
         spec = HermiteSpec(order=q, hurst=hurst, horizon=1.0, n=1024)
         idx = [256, 512, 1024]
         reps = 5000
-        vals = np.empty((reps, 3))
-        for r in range(reps):
-            vals[r] = sample_hermite(spec, derive_seed(11, q, r)).values[idx]
+        vals = replicate(spec, 11, (q,), range(reps), lambda z: z[idx])
         var = vals.var(axis=0, ddof=1)
         se = (vals**2).std(axis=0, ddof=1) / math.sqrt(reps)
         theo = np.array([0.25, 0.5, 1.0]) ** (2 * hurst)
@@ -60,9 +58,7 @@ def test_ac02_normalization():
     for q in (1, 2):
         spec = HermiteSpec(order=q, hurst=0.7, horizon=1.0, n=1, m=4096)
         reps = 20000
-        z1 = np.empty(reps)
-        for r in range(reps):
-            z1[r] = sample_hermite(spec, derive_seed(22, q, r)).values[-1]
+        z1 = replicate(spec, 22, (q,), range(reps), lambda z: z[-1])
         devs[q] = abs(float(z1.var(ddof=1)) - 1.0)
     brute_gap = 0.0
     for q, hurst in [(1, 0.7), (2, 0.7), (2, 0.85)]:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hermite_trend import experiments
+from hermite_trend import experiments, hermite
 from hermite_trend.cli import main
 
 PASSING_CONSISTENCY = """
@@ -363,13 +363,27 @@ class TestExperiment:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line, key", [("x0 = 0", "x0"), ("eval_points = 0", "eval_points"),
-                                           ("trend = weier:0.3,0.5,3,12", "kernel")])
-    def test_unrunnable_config_exit_2(self, line, key, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def forbid_paths(monkeypatch):
+        """Make every path draw raise; ``hermite.replicate`` draws through this global."""
+
         def no_path(spec, seed):
             raise RuntimeError("a path was drawn")
 
-        monkeypatch.setattr(experiments, "sample_hermite", no_path)
+        monkeypatch.setattr(hermite, "sample_hermite", no_path)
+
+    def test_valid_config_reaches_the_patched_draw(self, tmp_path, capsys, monkeypatch):
+        # positive control for the test below: the patch sits where the paths are drawn
+        self.forbid_paths(monkeypatch)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(PASSING_CLT)
+        assert run(["experiment", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 3
+        assert "a path was drawn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, key", [("x0 = 0", "x0"), ("eval_points = 0", "eval_points"),
+                                           ("trend = weier:0.3,0.5,3,12", "kernel")])
+    def test_unrunnable_config_exit_2(self, line, key, tmp_path, capsys, monkeypatch):
+        self.forbid_paths(monkeypatch)
         name = line.split(" =")[0]
         text = "\n".join(ln for ln in PASSING_CLT.splitlines() if not ln.startswith(name + " ="))
         cfg = tmp_path / "c.txt"

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hermite_trend import experiments
+from hermite_trend import experiments, hermite
 from hermite_trend.estimators import (
     EstimatorConfig,
     alternate_estimate,
@@ -236,15 +236,27 @@ REJECTED_AT_PARSE = {
 }
 
 
+def forbid_paths(monkeypatch):
+    """Make every path draw raise; ``hermite.replicate`` draws through this global."""
+
+    def no_path(spec, seed):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(hermite, "sample_hermite", no_path)
+
+
 class TestParseTimeChecks:
     """Each unusable config fails as it is read, naming its key; no path is drawn."""
 
+    def test_valid_config_reaches_the_patched_draw(self, monkeypatch):
+        # positive control: without it the test below could pass with the patch in the wrong place
+        forbid_paths(monkeypatch)
+        with pytest.raises(AssertionError, match="a path was drawn"):
+            run_experiment(parse_experiment_config(config_text()))
+
     @pytest.mark.parametrize("case", sorted(REJECTED_AT_PARSE))
     def test_rejected_before_any_path(self, case, monkeypatch):
-        def no_path(spec, seed):
-            raise AssertionError("a path was drawn")
-
-        monkeypatch.setattr(experiments, "sample_hermite", no_path)
+        forbid_paths(monkeypatch)
         overrides, key = REJECTED_AT_PARSE[case]
         with pytest.raises(ParameterError) as info:
             run_experiment(parse_experiment_config(config_text(**overrides)))

@@ -8,14 +8,23 @@ import pytest
 from hermite_trend.gaussian import fgn_autocovariance
 from hermite_trend.hermite import (
     HermiteSpec,
+    MomentScalingReport,
     discrete_normalizer,
     h_zero,
     hermite_polynomial,
     max_moment_scaling_check,
+    replicate,
     sample_hermite,
 )
 from hermite_trend.gaussian import sample_fbm
-from hermite_trend.rng import philox_generator
+from hermite_trend.rng import derive_seed, philox_generator
+from hermite_trend.sde import (
+    PathConfig,
+    _growth_factors,
+    _variation_of_constants,
+    mean_square_bound_check,
+)
+from hermite_trend.trends import parse_trend
 
 # Frozen closed-form value.
 COV_1_2_H07 = 1.3195079107728942
@@ -56,6 +65,22 @@ class TestHermitePolynomial:
         xs = np.linspace(-3, 3, 11)
         vec = hermite_polynomial(3, xs)
         assert vec == pytest.approx([hermite_polynomial(3, float(x)) for x in xs])
+
+    def test_order_two_is_one_product_and_one_subtraction(self):
+        x = philox_generator(5).standard_normal(1000)
+        assert np.array_equal(hermite_polynomial(2, x), x * x - 1.0)
+
+    def test_order_three_bits(self):
+        x = philox_generator(6).standard_normal(1000)
+        assert np.array_equal(hermite_polynomial(3, x), x * (x * x - 1.0) - 2.0 * x)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_input_neither_returned_nor_mutated(self, order):
+        x = philox_generator(7).standard_normal(64)
+        before = x.copy()
+        h = hermite_polynomial(order, x)
+        assert h is not x and not np.shares_memory(h, x)
+        assert np.array_equal(x, before)
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_mehler_moment_identity(self, order):
@@ -180,3 +205,97 @@ class TestMomentScaling:
             f"ci=({report.ci_low:.3f},{report.ci_high:.3f})"
         )
         assert report.within_ci
+
+    def test_bootstrap_below_one_names_bootstrap(self):
+        with pytest.raises(ValueError, match="bootstrap"):
+            max_moment_scaling_check(1, 0.7, p=2.0, t1=1.0, t2=2.0, reps=10, seed=1, n=16,
+                                     bootstrap=0)
+
+
+def old_mean_square_loop(trend, config, reps, seed):
+    """(mean, second moment) of (X - x)^2 per grid time, the per-path loop the engine replaced."""
+    spec = config.hermite_spec()
+    growth, decay = _growth_factors(trend, np.linspace(0.0, config.horizon, config.n + 1))
+    ode = config.x0 * growth
+    sq = sq_sq = None
+    for r in range(reps):
+        z = sample_hermite(spec, derive_seed(seed, r)).values
+        dev2 = (_variation_of_constants(growth, decay, config.x0, config.eps, z) - ode) ** 2
+        sq = dev2 if sq is None else sq + dev2
+        sq_sq = dev2**2 if sq_sq is None else sq_sq + dev2**2
+    return sq / reps, sq_sq
+
+
+def old_moment_scaling_loop(order, hurst, p, t1, t2, reps, seed, n, bootstrap):
+    """max_moment_scaling_check as its per-path loop computed it."""
+    horizons = [float(t1), float(t2)]
+    unique = sorted(set(horizons))
+    sups = []
+    for horizon in horizons:
+        spec = HermiteSpec(order=order, hurst=hurst, horizon=horizon, n=n)
+        vals = np.empty(reps)
+        for r in range(reps):
+            path = sample_hermite(spec, derive_seed(seed, unique.index(horizon), r))
+            vals[r] = np.max(np.abs(path.values)) ** p
+        sups.append(vals)
+    moment_t1, moment_t2 = float(sups[0].mean()), float(sups[1].mean())
+    rng = philox_generator(derive_seed(seed, 0xB007))
+    idx1 = rng.integers(0, reps, size=(bootstrap, reps))
+    idx2 = rng.integers(0, reps, size=(bootstrap, reps))
+    boot = sups[1][idx2].mean(axis=1) / sups[0][idx1].mean(axis=1)
+    ci_low, ci_high = (float(x) for x in np.quantile(boot, [0.025, 0.975]))
+    theoretical = (t2 / t1) ** (p * hurst)
+    return MomentScalingReport(
+        mc_ratio=moment_t2 / moment_t1, theoretical=theoretical, ci_low=ci_low, ci_high=ci_high,
+        within_ci=ci_low <= theoretical <= ci_high, moment_t1=moment_t1, moment_t2=moment_t2,
+    )
+
+
+class TestReplicate:
+    """The one replication loop equals the per-path public route bit for bit."""
+
+    SPECS = {
+        "q1": HermiteSpec(order=1, hurst=0.7, horizon=1.0, n=64),
+        "q2-explicit-m": HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=64, m=300),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_equals_per_path_loop(self, name):
+        spec = self.SPECS[name]
+        rows = replicate(spec, 41, (3, 1), range(25), lambda z: z)
+        loop = [sample_hermite(spec, derive_seed(41, 3, 1, r)).values for r in range(25)]
+        assert rows.shape == (25, spec.n + 1)
+        assert np.array_equal(rows, np.array(loop))
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_one_row_range_equals_same_row_of_larger_range(self, name):
+        spec = self.SPECS[name]
+        block = replicate(spec, 41, (2,), range(0, 25), lambda z: z[[1, 32, 64]])
+        single = replicate(spec, 41, (2,), range(7, 8), lambda z: z[[1, 32, 64]])
+        assert single.shape == (1, 3)
+        assert np.array_equal(single, block[7:8])
+
+    def test_scalar_statistic_gives_one_value_per_path(self):
+        spec = self.SPECS["q1"]
+        rows = replicate(spec, 9, (), range(5), lambda z: z[-1])
+        assert rows.shape == (5,)
+        assert np.array_equal(rows, [sample_hermite(spec, derive_seed(9, r)).values[-1]
+                                     for r in range(5)])
+
+    def test_mean_square_check_equals_old_loop(self):
+        trend = parse_trend("sin:0.5,0.8,3.0", 2.0)
+        cfg = PathConfig(horizon=2.0, n=64, eps=0.05, x0=1.0, order=2, hurst=0.7, m=256)
+        report = mean_square_bound_check(trend, cfg, reps=500, seed=67)
+        mean, sq_sq = old_mean_square_loop(trend, cfg, 500, 67)
+        worst = int(np.argmax(mean))
+        estimate = float(mean[worst])
+        var = max(float(sq_sq[worst] / 500 - estimate**2), 0.0)
+        assert report.estimate == estimate
+        assert report.rel_mc_error == float(np.sqrt(var / 500) / estimate)
+        assert report.worst_time == float(np.linspace(0.0, 2.0, 65)[worst])
+
+    @pytest.mark.parametrize("order, t1, t2", [(1, 0.5, 2.0), (2, 0.5, 2.0), (2, 1.0, 1.0)])
+    def test_moment_scaling_check_equals_old_loop(self, order, t1, t2):
+        args = dict(order=order, hurst=0.7, p=2.0, t1=t1, t2=t2, reps=200, seed=33, n=64)
+        report = max_moment_scaling_check(**args, bootstrap=300)
+        assert report == old_moment_scaling_loop(**args, bootstrap=300)

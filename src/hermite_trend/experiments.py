@@ -345,11 +345,13 @@ def _error_block(task) -> np.ndarray:
     return squared errors on the eval grid; clt (rung 0, trend 0) returns the
     normalized error eps^{-alpha} (est - J(t0) - phi^{k+1} bias) at t0.
 
-    Only the noise differs between the replications of a block, so the trend
+    Only the noise differs between the replications of a cell, so the trend
     integral and its growth factors, the target, the kernel weight rows and
     the oracle drift are built once here; each path ``replicate`` draws is then
     integrated and takes one dot per weight row, through the same cores as
     ``simulate_sde``, ``kernel_estimate_product`` and ``alternate_estimate``.
+    ``_gather`` gives each worker one block per cell, so a serial run builds
+    them once per cell.
     """
     cfg, rung, trend_idx, start, stop = task
     trend = parse_trend(cfg.trends[trend_idx], cfg.horizon)
@@ -387,7 +389,8 @@ def _gather(cfg: ExperimentConfig, workers: int) -> np.ndarray:
     n_rungs, n_trends, reps = len(cfg.ladder), len(cfg.trends), cfg.replications
     points = 1 if cfg.kind == "clt" else cfg.eval_points
     out = np.full((n_rungs, n_trends, reps, points), np.nan)
-    chunk = max(1, -(-reps // (4 * max(workers, 1))))
+    # one block per cell and worker: a block builds its cell's invariants once
+    chunk = max(1, -(-reps // max(workers, 1)))
     tasks = [
         (cfg, rung, trend_idx, start, min(start + chunk, reps))
         for rung in range(n_rungs)

@@ -6,6 +6,13 @@ H_q applied to a fine auxiliary fGn sequence with Hurst index
 h0 = 1 + (hurst - 1)/q, rescaled by an exact discrete normalizer so that
 Var(Z_horizon) = horizon^(2 hurst) holds exactly at every internal resolution
 m, not just in the m -> infinity limit.
+
+``replicate`` is the one replication loop.  It builds one path drawer per
+call, and the drawer owns every per-path buffer (the fGn buffers, the H_q
+scratch, the m+1 partial sums, the n+1 values), so a range of paths costs one
+set of allocations, not one per path; at m = 131072 the fresh arrays took
+about a third of a path's time.  ``sample_hermite`` is the one-path use of
+the same drawer.  No buffer outlives its call (see ``gaussian``).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import FgnSpec, fgn_autocovariance, sample_fbm, sample_fgn
+from .gaussian import FgnSpec, _fbm_drawer, _fgn_drawer, fgn_autocovariance
 from .rng import derive_seed, philox_generator
 from .validation import ParameterError, check_hurst
 
@@ -116,10 +123,32 @@ def hermite_polynomial(order: int, x):
         raise ValueError(f"order must be >= 1, got {order}")
     scalar = np.ndim(x) == 0
     x = np.asarray(x, dtype=float)
-    h_prev, h = 1.0, x.copy() if order == 1 else x  # never hand back the caller's array
-    for k in range(1, order):
-        h, h_prev = x * h - k * h_prev, h
+    if order == 1:
+        h = x.copy()  # never hand back the caller's array
+    else:
+        h = _hermite_into(order, x, _hermite_work(order, x.shape))
     return float(h) if scalar else h
+
+
+def _hermite_work(order: int, shape) -> list:
+    """The arrays ``_hermite_into`` writes for order >= 2: one for H_2, three beyond."""
+    return [np.empty(shape) for _ in range(1 if order == 2 else 3)]
+
+
+def _hermite_into(order: int, x: np.ndarray, work: list) -> np.ndarray:
+    """H_order(x) for order >= 2, computed in the arrays ``work``; returns the one holding it.
+
+    The recurrence runs as x * H_k - k * H_{k-1}, one rounding per operation, with
+    H_{k+1} written over a free array and k * H_{k-1} over H_{k-1} itself (over a
+    third array when H_{k-1} is x, which stays untouched).
+    """
+    h_prev, h = x, np.subtract(np.multiply(x, x, out=work[0]), 1.0, out=work[0])
+    for k in range(2, order):
+        new = work[(k - 1) % 3]
+        scaled = np.multiply(h_prev, k, out=work[2] if h_prev is x else h_prev)
+        np.subtract(np.multiply(x, h, out=new), scaled, out=new)
+        h_prev, h = h, new
+    return h
 
 
 @lru_cache(maxsize=16)
@@ -143,6 +172,27 @@ def discrete_normalizer(order: int, hurst: float, m: int, horizon: float) -> flo
 # -------------------------------------------------------------- sampling ---
 
 
+def _path_drawer(spec: HermiteSpec):
+    """draw(seed) -> the n+1 values of the path of that seed, in buffers the drawer owns.
+
+    Every draw overwrites the one before.
+    """
+    if spec.order == 1:
+        return _fbm_drawer(spec.hurst, spec.horizon, spec.n)
+    noise = _fgn_drawer(FgnSpec(hurst=h_zero(spec.order, spec.hurst), n=spec.m))
+    work = _hermite_work(spec.order, spec.m)
+    partial = np.zeros(spec.m + 1)
+    idx = (np.arange(spec.n + 1, dtype=np.int64) * spec.m) // spec.n
+    b = discrete_normalizer(spec.order, spec.hurst, spec.m, spec.horizon)
+    values = np.empty(spec.n + 1)
+
+    def draw(seed: int) -> np.ndarray:
+        np.cumsum(_hermite_into(spec.order, noise(seed), work), out=partial[1:])
+        return np.multiply(np.take(partial, idx, out=values), b, out=values)
+
+    return draw
+
+
 def sample_hermite(spec: HermiteSpec, seed: int) -> HermitePath:
     """Draw one Hermite path on the uniform grid j*horizon/n, j = 0..n.
 
@@ -150,27 +200,25 @@ def sample_hermite(spec: HermiteSpec, seed: int) -> HermitePath:
     horizon^(2 hurst) exactly by construction.
     """
     times = np.linspace(0.0, spec.horizon, spec.n + 1)
-    if spec.order == 1:
-        values = sample_fbm(spec.hurst, spec.horizon, spec.n, seed)
-    else:
-        noise = sample_fgn(FgnSpec(hurst=h_zero(spec.order, spec.hurst), n=spec.m), seed)
-        partial = np.empty(spec.m + 1)
-        partial[0] = 0.0
-        np.cumsum(hermite_polynomial(spec.order, noise), out=partial[1:])
-        idx = (np.arange(spec.n + 1, dtype=np.int64) * spec.m) // spec.n
-        b = discrete_normalizer(spec.order, spec.hurst, spec.m, spec.horizon)
-        values = b * partial[idx]
-    return HermitePath(times=times, values=values, spec=spec)
+    return HermitePath(times=times, values=_path_drawer(spec)(seed), spec=spec)
 
 
 def replicate(spec: HermiteSpec, seed: int, key: tuple, reps: range, statistic) -> np.ndarray:
     """Rows statistic(values), one per path r in ``reps``, drawn from derive_seed(seed, *key, r).
 
     The one replication loop: every Monte Carlo check and experiment draws its paths here,
-    and row r does not depend on the range it is drawn in.
+    and row r does not depend on the range it is drawn in.  All paths are drawn into one
+    drawer's buffers, so ``statistic`` may be handed a view that the next draw overwrites;
+    each row is copied into the result as soon as it is computed.
     """
-    return np.array([statistic(sample_hermite(spec, derive_seed(seed, *key, r)).values)
-                     for r in reps])
+    draw = _path_drawer(spec)
+    rows = np.empty(0)
+    for i, r in enumerate(reps):
+        row = np.asarray(statistic(draw(derive_seed(seed, *key, r))))
+        if i == 0:
+            rows = np.empty((len(reps),) + row.shape, row.dtype)
+        rows[i] = row
+    return rows
 
 
 def max_moment_scaling_check(

@@ -217,7 +217,8 @@ def mean_square_bound_check(
     mean = dev2.sum(axis=0) / reps
     worst = int(np.argmax(mean))
     estimate = float(mean[worst])
-    var = max(float((dev2**2).sum(axis=0)[worst] / reps - estimate**2), 0.0)
+    second = np.square(dev2, out=dev2).sum(axis=0)  # in place: no second reps x (n+1) array
+    var = max(float(second[worst] / reps - estimate**2), 0.0)
     rel_mc = float(np.sqrt(var / reps) / estimate) if estimate > 0 else 0.0
     bound = (
         np.exp(2.0 * trend.bound * config.horizon)

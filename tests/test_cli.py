@@ -365,12 +365,12 @@ class TestExperiment:
 
     @staticmethod
     def forbid_paths(monkeypatch):
-        """Make every path draw raise; ``hermite.replicate`` draws through this global."""
+        """Make every path draw raise; ``hermite.replicate`` draws through this drawer."""
 
-        def no_path(spec, seed):
+        def no_path(seed):
             raise RuntimeError("a path was drawn")
 
-        monkeypatch.setattr(hermite, "sample_hermite", no_path)
+        monkeypatch.setattr(hermite, "_path_drawer", lambda spec: no_path)
 
     def test_valid_config_reaches_the_patched_draw(self, tmp_path, capsys, monkeypatch):
         # positive control for the test below: the patch sits where the paths are drawn

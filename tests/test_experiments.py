@@ -237,12 +237,12 @@ REJECTED_AT_PARSE = {
 
 
 def forbid_paths(monkeypatch):
-    """Make every path draw raise; ``hermite.replicate`` draws through this global."""
+    """Make every path draw raise; ``hermite.replicate`` draws through this drawer."""
 
-    def no_path(spec, seed):
+    def no_path(seed):
         raise AssertionError("a path was drawn")
 
-    monkeypatch.setattr(hermite, "sample_hermite", no_path)
+    monkeypatch.setattr(hermite, "_path_drawer", lambda spec: no_path)
 
 
 class TestParseTimeChecks:

@@ -1,10 +1,12 @@
 """Hermite-process constants, normalizer identities, and path-law checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hermite_trend import gaussian as gaussian_mod
 from hermite_trend.gaussian import fgn_autocovariance
 from hermite_trend.hermite import (
     HermiteSpec,
@@ -257,19 +259,44 @@ class TestReplicate:
     SPECS = {
         "q1": HermiteSpec(order=1, hurst=0.7, horizon=1.0, n=64),
         "q2-explicit-m": HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=64, m=300),
+        "q3": HermiteSpec(order=3, hurst=0.7, horizon=1.0, n=64),  # the general recurrence
+        "q2-m32768": HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=4096, m=32768),
+        "q2-dense": HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=64, m=128),
     }
 
+    @pytest.fixture
+    def spec(self, name, monkeypatch):
+        """SPECS[name]; the "-dense" specs are forced onto the dense Cholesky fallback.
+
+        As in test_gaussian.TestDenseFallback, the cached route decision is cleared on
+        both sides of the patch, and the dense draws are counted to prove the fallback ran.
+        """
+        if not name.endswith("-dense"):
+            yield self.SPECS[name]
+            return
+        gaussian_mod._half_spectrum_amplitudes.cache_clear()
+        monkeypatch.setattr(gaussian_mod, "_circulant_eigenvalues",
+                            lambda n, h: np.full(2 * n, -1.0))
+        dense, dense_calls = gaussian_mod._sample_dense, []
+
+        def spy(fgn_spec, rng):
+            dense_calls.append(fgn_spec)
+            return dense(fgn_spec, rng)
+
+        monkeypatch.setattr(gaussian_mod, "_sample_dense", spy)
+        yield self.SPECS[name]
+        gaussian_mod._half_spectrum_amplitudes.cache_clear()
+        assert dense_calls, "the dense fallback never ran"
+
     @pytest.mark.parametrize("name", sorted(SPECS))
-    def test_equals_per_path_loop(self, name):
-        spec = self.SPECS[name]
+    def test_equals_per_path_loop(self, spec):
         rows = replicate(spec, 41, (3, 1), range(25), lambda z: z)
         loop = [sample_hermite(spec, derive_seed(41, 3, 1, r)).values for r in range(25)]
         assert rows.shape == (25, spec.n + 1)
         assert np.array_equal(rows, np.array(loop))
 
     @pytest.mark.parametrize("name", sorted(SPECS))
-    def test_one_row_range_equals_same_row_of_larger_range(self, name):
-        spec = self.SPECS[name]
+    def test_one_row_range_equals_same_row_of_larger_range(self, spec):
         block = replicate(spec, 41, (2,), range(0, 25), lambda z: z[[1, 32, 64]])
         single = replicate(spec, 41, (2,), range(7, 8), lambda z: z[[1, 32, 64]])
         assert single.shape == (1, 3)
@@ -281,6 +308,33 @@ class TestReplicate:
         assert rows.shape == (5,)
         assert np.array_equal(rows, [sample_hermite(spec, derive_seed(9, r)).values[-1]
                                      for r in range(5)])
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_later_draws_leave_earlier_paths_alone(self, spec):
+        # replicate draws into buffers it reuses; a returned path must not be one of them
+        first = sample_hermite(spec, 5).values
+        kept = first.copy()
+        replicate(spec, 5, (), range(3), lambda z: z)
+        second = sample_hermite(spec, 6).values
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+
+    def test_empty_range_gives_empty_array(self):
+        rows = replicate(self.SPECS["q2-explicit-m"], 9, (), range(0), lambda z: z)
+        assert isinstance(rows, np.ndarray) and rows.size == 0
+
+    def test_mean_square_check_holds_one_copy_of_the_rows(self):
+        # AC06's config: the reps x (n+1) squared deviations are the only large array
+        trend = parse_trend("sin:0.5,0.8,3.0", 2.0)
+        cfg = PathConfig(horizon=2.0, n=512, eps=0.05, x0=1.0, order=2, hurst=0.7)
+        reps = 1000
+        tracemalloc.start()
+        try:
+            mean_square_bound_check(trend, cfg, reps=reps, seed=67)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * reps * (cfg.n + 1) * 8
 
     def test_mean_square_check_equals_old_loop(self):
         trend = parse_trend("sin:0.5,0.8,3.0", 2.0)

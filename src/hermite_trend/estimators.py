@@ -146,10 +146,10 @@ def _weighted_increment_sum(
     return float(sums[0]) if np.ndim(t) == 0 else sums
 
 
-def _divide_by_level(path: SdePath, t, product, division_floor: float):
-    """(product / X_t, valid): NaN wherever |X_t| < division_floor."""
+def _divide_by_level(path: SdePath, t, product):
+    """(product / X_t, valid): NaN wherever |X_t| < x0 / 2, the division floor."""
     level = np.interp(t, path.times, path.values)
-    valid = np.abs(level) >= division_floor
+    valid = np.abs(level) >= 0.5 * path.config.x0
     return np.where(valid, product / np.where(valid, level, 1.0), np.nan), valid
 
 
@@ -164,16 +164,13 @@ def estimate_series(
     path: SdePath,
     cfg: EstimatorConfig,
     points: int = 21,
-    division_floor: float = None,
 ) -> EstimateSeries:
     """Product and theta estimates over the evaluation window; theta is NaN
-    wherever |X_t| < division_floor (default x0 / 2).
+    wherever |X_t| < x0 / 2, the division floor.
     """
-    if division_floor is None:
-        division_floor = 0.5 * path.config.x0
     ts = cfg.eval_grid(points)
     prod = kernel_estimate_product(path, cfg, ts)
-    theta, valid = _divide_by_level(path, ts, prod, division_floor)
+    theta, valid = _divide_by_level(path, ts, prod)
     return EstimateSeries(times=ts, product=prod, theta=theta, valid=valid)
 
 

@@ -1,18 +1,26 @@
 """Exact simulation of fractional Gaussian noise and fractional Brownian motion.
 
 fGn with Hurst index h in (1/2, 1) is sampled by circulant embedding of the
-Toeplitz autocovariance (Davies-Harte).  The embedding is exact: the returned
-vector has the target autocovariance in every coordinate, not asymptotically.
-If the circulant eigenvalues fail to be nonnegative the sampler falls back to
-a dense Cholesky factorisation of the covariance; ``EmbeddingFailure`` is
-raised only when both routes fail.
+Toeplitz autocovariance (Davies-Harte).  The embedding is exact in law, not
+asymptotic: the returned vector has, in every coordinate, the covariance that
+``fgn_autocovariance`` returns.  That covariance is exact only up to its own
+rounding, since the closed form cancels at large lags (about 1.1e-7 relative
+at lag 32768 and 2.6e-7 at lag 131071), and the embedding check below
+inherits it.
 
-Everything that depends only on the spec (n, hurst) is computed once and
-cached read-only: the 2n circulant eigenvalues, the route decision and the
-n+1 amplitudes of the half spectrum.  A path then costs one draw of 2n
-normals and one inverse real FFT of the conjugated half spectrum (n+1
-complex values), which equals the forward FFT of the full Hermitian 2n
-spectrum to rounding.
+There is one route.  Dietrich & Newsam (1997, SIAM J. Sci. Comput. 18(4))
+show that the minimal circulant embedding of a nonnegative, decreasing, convex
+covariance sequence is nonnegative definite, and the fGn autocovariance with
+h in (1/2, 1) is such a sequence.  Eigenvalues slightly below zero are
+rounding; one below -1e-12 times the largest raises ``EmbeddingFailure`` while
+the drawer is being built, before any normal is drawn.  No dense O(n^2)
+factorisation is ever attempted.
+
+Everything that depends only on the spec (n, hurst), the embedding check and
+the n+1 amplitudes of the half spectrum, is computed once per spec that
+passes and cached read-only.  A path then costs one draw of 2n normals and
+one inverse real FFT of the conjugated half spectrum (n+1 complex values),
+which equals the forward FFT of the full Hermitian 2n spectrum to rounding.
 
 The per-path work goes into buffers, not fresh arrays: ``_fgn_drawer`` owns
 the 2n normals, the half spectrum and the 2n transform output, and each path
@@ -30,7 +38,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .rng import philox_generator
 from .validation import ParameterError, check_hurst
@@ -45,7 +52,10 @@ __all__ = [
 
 
 class EmbeddingFailure(RuntimeError):
-    """Neither circulant embedding nor dense factorisation could produce the path."""
+    """The circulant embedding of an fGn spec is not nonnegative definite.
+
+    Raised when a drawer for the spec is built, before any normal is drawn.
+    """
 
 
 # ---------------------------------------------------------------- types ----
@@ -89,28 +99,24 @@ def fgn_autocovariance(lag, hurst: float):
     return float(out) if scalar else out
 
 
-# Circulant eigenvalues depend only on (n, hurst); memoised across paths and
-# read-only, since every caller shares the cached array.
 @lru_cache(maxsize=8)
-def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
+def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray:
+    """The n+1 half-spectrum amplitudes of the 2n circulant embedding.
+
+    Memoised per (n, hurst) and read-only, since every drawer of the spec shares
+    the array.  Raises ``EmbeddingFailure`` when the embedding is not
+    nonnegative definite up to roundoff.
+    """
     r = fgn_autocovariance(np.arange(n + 1), hurst)
     row = np.concatenate([r, r[-2:0:-1]])  # first row of the 2n circulant
     eig = np.fft.fft(row).real
-    eig.flags.writeable = False
-    return eig
-
-
-@lru_cache(maxsize=8)
-def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray | None:
-    """The n+1 half-spectrum amplitudes, or None when the embedding is not PSD.
-
-    The route decision and the square roots depend only on (n, hurst), so they
-    are taken once per spec; the array is read-only like the eigenvalues.
-    """
-    eig = _circulant_eigenvalues(n, hurst)
-    # Tiny negative eigenvalues are FFT roundoff on a genuinely PSD embedding.
+    # The embedding is PSD in exact arithmetic (Dietrich-Newsam, module docstring):
+    # slightly negative eigenvalues are rounding, in the FFT or in r itself.
     if eig.min() < -1e-12 * eig.max():
-        return None
+        raise EmbeddingFailure(
+            f"circulant embedding of fGn with n={n}, hurst={hurst!r} is not "
+            f"nonnegative definite: min/max eigenvalue {eig.min() / eig.max():.3e}"
+        )
     eig = np.clip(eig[: n + 1], 0.0, None)
     amp = np.empty(n + 1)
     amp[0] = np.sqrt(eig[0])
@@ -126,13 +132,12 @@ def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray | None:
 def _fgn_drawer(spec: FgnSpec):
     """draw(seed) -> the spec.n values of the fGn path of that seed.
 
-    The circulant route returns a view of buffers this drawer owns, so each
-    draw overwrites the one before; the dense route returns a fresh array.
+    Raises ``EmbeddingFailure`` here, not in draw, for a spec whose embedding
+    fails.  draw returns a view of buffers this drawer owns, so each draw
+    overwrites the one before.
     """
     n = spec.n
     amp = _half_spectrum_amplitudes(n, spec.hurst)
-    if amp is None:
-        return lambda seed: _sample_dense(spec, philox_generator(seed))
     neg_amp = -amp[1:n]
     z = np.empty(2 * n)
     half = np.zeros(n + 1, dtype=complex)  # imag[0] and imag[n] stay 0
@@ -155,17 +160,6 @@ def _fgn_drawer(spec: FgnSpec):
         return np.multiply(noise, scale, out=noise)
 
     return draw
-
-
-def _sample_dense(spec: FgnSpec, rng: np.random.Generator) -> np.ndarray:
-    cov = toeplitz(fgn_autocovariance(np.arange(spec.n), spec.hurst))
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise EmbeddingFailure(
-            f"circulant eigenvalues negative and Cholesky failed for {spec}"
-        ) from exc
-    return chol @ rng.standard_normal(spec.n)
 
 
 def sample_fgn(spec: FgnSpec, seed: int) -> np.ndarray:

@@ -220,8 +220,7 @@ class TestThetaEstimator:
         cfg = EstimatorConfig(
             kernel=vanishing_moment_kernel(1), bandwidth=0.1, window=(0.5, 0.5), horizon=1.0
         )
-        floor = 0.5 * math.exp(-c * 1.0)  # x0 e^{-LT} / 2
-        series = estimate_series(path, cfg, points=1, division_floor=floor)
+        series = estimate_series(path, cfg, points=1)
         assert series.theta[0] == pytest.approx(c, abs=1e-3)
 
     def test_guard_fires_below_floor(self):
@@ -230,8 +229,8 @@ class TestThetaEstimator:
         cfg = EstimatorConfig(
             kernel=vanishing_moment_kernel(1), bandwidth=0.05, window=(0.1, 0.9), horizon=1.0
         )
-        series = estimate_series(path, cfg, points=9, division_floor=0.5)
-        # x(t) = e^{-t} crosses 0.5 at t = ln 2 ~ 0.693
+        series = estimate_series(path, cfg, points=9)
+        # x(t) = e^{-t} crosses the floor x0/2 = 0.5 at t = ln 2 ~ 0.693
         expect_valid = np.exp(-series.times) >= 0.5
         assert np.array_equal(series.valid, expect_valid)
         assert np.all(np.isnan(series.theta[~series.valid]))
@@ -244,7 +243,7 @@ class TestThetaEstimator:
         cfg = EstimatorConfig(
             kernel=vanishing_moment_kernel(1), bandwidth=0.05, window=(0.9, 0.9), horizon=1.0
         )
-        series = estimate_series(path, cfg, points=1, division_floor=0.5)
+        series = estimate_series(path, cfg, points=1)
         assert math.isnan(series.theta[0]) and not series.valid[0]
 
     def test_mc_mse_sinusoid(self):
@@ -256,11 +255,10 @@ class TestThetaEstimator:
         cfg = EstimatorConfig(
             kernel=vanishing_moment_kernel(1), bandwidth=phi, window=(0.5, 0.5), horizon=1.0
         )
-        floor = 0.5 * math.exp(-th.bound * 1.0)  # x0 e^{-LT} / 2
         errs = []
         for r in range(500):
             path = simulate_path(th, cfg_path, derive_seed(1234, r))
-            est = estimate_series(path, cfg, points=1, division_floor=floor).theta[0]
+            est = estimate_series(path, cfg, points=1).theta[0]
             errs.append((est - th.value(0.5)) ** 2)
         assert np.mean(errs) < 1e-2
 

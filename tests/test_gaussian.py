@@ -1,8 +1,12 @@
 """fGn autocovariance oracles and exactness checks for the circulant sampler."""
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hermite_trend import cli
 from hermite_trend.gaussian import (
     EmbeddingFailure,
     FgnSpec,
@@ -11,6 +15,7 @@ from hermite_trend.gaussian import (
     sample_fgn,
 )
 import hermite_trend.gaussian as gaussian_mod
+from hermite_trend.hermite import HermiteSpec, replicate, sample_hermite
 from hermite_trend.rng import philox_generator
 
 # Frozen oracles, evaluated directly from ((l+1)^{2h} - 2 l^{2h} + (l-1)^{2h})/2.
@@ -97,10 +102,12 @@ class TestHalfSpectrum:
 
     @staticmethod
     def full_spectrum_reference(spec, seed):
-        # Full-spectrum Davies-Harte: three draws (2, n-1, n-1), a Hermitian
-        # 2n vector built from its first half, and a complex forward FFT.
+        # Full-spectrum Davies-Harte: the 2n circulant eigenvalues computed here,
+        # three draws (2, n-1, n-1), a Hermitian 2n vector built from its first
+        # half, and a complex forward FFT.
         n, m = spec.n, 2 * spec.n
-        eig = np.clip(gaussian_mod._circulant_eigenvalues(n, spec.hurst), 0.0, None)
+        r = fgn_autocovariance(np.arange(n + 1), spec.hurst)
+        eig = np.clip(np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real, 0.0, None)
         rng = philox_generator(seed)
         head, u, v = rng.standard_normal(2), rng.standard_normal(n - 1), rng.standard_normal(n - 1)
         w = np.zeros(m, dtype=complex)
@@ -129,59 +136,67 @@ class TestHalfSpectrum:
         assert np.array_equal(one, three)
 
     def test_cached_arrays_are_read_only(self):
-        eig = gaussian_mod._circulant_eigenvalues(64, 0.75)
         amp = gaussian_mod._half_spectrum_amplitudes(64, 0.75)
         assert amp.shape == (65,)
-        for cached in (eig, amp):
-            assert not cached.flags.writeable
-            with pytest.raises(ValueError):
-                cached[0] = 0.0
+        assert not amp.flags.writeable
+        with pytest.raises(ValueError):
+            amp[0] = 0.0
 
 
-class TestDenseFallback:
-    # The route decision is cached per (n, hurst), so a decision taken before
-    # the eigenvalues are patched would bypass the fallback; clear it on both
-    # sides, and count the dense draws to prove the fallback ran.
-    @pytest.fixture(autouse=True)
-    def fresh_route_cache(self):
+class TestEmbeddingFailure:
+    """A non-PSD embedding raises while the drawer is built, before any draw."""
+
+    @staticmethod
+    def lag_one_only(lag, hurst):
+        # r = 1, 0.9, 0, 0, ...: circulant eigenvalues 1 + 1.8 cos(pi j / n) reach -0.8
+        k = np.abs(np.asarray(lag))
+        return np.where(k == 0, 1.0, np.where(k == 1, 0.9, 0.0))
+
+    @pytest.fixture
+    def non_psd(self, monkeypatch):
+        """Fake the covariance and forbid Philox draws; the amplitude cache is
+        cleared on both sides of the patch, so no decision crosses it."""
+        draws = []
         gaussian_mod._half_spectrum_amplitudes.cache_clear()
-        yield
+        monkeypatch.setattr(gaussian_mod, "fgn_autocovariance", self.lag_one_only)
+        monkeypatch.setattr(gaussian_mod, "philox_generator", lambda seed: draws.append(seed))
+        yield draws
         gaussian_mod._half_spectrum_amplitudes.cache_clear()
 
-    def test_fallback_used_when_eigenvalues_negative(self, monkeypatch):
-        spec = FgnSpec(hurst=0.7, n=32)
-        bad = np.full(2 * spec.n, -1.0)
-        monkeypatch.setattr(gaussian_mod, "_circulant_eigenvalues", lambda n, h: bad)
-        dense = gaussian_mod._sample_dense
-        dense_calls = []
+    def test_sample_fgn_raises_before_any_draw(self, non_psd):
+        with pytest.raises(EmbeddingFailure, match=r"n=32, hurst=0\.7\b.*min/max eigenvalue -"):
+            sample_fgn(FgnSpec(hurst=0.7, n=32), 0)
+        assert non_psd == []
 
-        def spy(spec, rng):
-            dense_calls.append(spec)
-            return dense(spec, rng)
-
-        monkeypatch.setattr(gaussian_mod, "_sample_dense", spy)
-        a = sample_fgn(spec, 5)
-        b = sample_fgn(spec, 5)
-        assert np.array_equal(a, b)
-        reps = 3000
-        paths = np.stack([sample_fgn(spec, r) for r in range(reps)])
-        assert len(dense_calls) == reps + 2
-        prods = paths[:, 3] * paths[:, 4]
-        se = prods.std(ddof=1) / np.sqrt(reps)
-        assert abs(prods.mean() - fgn_autocovariance(1, 0.7)) < 4 * se
-
-    def test_embedding_failure_when_both_routes_fail(self, monkeypatch):
-        spec = FgnSpec(hurst=0.7, n=16)
-        monkeypatch.setattr(
-            gaussian_mod, "_circulant_eigenvalues", lambda n, h: np.full(2 * n, -1.0)
-        )
-
-        def broken_cholesky(_):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(gaussian_mod.np.linalg, "cholesky", broken_cholesky)
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_sample_hermite_and_replicate_raise_before_any_draw(self, non_psd, order):
+        spec = HermiteSpec(order=order, hurst=0.7, horizon=1.0, n=32)
         with pytest.raises(EmbeddingFailure):
-            sample_fgn(spec, 0)
+            sample_hermite(spec, 0)
+        with pytest.raises(EmbeddingFailure):
+            replicate(spec, 0, (), range(5), lambda z: z)
+        assert non_psd == []
+
+    def test_cli_simulate_exits_3_naming_the_error(self, non_psd, tmp_path, capsys):
+        out = tmp_path / "path.csv"
+        code = cli.main(["simulate", "--trend", "const:0.5", "--n", "64", "--out", str(out)])
+        assert code == 3
+        assert "EmbeddingFailure" in capsys.readouterr().err
+        assert non_psd == [] and not out.exists()
+
+    def test_near_unit_hurst_never_builds_a_dense_matrix(self):
+        # fGn h0 = 0.999999 at m = 16384: a dense m x m covariance alone is 2.1 GB.
+        # Either outcome is allowed; what is pinned is that neither costs O(m^2) memory.
+        spec = HermiteSpec(order=2, hurst=0.999998, horizon=1.0, n=2048)
+        tracemalloc.start()
+        try:
+            with contextlib.suppress(EmbeddingFailure):
+                sample_hermite(spec, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.m == 16384
+        assert peak < 64e6
 
 
 class TestFbm:

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hermite_trend import gaussian as gaussian_mod
 from hermite_trend.gaussian import fgn_autocovariance
 from hermite_trend.hermite import (
     HermiteSpec,
@@ -261,32 +260,11 @@ class TestReplicate:
         "q2-explicit-m": HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=64, m=300),
         "q3": HermiteSpec(order=3, hurst=0.7, horizon=1.0, n=64),  # the general recurrence
         "q2-m32768": HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=4096, m=32768),
-        "q2-dense": HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=64, m=128),
     }
 
     @pytest.fixture
-    def spec(self, name, monkeypatch):
-        """SPECS[name]; the "-dense" specs are forced onto the dense Cholesky fallback.
-
-        As in test_gaussian.TestDenseFallback, the cached route decision is cleared on
-        both sides of the patch, and the dense draws are counted to prove the fallback ran.
-        """
-        if not name.endswith("-dense"):
-            yield self.SPECS[name]
-            return
-        gaussian_mod._half_spectrum_amplitudes.cache_clear()
-        monkeypatch.setattr(gaussian_mod, "_circulant_eigenvalues",
-                            lambda n, h: np.full(2 * n, -1.0))
-        dense, dense_calls = gaussian_mod._sample_dense, []
-
-        def spy(fgn_spec, rng):
-            dense_calls.append(fgn_spec)
-            return dense(fgn_spec, rng)
-
-        monkeypatch.setattr(gaussian_mod, "_sample_dense", spy)
-        yield self.SPECS[name]
-        gaussian_mod._half_spectrum_amplitudes.cache_clear()
-        assert dense_calls, "the dense fallback never ran"
+    def spec(self, name):
+        return self.SPECS[name]
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_equals_per_path_loop(self, spec):

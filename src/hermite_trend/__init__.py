@@ -42,7 +42,6 @@ from .gaussian import (
     EmbeddingFailure,
     FgnSpec,
     fgn_autocovariance,
-    sample_fbm,
     sample_fgn,
 )
 from .hermite import (

@@ -24,7 +24,14 @@ import sys
 import numpy as np
 
 from .estimators import EstimatorConfig, bandwidth_main, estimate_series
-from .experiments import _fmt, load_experiment_config, run_experiment, write_report
+from .experiments import (
+    _CLT_COLUMNS,
+    _SUP_MSE_COLUMNS,
+    _fmt,
+    load_experiment_config,
+    run_experiment,
+    write_report,
+)
 from .kernels import asymptotic_variance, box_kernel, kernel_moment, vanishing_moment_kernel
 from .sde import PathConfig, SdePath, simulate_path
 from .trends import parse_trend
@@ -235,8 +242,7 @@ def _cmd_experiment(args) -> int:
 
 
 # results.csv columns of write_report -> the indices that hold numbers.
-_RESULT_COLUMNS = {("eps", "sup_mse", "log_eps", "log_mse"): (0, 1, 2, 3),
-                   ("eps", "statistic", "value"): (0, 2)}
+_RESULT_COLUMNS = {_SUP_MSE_COLUMNS: (0, 1, 2, 3), _CLT_COLUMNS: (0, 2)}
 
 
 def _cmd_report(args) -> int:
@@ -255,7 +261,7 @@ def _cmd_report(args) -> int:
         if len(row) != len(columns) or _finite_floats(row[i] for i in numeric) is None:
             raise ValueError(f"--in: results.csv line {lineno} is not a well-formed "
                              f"{','.join(columns)} row: {','.join(row)!r}")
-    if columns[1] == "sup_mse":
+    if columns == _SUP_MSE_COLUMNS:
         for _, row in rows:
             sys.stdout.write(f"eps={row[0]} sup_mse={row[1]}\n")
         if len(rows) >= 2:

@@ -550,6 +550,11 @@ def _config_lines(cfg: ExperimentConfig):
         yield f"# {key} = {_fmt(value)}"
 
 
+# The two results.csv layouts: sup-MSE rows (consistency, rate) and CLT statistic rows.
+_SUP_MSE_COLUMNS = ("eps", "sup_mse", "log_eps", "log_mse")
+_CLT_COLUMNS = ("eps", "statistic", "value")
+
+
 def write_report(result: ExperimentResult, out_dir) -> list:
     """results.csv + summary.txt (+ rate_fit.csv for rates), no timestamps; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -564,7 +569,7 @@ def write_report(result: ExperimentResult, out_dir) -> list:
     cfg, rep = result.config, result.report
     header = "\n".join(_config_lines(cfg))
     if isinstance(rep, CltReport):
-        rows = ["eps,statistic,value"]
+        rows = [",".join(_CLT_COLUMNS)]
         for stat in ("count", "mean", "se", "variance", "sigma2", "var_lo", "var_hi"):
             rows.append(f"{_fmt(rep.eps)},{stat},{_fmt(getattr(rep, stat))}")
         emit("results.csv", "\n".join(rows) + "\n")
@@ -578,7 +583,7 @@ def write_report(result: ExperimentResult, out_dir) -> list:
         emit("summary.txt", "\n".join(summary) + "\n")
         return written
 
-    rows = ["eps,sup_mse,log_eps,log_mse"]
+    rows = [",".join(_SUP_MSE_COLUMNS)]
     if isinstance(rep, RateFit):
         for e, s, le, lm in zip(rep.eps, rep.sup_mse, rep.log_eps, rep.log_mse):
             rows.append(f"{_fmt(e)},{_fmt(s)},{_fmt(le)},{_fmt(lm)}")

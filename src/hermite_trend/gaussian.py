@@ -26,10 +26,10 @@ The per-path work goes into buffers, not fresh arrays: ``_fgn_drawer`` owns
 the 2n normals, the half spectrum and the 2n transform output, and each path
 it draws overwrites the one before.  At n = 131072 fresh arrays cost more than
 the arithmetic (19.6 against 12.5 ms per path, the same bits).  A drawer lives
-as long as the call that built it (one path for ``sample_fgn`` and
-``sample_fbm``, a whole range for ``hermite.replicate``); none is cached or
-shared, since the FFT and the Philox fill release the GIL and two threads
-must never write to one buffer.
+as long as the call that built it (one path for ``sample_fgn``, a whole
+range for ``hermite.replicate``); none is cached or shared, since the FFT and
+the Philox fill release the GIL and two threads must never write to one
+buffer.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "FgnSpec",
     "fgn_autocovariance",
     "sample_fgn",
-    "sample_fbm",
 ]
 
 
@@ -168,9 +167,11 @@ def sample_fgn(spec: FgnSpec, seed: int) -> np.ndarray:
 
 
 def _fbm_drawer(hurst: float, horizon: float, n: int):
-    """draw(seed) -> the n+1 fBm values of that seed, in a buffer the drawer owns."""
-    if not horizon > 0.0:
-        raise ParameterError("horizon", f"must be positive, got {horizon}")
+    """draw(seed) -> the n+1 fBm values of that seed, in a buffer the drawer owns.
+
+    B_0 = 0 and the increments are (horizon/n)^hurst times exact unit fGn, so
+    the values at the times j*horizon/n have the exact fBm covariance.
+    """
     noise = _fgn_drawer(FgnSpec(hurst=hurst, n=n))
     scale = (horizon / n) ** hurst
     values = np.zeros(n + 1)
@@ -181,13 +182,3 @@ def _fbm_drawer(hurst: float, horizon: float, n: int):
         return values
 
     return draw
-
-
-def sample_fbm(hurst: float, horizon: float, n: int, seed: int) -> np.ndarray:
-    """Fractional Brownian motion at the n+1 uniform times j*horizon/n, j = 0..n.
-
-    B_0 = 0 and increments are (horizon/n)^hurst times exact unit fGn, so the
-    path covariance is (s^(2h) + t^(2h) - |t-s|^(2h)) / 2 without
-    discretisation bias at the grid times.
-    """
-    return _fbm_drawer(hurst, horizon, n)(seed)

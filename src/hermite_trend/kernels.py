@@ -1,11 +1,12 @@
 """Bank of compactly supported polynomial kernels with exact moment algebra.
 
-A kernel is a piecewise polynomial with rational coefficients.  Construction,
-moments, the autocorrelation psi(w) = int G(u) G(u+w) du, and the power-law
-part of the asymptotic variance functional are all computed in exact rational
-arithmetic (floats appear only in the final irrational power-law step), so
-moment identities hold to full double precision rather than to solver
-tolerance.
+A kernel is one polynomial with rational coefficients on one interval
+[lo, hi], zero elsewhere.  Its autocorrelation psi(w) = int G(u) G(u+w) du is
+the piecewise object: two polynomials, on [lo-hi, 0] and [0, hi-lo].
+Construction, moments, psi, and the power-law part of the asymptotic variance
+functional are all computed in exact rational arithmetic (floats appear only
+in the final irrational power-law step), so moment identities hold to full
+double precision rather than to solver tolerance.
 
 ``vanishing_moment_kernel(k)`` solves the k+1 moment conditions in the even
 Legendre basis with the endpoint condition G(1) = 0 for k >= 1; this yields
@@ -58,25 +59,18 @@ class KernelPiece:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Piecewise-polynomial kernel with declared vanishing-moment order."""
+    """One polynomial on one interval, with declared vanishing-moment order."""
 
     order: int
-    pieces: tuple  # KernelPiece, ordered, non-overlapping
-
-    def __post_init__(self):
-        if not self.pieces:
-            raise ValueError("kernel needs at least one piece")
-        for left, right in zip(self.pieces, self.pieces[1:]):
-            if left.hi > right.lo:
-                raise ValueError("kernel pieces overlap")
+    piece: KernelPiece
 
     @property
     def support(self) -> tuple:
-        return (float(self.pieces[0].lo), float(self.pieces[-1].hi))
+        return (float(self.piece.lo), float(self.piece.hi))
 
     @cached_property
     def _float_pieces(self):
-        return _to_float_pieces(self.pieces)
+        return _to_float_pieces((self.piece,))
 
     def evaluate(self, u):
         return _evaluate_pieces(self._float_pieces, u)
@@ -167,12 +161,12 @@ def vanishing_moment_kernel(k: int) -> Kernel:
         )
     if k == 0:
         piece = KernelPiece(Fraction(-1), Fraction(1), (Fraction(1, 2),))
-        return Kernel(order=0, pieces=(piece,))
+        return Kernel(order=0, piece=piece)
     poly = ()
     for s, a in enumerate(order_k_legendre_coefficients(k)):
         poly = xp.poly_add(poly, xp.poly_scale(_legendre_coeffs(2 * s), a))
     piece = KernelPiece(Fraction(-1), Fraction(1), poly)
-    return Kernel(order=k, pieces=(piece,))
+    return Kernel(order=k, piece=piece)
 
 
 def box_kernel(width: float = 1.0) -> Kernel:
@@ -181,60 +175,46 @@ def box_kernel(width: float = 1.0) -> Kernel:
         raise ParameterError("width", f"must be positive and finite, got {width}")
     half = Fraction(width) / 2
     piece = KernelPiece(-half, half, (1 / Fraction(width),))
-    return Kernel(order=0, pieces=(piece,))
+    return Kernel(order=0, piece=piece)
 
 
 # ------------------------------------------------------------ functionals --
 
 
 def kernel_moment(kernel: Kernel, j: int) -> float:
-    """Exact int u^j G(u) du by closed-form piecewise integration."""
+    """Exact int u^j G(u) du by closed-form integration."""
     if j < 0:
         raise ValueError(f"moment index must be >= 0, got {j}")
+    p = kernel.piece
     total = Fraction(0)
-    for p in kernel.pieces:
-        for c, coef in enumerate(p.coeffs):
-            power = j + c + 1
-            total += coef * (p.hi**power - p.lo**power) / power
+    for c, coef in enumerate(p.coeffs):
+        power = j + c + 1
+        total += coef * (p.hi**power - p.lo**power) / power
     return float(total)
 
 
 @lru_cache(maxsize=None)
 def _autocorrelation_pieces(kernel: Kernel) -> tuple:
-    """Exact piecewise-polynomial psi(w) = int G(u) G(u+w) du.
+    """Exact psi(w) = int G(u) G(u+w) du as two pieces meeting at w = 0.
 
-    Breakpoints are the pairwise differences of piece endpoints; between
-    breakpoints each piece pair contributes A(upper(w), w) - A(lower(w), w)
-    with bounds either constant or constant - w, both polynomial in w.
+    With A(u, w) the u-antiderivative of G(u) G(u+w), the supports overlap on
+    [lo-w, hi] for w in [lo-hi, 0] and on [lo, hi-w] for w in [0, hi-lo];
+    substituting those bounds into A gives a polynomial in w on each side.
     """
-    breakpoints = sorted(
-        {q.lo - p.hi for p in kernel.pieces for q in kernel.pieces}
-        | {q.lo - p.lo for p in kernel.pieces for q in kernel.pieces}
-        | {q.hi - p.hi for p in kernel.pieces for q in kernel.pieces}
-        | {q.hi - p.lo for p in kernel.pieces for q in kernel.pieces}
+    p = kernel.piece
+    anti = xp.biv_antiderivative_u(xp.biv_product_shifted(p.coeffs, p.coeffs))
+
+    def overlap(upper, lower):
+        acc = xp.poly_add(upper, xp.poly_scale(lower, -1))
+        return acc if acc else (Fraction(0),)
+
+    left = overlap(xp.biv_substitute_u(anti, p.hi, 0), xp.biv_substitute_u(anti, p.lo, -1))
+    right = overlap(xp.biv_substitute_u(anti, p.hi, -1), xp.biv_substitute_u(anti, p.lo, 0))
+    zero = Fraction(0)
+    return (
+        KernelPiece(p.lo - p.hi, zero, left),
+        KernelPiece(zero, p.hi - p.lo, right),
     )
-    out = []
-    for w0, w1 in zip(breakpoints, breakpoints[1:]):
-        if w0 == w1:
-            continue
-        mid = (w0 + w1) / 2
-        acc = ()
-        for p in kernel.pieces:
-            for q in kernel.pieces:
-                if not (q.lo - p.hi < mid < q.hi - p.lo):
-                    continue
-                anti = xp.biv_antiderivative_u(xp.biv_product_shifted(p.coeffs, q.coeffs))
-                if p.hi <= q.hi - mid:  # upper bound is the constant p.hi
-                    upper = xp.biv_substitute_u(anti, p.hi, 0)
-                else:
-                    upper = xp.biv_substitute_u(anti, q.hi, -1)
-                if p.lo >= q.lo - mid:  # lower bound is the constant p.lo
-                    lower = xp.biv_substitute_u(anti, p.lo, 0)
-                else:
-                    lower = xp.biv_substitute_u(anti, q.lo, -1)
-                acc = xp.poly_add(acc, xp.poly_add(upper, xp.poly_scale(lower, -1)))
-        out.append(KernelPiece(w0, w1, acc if acc else (Fraction(0),)))
-    return tuple(out)
 
 
 def kernel_autocorrelation(kernel: Kernel, w) -> float:
@@ -243,19 +223,17 @@ def kernel_autocorrelation(kernel: Kernel, w) -> float:
 
 
 def _power_law_piece_integral(piece: KernelPiece, exponent: float) -> float:
-    """int_piece poly(w) |w|^exponent dw for a piece not straddling zero."""
+    """int_piece poly(w) |w|^exponent dw for a piece on one side of zero."""
     lo, hi = float(piece.lo), float(piece.hi)
     total = 0.0
     if lo >= 0.0:
         for m, c in enumerate(piece.coeffs):
             p = m + exponent + 1.0
             total += float(c) * (hi**p - lo**p) / p
-    elif hi <= 0.0:
+    else:
         for m, c in enumerate(piece.coeffs):
             p = m + exponent + 1.0
             total += float(c) * (-1.0) ** m * ((-lo) ** p - (-hi) ** p) / p
-    else:  # pragma: no cover - same-piece pairs force a breakpoint at 0
-        raise RuntimeError("autocorrelation piece straddles zero")
     return total
 
 
@@ -280,55 +258,21 @@ def _autocorrelation_numeric(kernel: Kernel, w: float) -> float:
     lo, hi = max(a, a - w), min(b, b - w)
     if hi <= lo:
         return 0.0
-    kinks = sorted(
-        {float(p.lo) for p in kernel.pieces}
-        | {float(p.hi) for p in kernel.pieces}
-        | {float(p.lo) - w for p in kernel.pieces}
-        | {float(p.hi) - w for p in kernel.pieces}
-    )
-    kinks = [x for x in kinks if lo < x < hi]
-    val, _ = quad(
-        lambda u: kernel.evaluate(u) * kernel.evaluate(u + w),
-        lo,
-        hi,
-        points=kinks or None,
-        limit=200,
-    )
+    val, _ = quad(lambda u: kernel.evaluate(u) * kernel.evaluate(u + w), lo, hi, limit=200)
     return val
 
 
 def asymptotic_variance_quadrature(kernel: Kernel, hurst: float) -> float:
     """Adaptive-quadrature fallback for the variance functional.
 
-    Splits at the endpoint differences, uses QUADPACK algebraic weights on the
-    subintervals touching the |w|^(2h-2) singularity, and evaluates psi itself
-    numerically.  Serves as the independent cross-check of the closed form.
+    Integrates psi, itself evaluated numerically, against the |w|^(2h-2)
+    singularity with QUADPACK algebraic weights on [-width, 0] and [0, width].
+    Serves as the independent cross-check of the closed form.
     """
     check_hurst(hurst)
     exponent = 2.0 * hurst - 2.0
-    ends = sorted(
-        {
-            float(x - y)
-            for p in kernel.pieces
-            for q in kernel.pieces
-            for x in (q.lo, q.hi)
-            for y in (p.lo, p.hi)
-        }
-    )
+    width = float(kernel.piece.hi - kernel.piece.lo)
     psi = lambda w: _autocorrelation_numeric(kernel, w)
-    total = 0.0
-    for w0, w1 in zip(ends, ends[1:]):
-        if w0 == w1:
-            continue
-        if w0 >= 0.0:
-            if w0 == 0.0:
-                val, _ = quad(psi, w0, w1, weight="alg", wvar=(exponent, 0.0), limit=200)
-            else:
-                val, _ = quad(lambda w: psi(w) * w**exponent, w0, w1, limit=200)
-        else:
-            if w1 == 0.0:
-                val, _ = quad(psi, w0, w1, weight="alg", wvar=(0.0, exponent), limit=200)
-            else:
-                val, _ = quad(lambda w: psi(w) * (-w) ** exponent, w0, w1, limit=200)
-        total += val
-    return hurst * (2.0 * hurst - 1.0) * total
+    left, _ = quad(psi, -width, 0.0, weight="alg", wvar=(0.0, exponent), limit=200)
+    right, _ = quad(psi, 0.0, width, weight="alg", wvar=(exponent, 0.0), limit=200)
+    return hurst * (2.0 * hurst - 1.0) * (left + right)

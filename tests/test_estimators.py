@@ -39,7 +39,7 @@ def lopsided_box():
     # order-0 kernel with m1 != 0, so the noiseless error is genuinely O(phi)
     return Kernel(
         order=0,
-        pieces=(KernelPiece(Fraction(-1, 2), Fraction(1), (Fraction(2, 3),)),),
+        piece=KernelPiece(Fraction(-1, 2), Fraction(1), (Fraction(2, 3),)),
     )
 
 

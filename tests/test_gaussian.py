@@ -11,7 +11,6 @@ from hermite_trend.gaussian import (
     EmbeddingFailure,
     FgnSpec,
     fgn_autocovariance,
-    sample_fbm,
     sample_fgn,
 )
 import hermite_trend.gaussian as gaussian_mod
@@ -200,20 +199,26 @@ class TestEmbeddingFailure:
 
 
 class TestFbm:
+    """Order-1 Hermite paths are fBm on the grid j*horizon/n."""
+
+    @staticmethod
+    def fbm(hurst, horizon, n, seed):
+        return sample_hermite(HermiteSpec(order=1, hurst=hurst, horizon=horizon, n=n), seed).values
+
     def test_starts_at_zero_with_full_grid(self):
-        path = sample_fbm(0.7, horizon=2.0, n=100, seed=11)
+        path = self.fbm(0.7, horizon=2.0, n=100, seed=11)
         assert path[0] == 0.0
         assert path.shape == (101,)
 
     def test_deterministic_in_seed(self):
-        a = sample_fbm(0.8, 1.0, 64, seed=3)
-        b = sample_fbm(0.8, 1.0, 64, seed=3)
+        a = self.fbm(0.8, 1.0, 64, seed=3)
+        b = self.fbm(0.8, 1.0, 64, seed=3)
         assert np.array_equal(a, b)
 
     def test_terminal_variance_self_similarity(self):
         hurst, horizon, reps = 0.75, 1.5, 8000
         finals = np.array(
-            [sample_fbm(hurst, horizon, 32, seed=20_000 + r)[-1] for r in range(reps)]
+            [self.fbm(hurst, horizon, 32, seed=20_000 + r)[-1] for r in range(reps)]
         )
         sq = finals**2
         est, se = sq.mean(), sq.std(ddof=1) / np.sqrt(reps)
@@ -224,7 +229,7 @@ class TestFbm:
     def test_covariance_matches_oracle(self):
         hurst, reps = 0.7, 8000
         paths = np.stack(
-            [sample_fbm(hurst, 2.0, 32, seed=50_000 + r) for r in range(reps)]
+            [self.fbm(hurst, 2.0, 32, seed=50_000 + r) for r in range(reps)]
         )
         # grid index 16 -> t=1.0, index 32 -> t=2.0
         prods = paths[:, 16] * paths[:, 32]
@@ -234,4 +239,4 @@ class TestFbm:
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
-            sample_fbm(0.7, horizon=0.0, n=8, seed=0)
+            HermiteSpec(order=1, hurst=0.7, horizon=0.0, n=8)

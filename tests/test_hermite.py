@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hermite_trend.gaussian import fgn_autocovariance
+from hermite_trend.gaussian import FgnSpec, fgn_autocovariance, sample_fgn
 from hermite_trend.hermite import (
     HermiteSpec,
     MomentScalingReport,
@@ -17,7 +17,6 @@ from hermite_trend.hermite import (
     replicate,
     sample_hermite,
 )
-from hermite_trend.gaussian import sample_fbm
 from hermite_trend.rng import derive_seed, philox_generator
 from hermite_trend.sde import (
     PathConfig,
@@ -162,12 +161,14 @@ class TestSamplePaths:
         assert a.values.shape == (65,)
         assert np.array_equal(a.values, b.values)
 
-    def test_order_one_delegates_to_fbm(self):
-        spec = HermiteSpec(order=1, hurst=0.8, horizon=2.0, n=128)
-        path = sample_hermite(spec, 77)
-        fbm = sample_fbm(0.8, 2.0, 128, 77)
-        assert np.array_equal(path.values, fbm)
-        assert path.times[0] == 0.0 and path.times[-1] == pytest.approx(2.0)
+    @pytest.mark.parametrize(
+        "hurst,horizon,n", [(0.8, 2.0, 128), (0.55, 1.0, 1), (0.7, 3.5, 17), (0.95, 0.25, 4096)]
+    )
+    def test_order_one_is_scaled_cumsum_of_fgn(self, hurst, horizon, n):
+        path = sample_hermite(HermiteSpec(order=1, hurst=hurst, horizon=horizon, n=n), 77)
+        increments = sample_fgn(FgnSpec(hurst, n), 77) * (horizon / n) ** hurst
+        assert np.array_equal(path.values, np.concatenate([[0.0], np.cumsum(increments)]))
+        assert path.times[0] == 0.0 and path.times[-1] == pytest.approx(horizon)
 
     def test_terminal_variance_is_exact_by_normalizer(self):
         spec = HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=128)

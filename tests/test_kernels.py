@@ -20,18 +20,30 @@ from hermite_trend.kernels import (
 
 H_GRID = [0.55, 0.7, 0.9]
 
+# Kernels whose support is not centred at 0: a box on [-1/2, 1] and the
+# quadratic 1 - u/2 + u^2/7 on [-1/3, 5/2].
+OFF_CENTRE = [
+    Kernel(order=0, piece=KernelPiece(Fraction(-1, 2), Fraction(1), (Fraction(2, 3),))),
+    Kernel(
+        order=0,
+        piece=KernelPiece(
+            Fraction(-1, 3), Fraction(5, 2), (Fraction(1), Fraction(-1, 2), Fraction(1, 7))
+        ),
+    ),
+]
+
 
 class TestConstruction:
     def test_order_zero_is_half_box(self):
         box = vanishing_moment_kernel(0)
-        assert box.pieces[0].coeffs == (Fraction(1, 2),)
+        assert box.piece.coeffs == (Fraction(1, 2),)
         assert box.support == (-1.0, 1.0)
         assert box.evaluate(0.3) == 0.5
         assert box.evaluate(1.5) == 0.0
 
     def test_order_one_is_epanechnikov(self):
         epan = vanishing_moment_kernel(1)
-        assert epan.pieces[0].coeffs == (Fraction(3, 4), Fraction(0), Fraction(-3, 4))
+        assert epan.piece.coeffs == (Fraction(3, 4), Fraction(0), Fraction(-3, 4))
         u = np.linspace(-1, 1, 41)
         assert epan.evaluate(u) == pytest.approx(0.75 * (1 - u**2), abs=1e-14)
 
@@ -44,7 +56,7 @@ class TestConstruction:
             Fraction(0),
             Fraction(105, 32),
         )
-        assert quartic.pieces[0].coeffs == expected
+        assert quartic.piece.coeffs == expected
         u = np.linspace(-1, 1, 41)
         assert quartic.evaluate(u) == pytest.approx(
             (15 / 32) * (3 - 10 * u**2 + 7 * u**4), abs=1e-13
@@ -72,12 +84,6 @@ class TestConstruction:
             vanishing_moment_kernel(13)
         with pytest.raises(ValueError):
             vanishing_moment_kernel(-1)
-
-    def test_pieces_must_not_overlap(self):
-        a = KernelPiece(Fraction(-1), Fraction(1), (Fraction(1, 2),))
-        b = KernelPiece(Fraction(0), Fraction(2), (Fraction(1, 2),))
-        with pytest.raises(ValueError):
-            Kernel(order=0, pieces=(a, b))
 
 
 class TestMoments:
@@ -126,6 +132,13 @@ class TestAutocorrelation:
             kernel_autocorrelation(kernel, -ws), abs=1e-13
         )
 
+    @pytest.mark.parametrize("kernel", OFF_CENTRE, ids=["lopsided-box", "quadratic"])
+    def test_even_in_w_off_centre(self, kernel):
+        ws = np.linspace(-3.0, 3.0, 601)
+        assert np.array_equal(
+            kernel_autocorrelation(kernel, ws), kernel_autocorrelation(kernel, -ws)
+        )
+
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_matches_direct_quadrature(self, k):
         from scipy.integrate import quad
@@ -159,15 +172,13 @@ class TestAsymptoticVariance:
         hurst = 0.7
         base_kernel = vanishing_moment_kernel(1)
         s = Fraction(2)
+        p = base_kernel.piece
         scaled_kernel = Kernel(
             order=base_kernel.order,
-            pieces=tuple(
-                KernelPiece(
-                    p.lo * s,
-                    p.hi * s,
-                    tuple(c / s ** (i + 1) for i, c in enumerate(p.coeffs)),
-                )
-                for p in base_kernel.pieces
+            piece=KernelPiece(
+                p.lo * s,
+                p.hi * s,
+                tuple(c / s ** (i + 1) for i, c in enumerate(p.coeffs)),
             ),
         )
         base = asymptotic_variance(base_kernel, hurst)
@@ -177,6 +188,15 @@ class TestAsymptoticVariance:
         for width in (0.5, 2.0, 3.0):
             got = asymptotic_variance(box_kernel(width), hurst)
             assert got == pytest.approx(width ** (2 * hurst - 2), rel=1e-12), width
+
+    @pytest.mark.parametrize("hurst", H_GRID)
+    @pytest.mark.parametrize("kernel", OFF_CENTRE, ids=["lopsided-box", "quadratic"])
+    def test_off_centre_closed_form_agrees_with_quadrature(self, kernel, hurst):
+        # psi's two pieces come from the overlaps [lo-w, hi] and [lo, hi-w],
+        # which only coincide with their mirror images on a centred support.
+        exact = asymptotic_variance(kernel, hurst)
+        numeric = asymptotic_variance_quadrature(kernel, hurst)
+        assert exact == pytest.approx(numeric, rel=1e-12)
 
     def test_two_wide_box_from_scaling(self):
         # vanishing_moment_kernel(0) is the box of width 2.

@@ -1,12 +1,15 @@
 """Property tests for the text parsers: the program's input surface."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from hermite_trend import cli
 from hermite_trend.estimators import bandwidth_alt, bandwidth_main
 from hermite_trend.experiments import (
+    _CLT_COLUMNS,
     _KEY_TYPES,
+    _SUP_MSE_COLUMNS,
     ExperimentConfig,
     _config_lines,
     _rung_setup,
@@ -133,3 +136,78 @@ def test_trend_parser_raises_only_value_error(text, horizon):
         parse_trend(text, horizon)
     except ValueError:
         pass
+
+
+# The CSV readers of `estimate --in` and `report --in` exit 0 or 2 on any
+# file: bad input is a usage error, never a runtime failure (3) or a raise.
+# The files are mostly well formed, so most examples get past the first line
+# check; strategies are built once, since building them per draw costs more
+# than the command itself.
+FILES = settings(max_examples=40, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+junk_lines = st.one_of(st.floats().map(repr), st.integers(-10, 10**6).map(str),
+                       st.text(max_size=30))
+edits = st.sampled_from(("none", "none", "replace", "insert"))
+path_fields = st.tuples(
+    st.one_of(_floats(0.5, 10.0), st.floats(-1.0, 0.5)),  # horizon
+    st.integers(64, 72),  # n, at PathConfig's floor
+    _floats(0.0, 1.0),  # eps
+    _floats(0.45, 1.05),  # hurst
+    _floats(-5.0, 5.0),  # x0
+    st.one_of(st.none(), st.integers(1, 9)),  # q
+    st.integers(0, 2**32 - 1),  # seed of the data columns
+)
+result_fields = {"statistic": st.sampled_from(("mean", "se", "count"))}
+result_number = _floats(-1e3, 1e3).map(repr)
+summary_lines = st.lists(st.sampled_from(("pass=True", "slope=-1.2, pass=False", "# x = 1")),
+                         max_size=3)
+
+
+def _edit_one_line(draw, lines):
+    """lines as drawn, or with one line replaced or inserted at random."""
+    edit = draw(edits)
+    if edit != "none":
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + (edit == "replace")] = [draw(junk_lines)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def path_csvs(draw):
+    """simulate-shaped files: a header, the t,Z,x,X line and n+1 rows on the header's grid."""
+    horizon, n, eps, hurst, x0, q, seed = draw(path_fields)
+    header = [f"# horizon = {horizon!r}", f"# eps = {eps!r}", f"# hurst = {hurst!r}",
+              f"# x0 = {x0!r}"] + ([] if q is None else [f"# q = {q}"])
+    # Drawing 3(n+1) floats one by one would dominate the test's time.
+    data = np.random.default_rng(seed).normal(size=(n + 1, 3))
+    rows = [",".join(repr(float(v)) for v in (t, *zxy))
+            for t, zxy in zip(np.linspace(0.0, horizon, n + 1), data)]
+    return _edit_one_line(draw, header + ["t,Z,x,X"] + rows)
+
+
+@FILES
+@given(path_csvs())
+def test_estimate_reader_exits_zero_or_two(tmp_path, text):
+    infile = tmp_path / "path.csv"
+    infile.write_text(text, encoding="utf-8")
+    code = cli.main(["estimate", "--in", str(infile), "--out", str(tmp_path / "est.csv")])
+    assert code in (0, 2)
+
+
+@st.composite
+def report_dirs(draw):
+    """(results.csv, summary.txt) texts shaped like write_report's."""
+    columns = draw(st.sampled_from((_SUP_MSE_COLUMNS, _CLT_COLUMNS)))
+    rows = [",".join(draw(result_fields.get(c, result_number)) for c in columns)
+            for _ in range(draw(st.integers(0, 5)))]
+    return (_edit_one_line(draw, [",".join(columns)] + rows),
+            _edit_one_line(draw, draw(summary_lines)))
+
+
+@FILES
+@given(report_dirs())
+def test_report_reader_exits_zero_or_two(tmp_path, texts):
+    for name, text in zip(("results.csv", "summary.txt"), texts):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert cli.main(["report", "--in", str(tmp_path)]) in (0, 2)

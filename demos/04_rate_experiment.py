@@ -44,7 +44,7 @@ print(f"\nfitted slope  {fit.slope:.4f}")
 print(f"theory        {fit.theoretical:.4f}  (k=1, H=0.7)")
 print(f"within +-{fit.tolerance}?  {fit.passed}")
 
-out = pathlib.Path(tempfile.mkdtemp(prefix="rate_demo_"))
-for p in write_report(result, out):
-    print(f"\n--- {p} ---")
-    print(open(p).read().rstrip())
+with tempfile.TemporaryDirectory(prefix="rate_demo_") as tmp:
+    for p in write_report(result, pathlib.Path(tmp)):
+        print(f"\n--- {p} ---")
+        print(open(p).read().rstrip())

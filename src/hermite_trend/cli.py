@@ -184,6 +184,10 @@ def _cmd_estimate(args) -> int:
     rule = "main" if args.bandwidth == "auto" else "manual"
     phi = bandwidth_main(eps, args.order, hurst) if rule == "main" else args.bandwidth
     hi = float(kernel.support[1])
+    if args.window is None and hi * phi >= horizon - hi * phi:
+        raise ValueError(f"--bandwidth: bandwidth {_fmt(phi)} ({rule} rule) is too wide for "
+                         f"horizon {_fmt(horizon)}: it leaves no default window "
+                         f"[{_fmt(hi * phi)}, {_fmt(horizon - hi * phi)}]")
     est_cfg = EstimatorConfig(kernel=kernel, bandwidth=phi, horizon=horizon, eps=eps, rule=rule,
                               window=tuple(args.window or (hi * phi, horizon - hi * phi)))
     series = estimate_series(path, est_cfg, points=args.points)
@@ -264,11 +268,15 @@ def _cmd_report(args) -> int:
     if columns == _SUP_MSE_COLUMNS:
         for _, row in rows:
             sys.stdout.write(f"eps={row[0]} sup_mse={row[1]}\n")
-        if len(rows) >= 2:
-            log_eps, log_mse = np.array([[float(r[2]), float(r[3])] for _, r in rows]).T
+        log_eps, log_mse = np.array([[float(r[2]), float(r[3])] for _, r in rows]).T
+        distinct = len(np.unique(log_eps))
+        if distinct >= 2:
             slope, intercept = np.polyfit(log_eps, log_mse, 1)
             sys.stdout.write(f"refit slope={_fmt(float(slope))}, "
                              f"intercept={_fmt(float(intercept))}\n")
+        else:
+            sys.stdout.write(f"no refit: a slope needs two distinct log_eps, the "
+                             f"{len(rows)} row(s) have {distinct}\n")
     else:
         for _, row in rows:
             sys.stdout.write(f"{row[1]}={row[2]}\n")

@@ -6,7 +6,8 @@ Dividing by X_t (behind a floor guard) yields theta itself.  A truncated
 variant multiplies by the indicator of the path staying above a decaying
 threshold, in either an observable form (increments of dX/X) or an oracle
 form that consumes the true trend and driving noise and therefore only makes
-sense inside a simulation.
+sense inside a simulation.  The bias center term of the normalized error reads
+x(t) from the trend's closed-form integral; nothing here integrates numerically.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .kernels import Kernel, kernel_moment
 from .sde import SdePath
@@ -183,11 +183,11 @@ def bias_center_term(
     """J^{(k+1)}(t) m_{k+1}(G) / (k+1)!, the center of the normalized error.
 
     Derivatives of J = theta * x come from the Leibniz rule with
-    x^{(m+1)} = (theta x)^{(m)}, seeded by x(t) = x0 exp(int_0^t theta).
-    Raises DerivativeUnavailable through trend.derivative when the trend
-    cannot certify theta^{(k+1)}.
+    x^{(m+1)} = (theta x)^{(m)}, seeded by x(t) = x0 exp(int_0^t theta) with
+    the trend's closed-form integral.  Raises DerivativeUnavailable through
+    trend.derivative when the trend cannot certify theta^{(k+1)}.
     """
-    integral, _ = quad(trend.value, 0.0, t, limit=200)
+    integral = float(trend.integral(t))
     theta_derivs = [float(trend.derivative(i)(t)) for i in range(k + 2)]
     d = [x0 * math.exp(integral)]  # d[m] = x^{(m)}(t)
     for m in range(k + 2):

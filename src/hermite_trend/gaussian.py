@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it lazily: load it on import, not in the first path
 
 from .rng import philox_generator
 from .validation import ParameterError, check_hurst

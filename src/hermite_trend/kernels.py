@@ -12,6 +12,10 @@ double precision rather than to solver tolerance.
 Legendre basis with the endpoint condition G(1) = 0 for k >= 1; this yields
 the box (k = 0), Epanechnikov (k = 1), and the quartic kernel (k = 3) as the
 first representatives.
+
+The two quadrature cross-checks, ``_autocorrelation_numeric`` and
+``asymptotic_variance_quadrature``, import scipy when called; nothing on the
+run path does.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import exactpoly as xp
 from .validation import ParameterError, check_hurst
@@ -258,6 +261,8 @@ def _autocorrelation_numeric(kernel: Kernel, w: float) -> float:
     lo, hi = max(a, a - w), min(b, b - w)
     if hi <= lo:
         return 0.0
+    from scipy.integrate import quad
+
     val, _ = quad(lambda u: kernel.evaluate(u) * kernel.evaluate(u + w), lo, hi, limit=200)
     return val
 
@@ -269,6 +274,8 @@ def asymptotic_variance_quadrature(kernel: Kernel, hurst: float) -> float:
     singularity with QUADPACK algebraic weights on [-width, 0] and [0, width].
     Serves as the independent cross-check of the closed form.
     """
+    from scipy.integrate import quad
+
     check_hurst(hurst)
     exponent = 2.0 * hurst - 2.0
     width = float(kernel.piece.hi - kernel.piece.lo)

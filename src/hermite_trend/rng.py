@@ -11,6 +11,7 @@ count or scheduling order.  Philox is counter-based: cheap, jump-free streams.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily: load it on import, not in the first draw
 
 from .validation import ParameterError
 

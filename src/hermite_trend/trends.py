@@ -2,7 +2,8 @@
 
 Every trend carries a certified bound on sup |theta| over [0, horizon] (used
 by pathwise error bounds and by the truncated estimator's threshold), an
-analytic derivative factory and one smoothness index rho: infinity for smooth
+analytic derivative factory, its closed-form integral from 0 (the bias term's
+x(t) = x0 exp(int_0^t theta)) and one smoothness index rho: infinity for smooth
 trends, k + gamma for a trend whose k-th derivative is gamma-Hoelder.  Rough
 trends refuse derivative orders above ceil(rho) - 1.
 
@@ -46,6 +47,8 @@ class TrendFunction:
 
     horizon : the interval of the bound; only perfbench/tracing.py reads it.
     bound   : certified sup_{[0, horizon]} |theta|.
+    value   : t -> theta(t), elementwise on arrays.
+    integral: t -> int_0^t theta(s) ds in closed form, elementwise on arrays.
     rho     : smoothness index k + gamma (the k-th derivative is gamma-Hoelder);
               infinity for smooth trends, whose every derivative is available.
     """
@@ -55,6 +58,7 @@ class TrendFunction:
     bound: float
     value: Callable = field(compare=False, repr=False)
     _deriv: Callable = field(compare=False, repr=False)
+    integral: Callable = field(compare=False, repr=False)
     rho: float = math.inf
 
     def derivative(self, order: int) -> Callable:
@@ -93,6 +97,7 @@ def constant_trend(level: float, horizon: float = 1.0) -> TrendFunction:
         bound=abs(level),
         value=value,
         _deriv=deriv,
+        integral=lambda t: _as_output(level * np.asarray(t, dtype=float)),
     )
 
 
@@ -115,12 +120,21 @@ def sinusoid_trend(
 
         return fn
 
+    def integral(t):
+        # offset t + amplitude (1 - cos omega t) / omega, with 1 - cos x = 2 sin^2(x/2)
+        # so that small omega t keeps its digits; omega = 0 leaves offset t
+        t = np.asarray(t, dtype=float)
+        if omega == 0.0:
+            return _as_output(offset * t)
+        return _as_output(offset * t + amplitude * (2.0 * np.sin(0.5 * omega * t) ** 2) / omega)
+
     return TrendFunction(
         label=f"sin:{offset:g},{amplitude:g},{omega:g}",
         horizon=float(horizon),
         bound=abs(offset) + abs(amplitude),
         value=value,
         _deriv=deriv,
+        integral=integral,
     )
 
 
@@ -130,6 +144,7 @@ def polynomial_trend(coeffs, horizon: float = 1.0) -> TrendFunction:
     if not coeffs:
         raise ValueError("polynomial trend needs at least one coefficient")
     poly = np.polynomial.Polynomial(coeffs)
+    antiderivative = poly.integ()  # the one vanishing at 0
     bound = sum(abs(c) * float(horizon) ** i for i, c in enumerate(coeffs))
 
     def deriv(order):
@@ -142,6 +157,7 @@ def polynomial_trend(coeffs, horizon: float = 1.0) -> TrendFunction:
         bound=bound,
         value=lambda t: _as_output(poly(np.asarray(t, dtype=float))),
         _deriv=deriv,
+        integral=lambda t: _as_output(antiderivative(np.asarray(t, dtype=float))),
     )
 
 
@@ -193,12 +209,19 @@ def weierstrass_trend(
 
         return fn
 
+    def integral(t):
+        # sum_j w_j (1 - cos f_j t) / f_j, with 1 - cos x = 2 sin^2(x/2)
+        t = np.asarray(t, dtype=float)
+        half = np.sin(np.multiply.outer(t, 0.5 * freqs))
+        return _as_output(np.sum(weights * (2.0 * half * half) / freqs, axis=-1))
+
     return TrendFunction(
         label=f"weier:{amplitude:g},{decay:g},{lacunarity:g},{terms}",
         horizon=float(horizon),
         bound=float(np.sum(np.abs(weights))),
         value=value,
         _deriv=deriv,
+        integral=integral,
         rho=1 + gamma,
     )
 

@@ -229,6 +229,19 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "--in" in err and "horizon" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--bandwidth", "0.6"]])
+    def test_too_wide_bandwidth_names_bandwidth_not_window(self, flags, tmp_path, capsys):
+        # eps = 1 gives the main-rule bandwidth 1, so the default window
+        # (phi, horizon - phi) = (1, 0) is empty; --window was never given
+        wide = tmp_path / "wide.csv"
+        assert run(["simulate", "--trend", "const:0.5", "--eps", "1.0", "--n", "64",
+                    "--out", str(wide)]) == 0
+        capsys.readouterr()
+        assert run(["estimate", "--in", str(wide), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --bandwidth: ") and "too wide for horizon 1" in err, err
+        assert "--window" not in err
+
     @pytest.mark.parametrize("flags, name", [
         (["--window", "0.1,0.2,0.3"], "--window"),
         (["--window", "0.5,0.2"], "--window"),
@@ -479,6 +492,23 @@ class TestReport:
 
     def test_missing_dir_exit_2(self, tmp_path):
         assert run(["report", "--in", str(tmp_path / "nothing")]) == 2
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param(["0.1,0.2,-2.3,-1.6", "0.1,0.3,-2.3,-1.2"], id="shared-log-eps"),
+        pytest.param(["0.1,0.2,0,-1.6", "0.1,0.3,0,-1.2", "0.1,0.4,0,0"], id="all-zero-log-eps"),
+        pytest.param(["0.1,0.2,-2.3,-1.6"], id="one-row"),
+    ])
+    def test_no_refit_without_two_distinct_log_eps(self, rows, tmp_path, capfd):
+        (tmp_path / "results.csv").write_text("eps,sup_mse,log_eps,log_mse\n"
+                                              + "".join(r + "\n" for r in rows))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["report", "--in", str(tmp_path)]) == 0
+        out, err = capfd.readouterr()  # file-descriptor level: LAPACK writes there
+        assert not caught, [str(w.message) for w in caught]
+        assert "refit slope" not in out and "no refit: a slope needs two distinct log_eps" in out
+        assert "DLASCL" not in out + err and "SVD did not converge" not in out + err
+        assert err == ""
 
     @pytest.mark.parametrize("text, needle", [
         pytest.param("eps,sup_mse,log_eps,log_mse\n0.1,0.2\n0.05,0.1\n", "line 2 ",

@@ -16,7 +16,7 @@ from hermite_trend.sde import (
     solve_ode,
 )
 from hermite_trend.hermite import HermiteSpec, sample_hermite
-from hermite_trend.trends import TrendFunction, constant_trend, sinusoid_trend
+from hermite_trend.trends import TrendFunction, constant_trend, parse_trend, sinusoid_trend
 
 # x0 exp(0.5 t + 0.8 (1 - cos 3t)/3) at t = 1.75, x0 = 1.3
 ODE_SIN_175 = 3.551872054787956
@@ -79,6 +79,7 @@ class TestOdeSolver:
             bound=1.0,
             value=np.cos,
             _deriv=lambda order: None,
+            integral=np.sin,
         )
         ts = np.linspace(0.0, 2.0, 1025)
         x = solve_ode(cos_trend, 2.0, ts)
@@ -88,6 +89,23 @@ class TestOdeSolver:
         th = sinusoid_trend(offset=0.5, amplitude=0.8, omega=3.0, horizon=2.0)
         ts = np.linspace(0.0, 2.0, 129)
         assert cumulative_trend_integral(th, ts)[0] == 0.0
+
+    @pytest.mark.parametrize("text", ["const:0.5", "sin:0.5,0.8,3", "poly:1,-0.5,0.25",
+                                      "weier:0.3,0.5,3,12"])
+    @pytest.mark.parametrize("grid", ["odd", "even", "uneven"])
+    def test_cumulative_integral_equals_scipy_simpson(self, text, grid):
+        # the numpy port reproduces scipy's panel formulas and summation order
+        from scipy.integrate import cumulative_simpson
+
+        th = parse_trend(text, horizon=2.0)
+        if grid == "uneven":
+            inner = np.random.default_rng(5).uniform(0.0, 2.0, 97)
+            ts = np.concatenate(([0.0], np.sort(inner), [2.0]))
+        else:
+            ts = np.linspace(0.0, 2.0, 1025 if grid == "odd" else 1024)
+        ours = cumulative_trend_integral(th, ts)
+        theirs = cumulative_simpson(np.asarray(th.value(ts), dtype=float), x=ts, initial=0.0)
+        assert np.array_equal(ours, theirs)
 
 
 class TestExactScheme:

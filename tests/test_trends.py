@@ -115,6 +115,46 @@ class TestDerivatives:
         assert th.derivative(0)(0.4) == th.value(0.4)
 
 
+class TestIntegral:
+    """trend.integral(t) against the antiderivative evaluated in 40-digit mpmath."""
+
+    TIMES = (0.0, 1e-3, 0.37, 1.0, 1.75, 2.0)
+
+    @staticmethod
+    def reference(kind, args, t):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        a, t = [mp.mpf(x) for x in args], mp.mpf(t)
+        if kind == "const":
+            return a[0] * t
+        if kind == "sin":
+            offset, amp, omega = a
+            return offset * t + (amp * (1 - mp.cos(omega * t)) / omega if omega else 0)
+        if kind == "poly":
+            return sum(c * t ** (i + 1) / (i + 1) for i, c in enumerate(a))
+        amp, decay, lac, terms = a
+        return sum(amp * decay**j / lac**j * (1 - mp.cos(lac**j * t)) / lac**j
+                   for j in range(int(terms)))
+
+    @pytest.mark.parametrize("text", [
+        "const:0.5", "const:-1.25", "sin:0.5,0.8,3", "sin:0.5,0.8,0", "sin:-0.2,1.1,1e-6",
+        "poly:0.2,-0.4,0.1,0.05", "weier:0.3,0.5,3,12", "weier:1,0.6,3,10",
+    ])
+    def test_matches_mpmath(self, text):
+        th = parse_trend(text, horizon=2.0)
+        kind, _, argstr = text.partition(":")
+        args = argstr.split(",")
+        for t in self.TIMES:
+            assert abs(th.integral(t) - float(self.reference(kind, args, t))) <= 1e-15, t
+        # arrays are integrated elementwise, to the same bits as scalars
+        ts = np.array(self.TIMES)
+        assert np.array_equal(th.integral(ts), [th.integral(t) for t in self.TIMES])
+
+    def test_integral_is_float_for_scalar_time(self):
+        for text in ("const:0.5", "sin:0.5,0.8,3", "poly:1,2", "weier:0.3,0.5,3,12"):
+            assert isinstance(parse_trend(text).integral(0.5), float)
+
+
 class TestParser:
     def test_const(self):
         th = parse_trend("const:0.5", horizon=2.0)

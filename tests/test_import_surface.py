@@ -1,7 +1,8 @@
 """The run path imports numpy only: scipy stays out of every run's interpreter.
 
-scipy costs about 0.8 s to import, more than a small experiment takes to run,
-so the package imports it only inside the quadrature cross-checks.  Each
+Importing scipy takes several times as long as importing numpy, and longer
+than a small experiment runs, so the package imports it only inside the
+quadrature cross-checks.  Each
 check runs in a fresh interpreter, since this test process has scipy loaded.
 """
 

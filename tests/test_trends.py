@@ -150,10 +150,6 @@ class TestIntegral:
         ts = np.array(self.TIMES)
         assert np.array_equal(th.integral(ts), [th.integral(t) for t in self.TIMES])
 
-    def test_integral_is_float_for_scalar_time(self):
-        for text in ("const:0.5", "sin:0.5,0.8,3", "poly:1,2", "weier:0.3,0.5,3,12"):
-            assert isinstance(parse_trend(text).integral(0.5), float)
-
 
 class TestParser:
     def test_const(self):

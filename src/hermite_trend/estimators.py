@@ -113,24 +113,24 @@ def bandwidth_alt(eps: float, rho: float, hurst: float) -> float:
 
 def _weight_rows(
     times: np.ndarray, kernel: Kernel, bandwidth: float, t, reflect: bool = False
-) -> list:
-    """Kernel weights G(arg/phi) at the grid midpoints, one row per evaluation time."""
+) -> np.ndarray:
+    """Kernel weights G(arg/phi) at the grid midpoints: one row per evaluation time."""
     mids = 0.5 * (times[:-1] + times[1:])
-    rows = []
-    for s in np.atleast_1d(np.asarray(t, dtype=float)):
-        arg = (s - mids) if reflect else (mids - s)
-        rows.append(kernel.evaluate(arg / bandwidth))
-    return rows
+    return np.stack([kernel.evaluate(((s - mids) if reflect else (mids - s)) / bandwidth)
+                     for s in np.atleast_1d(np.asarray(t, dtype=float))])
 
 
-def _weighted_sums(rows: list, increments: np.ndarray, bandwidth: float) -> np.ndarray:
-    """(1/phi) sum_j w_j dI_j for each weight row.
+def _weighted_sums(weights: np.ndarray, increments: np.ndarray, bandwidth: float) -> np.ndarray:
+    """(1/phi) sum_j w_j dI_j for each row w of the (points, n) weight matrix.
 
-    One row dot at a time on purpose: a matrix product sums in another order,
-    and BLAS picks gemv or gemm by row count, so the last bits would depend on
-    how many rows (hence on the worker count) a call sees.
+    ``np.vecdot`` runs the inner loop of ``w @ increments`` (one ddot) on each
+    row in turn, so every sum has the bits of its row alone, however many rows
+    the call sees.  A matrix product would not: gemv and gemm block the sums in
+    another order, and BLAS picks between them by the row count, so the last
+    bits would depend on how many rows (hence on the worker count) a call sees.
+    The tests pin vecdot to the row loop bit for bit.
     """
-    return np.array([float(w @ increments) / bandwidth for w in rows])
+    return np.vecdot(weights, increments) / bandwidth
 
 
 def _weighted_increment_sum(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -346,9 +345,10 @@ def _error_block(task) -> np.ndarray:
     normalized error eps^{-alpha} (est - J(t0) - phi^{k+1} bias) at t0.
 
     Only the noise differs between the replications of a cell, so the trend
-    integral and its growth factors, the target, the kernel weight rows and
-    the oracle drift are built once here; each path ``replicate`` draws is then
-    integrated and takes one dot per weight row, through the same cores as
+    integral and its growth factors, the target, the kernel weight matrix, the
+    oracle drift and the buffers of the integrated path and its increments are
+    built once here; each path ``replicate`` draws is then integrated into the
+    buffers and takes one dot per weight row, through the same cores as
     ``simulate_sde``, ``kernel_estimate_product`` and ``alternate_estimate``.
     ``_gather`` gives each worker one block per cell, so a serial run builds
     them once per cell.
@@ -360,7 +360,7 @@ def _error_block(task) -> np.ndarray:
     alt = cfg.kind == "rate-alt"
     grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
     growth, decay = _growth_factors(trend, grid)
-    rows = _weight_rows(grid, kernel, phi, ts, reflect=alt)
+    weights = _weight_rows(grid, kernel, phi, ts, reflect=alt)
     target = np.asarray(trend.value(ts), dtype=float)
     if not alt:  # the product estimate targets theta(t) x(t)
         target = target * np.interp(ts, grid, cfg.x0 * growth)
@@ -368,12 +368,14 @@ def _error_block(task) -> np.ndarray:
     if alt and cfg.variant == "oracle":
         oracle = _oracle_drift(grid, trend, eps, cfg.horizon, cfg.x0, trend.bound)
 
+    x, dx = np.empty(cfg.n + 1), np.empty(cfg.n)
+
     def estimate(z):
-        x = _variation_of_constants(growth, decay, cfg.x0, eps, z)
+        _variation_of_constants(growth, decay, cfg.x0, eps, z, out=x)
         if alt:
             dy, alive = _truncated_increments(grid, x, z, cfg.x0, trend.bound, oracle)
-            return alive * _weighted_sums(rows, dy, phi)
-        return _weighted_sums(rows, np.diff(x), phi)
+            return alive * _weighted_sums(weights, dy, phi)
+        return _weighted_sums(weights, np.subtract(x[1:], x[:-1], out=dx), phi)  # np.diff(x)
 
     estimates = replicate(spec, cfg.seed, (rung, trend_idx), range(start, stop), estimate)
     if cfg.kind == "clt":
@@ -400,6 +402,9 @@ def _gather(cfg: ExperimentConfig, workers: int) -> np.ndarray:
     if workers <= 1:
         blocks = map(_error_block, tasks)
     else:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             blocks = list(pool.map(_error_block, tasks))
     for (_, rung, trend_idx, start, stop), block in zip(tasks, blocks):

@@ -9,10 +9,16 @@ m, not just in the m -> infinity limit.
 
 ``replicate`` is the one replication loop.  It builds one path drawer per
 call, and the drawer owns every per-path buffer (the fGn buffers, the H_q
-scratch, the m+1 partial sums, the n+1 values), so a range of paths costs one
-set of allocations, not one per path; at m = 131072 the fresh arrays took
-about a third of a path's time.  ``sample_hermite`` is the one-path use of
-the same drawer.  No buffer outlives its call (see ``gaussian``).
+scratch, the m+1 partial sums, the n+1 values) and one Philox generator, so a
+range of paths costs one set of allocations, not one per path; at m = 131072
+the fresh arrays took about a third of a path's time.  The seeding rule is
+unchanged: path r of the range runs on the stream of
+``philox_generator(derive_seed(seed, *key, r))``.  ``replicate`` computes the
+Philox keys of its whole range in one vectorised pass (``rng.philox_keys``,
+equal to that scalar route key for key) and the drawer resets its generator
+to each.  ``sample_hermite`` is the one-path use of the same drawer.  No
+buffer or generator outlives its call or is shared between threads (see
+``gaussian``).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gaussian import FgnSpec, _fbm_drawer, _fgn_drawer, fgn_autocovariance
-from .rng import derive_seed, philox_generator
+from .rng import derive_seed, philox_generator, philox_key, philox_keys
 from .validation import ParameterError, check_hurst
 
 __all__ = [
@@ -173,7 +179,7 @@ def discrete_normalizer(order: int, hurst: float, m: int, horizon: float) -> flo
 
 
 def _path_drawer(spec: HermiteSpec):
-    """draw(seed) -> the n+1 values of the path of that seed, in buffers the drawer owns.
+    """draw(key) -> the n+1 values of the path of that Philox key, in buffers the drawer owns.
 
     Every draw overwrites the one before.
     """
@@ -186,8 +192,8 @@ def _path_drawer(spec: HermiteSpec):
     b = discrete_normalizer(spec.order, spec.hurst, spec.m, spec.horizon)
     values = np.empty(spec.n + 1)
 
-    def draw(seed: int) -> np.ndarray:
-        np.cumsum(_hermite_into(spec.order, noise(seed), work), out=partial[1:])
+    def draw(key: np.ndarray) -> np.ndarray:
+        np.cumsum(_hermite_into(spec.order, noise(key), work), out=partial[1:])
         return np.multiply(np.take(partial, idx, out=values), b, out=values)
 
     return draw
@@ -200,7 +206,7 @@ def sample_hermite(spec: HermiteSpec, seed: int) -> HermitePath:
     horizon^(2 hurst) exactly by construction.
     """
     times = np.linspace(0.0, spec.horizon, spec.n + 1)
-    return HermitePath(times=times, values=_path_drawer(spec)(seed), spec=spec)
+    return HermitePath(times=times, values=_path_drawer(spec)(philox_key(seed)), spec=spec)
 
 
 def replicate(spec: HermiteSpec, seed: int, key: tuple, reps: range, statistic) -> np.ndarray:
@@ -213,8 +219,8 @@ def replicate(spec: HermiteSpec, seed: int, key: tuple, reps: range, statistic) 
     """
     draw = _path_drawer(spec)
     rows = np.empty(0)
-    for i, r in enumerate(reps):
-        row = np.asarray(statistic(draw(derive_seed(seed, *key, r))))
+    for i, path_key in enumerate(philox_keys(seed, key, reps)):
+        row = np.asarray(statistic(draw(path_key)))
         if i == 0:
             rows = np.empty((len(reps),) + row.shape, row.dtype)
         rows[i] = row

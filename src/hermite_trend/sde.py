@@ -148,11 +148,22 @@ def _growth_factors(trend: TrendFunction, times: np.ndarray) -> tuple:
 
 
 def _variation_of_constants(
-    growth: np.ndarray, decay: np.ndarray, x0: float, eps: float, z: np.ndarray
+    growth: np.ndarray, decay: np.ndarray, x0: float, eps: float, z: np.ndarray,
+    out: np.ndarray = None,
 ) -> np.ndarray:
-    """X = e^{I} (x0 + eps sum e^{-I} dZ), with the left-point Stieltjes sum."""
-    stieltjes = np.concatenate([[0.0], np.cumsum(decay * np.diff(z))])
-    return growth * (x0 + eps * stieltjes)
+    """X = e^{I} (x0 + eps sum e^{-I} dZ), with the left-point Stieltjes sum.
+
+    Written into ``out`` (n+1 values) when it is given, so that a replication
+    loop allocates nothing per path; the operations are the same either way.
+    """
+    x = np.empty(len(z)) if out is None else out
+    stieltjes = x[1:]
+    np.subtract(z[1:], z[:-1], out=stieltjes)  # np.diff(z)
+    np.cumsum(np.multiply(decay, stieltjes, out=stieltjes), out=stieltjes)
+    x[0] = 0.0
+    np.multiply(eps, x, out=x)
+    np.add(x0, x, out=x)
+    return np.multiply(growth, x, out=x)
 
 
 def simulate_sde(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import math
 import os
@@ -443,7 +444,7 @@ class TestExperiment:
         def no_block(task):
             raise RuntimeError("paths simulated")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(experiments, "_error_block", no_block)
         cfg = tmp_path / "c.txt"
         cfg.write_text(PASSING_CONSISTENCY)

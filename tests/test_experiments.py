@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 
@@ -441,7 +442,7 @@ class TestRunners:
             def map(self, fn, tasks):
                 return list(map(fn, tasks))
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = parse_experiment_config(
             config_text(kind="consistency", eps="0.2,0.05", n="64", seed="5")
         )

@@ -31,20 +31,21 @@ from .validation import ParameterError
 __all__ = ["philox_generator", "philox_key", "philox_keys", "derive_seed"]
 
 
-def philox_generator(seed: int) -> np.random.Generator:
-    """Generator backed by counter-based Philox, keyed by a single integer seed."""
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
     seed = int(seed)
     if seed < 0:
         raise ParameterError("seed", f"must be a nonnegative integer, got {seed}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.random.SeedSequence(seed)
+
+
+def philox_generator(seed: int) -> np.random.Generator:
+    """Generator backed by counter-based Philox, keyed by a single integer seed."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
 
 
 def philox_key(seed: int) -> np.ndarray:
     """The two uint64 words of the Philox key that ``philox_generator(seed)`` runs on."""
-    seed = int(seed)
-    if seed < 0:
-        raise ParameterError("seed", f"must be a nonnegative integer, got {seed}")
-    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    return _seed_sequence(seed).generate_state(2, np.uint64)
 
 
 def derive_seed(master_seed: int, *key: int) -> int:

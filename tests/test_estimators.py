@@ -16,11 +16,14 @@ from hermite_trend.estimators import (
     estimate_series,
     indicator_path,
     kernel_estimate_product,
+    _weight_rows,
+    _weighted_sums,
 )
+from hermite_trend.experiments import _rung_setup, parse_experiment_config
 from hermite_trend.kernels import Kernel, KernelPiece, vanishing_moment_kernel
 from hermite_trend.rng import derive_seed
 from hermite_trend.sde import PathConfig, SdePath, simulate_path, solve_ode
-from hermite_trend.trends import constant_trend, sinusoid_trend, weierstrass_trend
+from hermite_trend.trends import constant_trend, parse_trend, sinusoid_trend, weierstrass_trend
 
 BW_MAIN_001 = 0.13503140378698728  # 0.01^(1/2.3)
 BW_ALT_001 = 0.028942661247167517  # 0.01^(1/1.3)
@@ -98,6 +101,78 @@ class TestBandwidthRules:
             bandwidth_main(0.1, 1, 0.4)
         with pytest.raises(ValueError, match="rho"):
             bandwidth_alt(0.1, 0.6, 0.7)
+
+
+# The weight sets the experiments stack: rate-q1/AC08 (six rungs, 21 points), the
+# reflected AC10 rate-alt set and the one clt row of AC09.
+DOT_CONFIGS = {
+    "rate-main": """
+kind = rate-main
+trend = sin:0.5,0.8,3.0
+q = 1
+hurst = 0.7
+kernel = legendre:1
+eps = 0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625
+replications = 100
+n = 4096
+horizon = 2.0
+window = 0.6,1.4
+seed = 820
+""",
+    "rate-alt": """
+kind = rate-alt
+trend = sin:0.5,0.8,3.0
+q = 1
+hurst = 0.7
+rho = 2.0
+eps = 0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625
+replications = 100
+n = 4096
+horizon = 2.0
+window = 0.6,1.4
+seed = 1001
+variant = oracle
+""",
+    "clt": """
+kind = clt
+trend = const:0.5
+q = 2
+hurst = 0.7
+kernel = box:1
+eps = 0.0009891702860673596
+replications = 100
+n = 16384
+horizon = 1.0
+window = 0.45,0.55
+t0 = 0.5
+seed = 930
+""",
+}
+
+
+class TestWeightedSums:
+    """One vecdot over the stacked weight rows equals the per-row dot loop bit for bit.
+
+    If a numpy upgrade changes vecdot's inner loop, this fails before a report moves.
+    """
+
+    @pytest.mark.parametrize("name", sorted(DOT_CONFIGS))
+    def test_vecdot_equals_row_loop(self, name):
+        cfg = parse_experiment_config(DOT_CONFIGS[name])
+        grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
+        trend = parse_trend(cfg.trends[0], cfg.horizon)
+        for rung in range(len(cfg.ladder)):
+            est, spec, ts = _rung_setup(cfg, rung)
+            weights = _weight_rows(grid, est.kernel, est.bandwidth, ts,
+                                   reflect=cfg.kind == "rate-alt")
+            assert weights.shape == (np.size(ts), cfg.n)
+            path_cfg = PathConfig(horizon=cfg.horizon, n=cfg.n, eps=cfg.ladder[rung], x0=1.0)
+            for r in range(3):
+                dx = np.diff(simulate_path(trend, path_cfg, derive_seed(cfg.seed, rung, r)).values)
+                loop = np.array([w @ dx for w in weights])
+                assert np.array_equal(np.vecdot(weights, dx), loop)
+                assert np.array_equal(_weighted_sums(weights, dx, est.bandwidth),
+                                      [float(w @ dx) / est.bandwidth for w in weights])
 
 
 class TestProductEstimator:

@@ -2,8 +2,10 @@
 
 Importing scipy takes several times as long as importing numpy, and longer
 than a small experiment runs, so the package imports it only inside the
-quadrature cross-checks.  Each
-check runs in a fresh interpreter, since this test process has scipy loaded.
+quadrature cross-checks.  The process pool's ``concurrent.futures`` pulls in
+multiprocessing, socket, subprocess and logging, so it is imported only by a
+run with more than one worker.  Each check runs in a fresh interpreter, since
+this test process has scipy and the pool loaded.
 """
 
 import os
@@ -21,8 +23,13 @@ import sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+def pool_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "multiprocessing" or m.startswith("concurrent.futures"))
+
 import hermite_trend, hermite_trend.cli
 assert not scipy_modules(), scipy_modules()
+assert not pool_modules(), pool_modules()
 # numpy 2 loads these lazily; the package loads them on import, not in a timed run
 assert "numpy.random" in sys.modules and "numpy.fft" in sys.modules
 
@@ -56,8 +63,9 @@ t0 = 0.5
 seed = 930
 """
 for text in (RATE, CLT):
-    run_experiment(parse_experiment_config(text))
+    run_experiment(parse_experiment_config(text), workers=1)
     assert not scipy_modules(), scipy_modules()
+    assert not pool_modules(), pool_modules()
 print("ok")
 '''
 

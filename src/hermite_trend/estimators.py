@@ -114,10 +114,11 @@ def bandwidth_alt(eps: float, rho: float, hurst: float) -> float:
 def _weight_rows(
     times: np.ndarray, kernel: Kernel, bandwidth: float, t, reflect: bool = False
 ) -> np.ndarray:
-    """Kernel weights G(arg/phi) at the grid midpoints, one row per evaluation time."""
+    """Kernel weights G(arg/phi) at the grid midpoints: a (len(t), n) matrix, 0 rows for no t."""
     mids = 0.5 * (times[:-1] + times[1:])
-    return np.stack([kernel.evaluate(((s - mids) if reflect else (mids - s)) / bandwidth)
-                     for s in np.atleast_1d(np.asarray(t, dtype=float))])
+    rows = [kernel.evaluate(((s - mids) if reflect else (mids - s)) / bandwidth)
+            for s in np.atleast_1d(np.asarray(t, dtype=float))]
+    return np.reshape(rows, (-1, len(mids)))
 
 
 def _weighted_sums(weights: np.ndarray, increments: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -25,11 +25,10 @@ which equals the forward FFT of the full Hermitian 2n spectrum to rounding.
 The per-path work goes into buffers, not fresh arrays: ``_fgn_drawer`` owns
 the 2n normals, the half spectrum and the 2n transform output, and each path
 it draws overwrites the one before.  At n = 131072 fresh arrays cost more than
-the arithmetic (19.6 against 12.5 ms per path, the same bits).  A drawer also
-owns one Philox generator: a path is drawn from its Philox key (``rng``), and
-the drawer resets the generator to that key at counter 0 with an empty
-buffer, so the path runs on the stream of a fresh ``philox_generator`` of its
-seed.
+the arithmetic (19.6 against 12.5 ms per path, the same bits).  A drawer
+draws each path's normals from the generator it is handed: ``sample_fgn``
+hands it ``philox_generator(seed)``, and ``hermite.replicate`` one Philox that
+``rng.philox_streams`` resets to each path's key.
 A drawer lives as long as the call that built it (one path for
 ``sample_fgn``, a whole range for ``hermite.replicate``); none is cached or
 shared, since the FFT and the Philox fill release the GIL and two threads must
@@ -44,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.fft  # numpy 2 loads it lazily: load it on import, not in the first path
 
-from .rng import philox_generator, philox_key
+from .rng import philox_generator
 from .validation import ParameterError, check_hurst
 
 __all__ = [
@@ -134,7 +133,7 @@ def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray:
 
 
 def _fgn_drawer(spec: FgnSpec):
-    """draw(key) -> the spec.n values of the fGn path on the Philox stream of that key.
+    """draw(rng) -> the spec.n values of an fGn path drawn from the generator rng.
 
     Raises ``EmbeddingFailure`` here, not in draw, for a spec whose embedding
     fails.  draw returns a view of buffers this drawer owns, so each draw
@@ -148,13 +147,8 @@ def _fgn_drawer(spec: FgnSpec):
     out = np.empty(2 * n)
     noise = out[:n]
     scale = np.sqrt(2 * n)
-    rng = philox_generator(0)
-    bits = rng.bit_generator
-    fresh = bits.state  # counter 0, empty buffer: only the key differs between paths
 
-    def draw(key: np.ndarray) -> np.ndarray:
-        fresh["state"]["key"] = key
-        bits.state = fresh
+    def draw(rng: np.random.Generator) -> np.ndarray:
         # Draw layout: z[0], z[1] for frequencies 0 and n, then the n-1 real
         # parts, then the n-1 imaginary parts of frequencies 1..n-1.
         rng.standard_normal(out=z)
@@ -173,11 +167,11 @@ def _fgn_drawer(spec: FgnSpec):
 
 def sample_fgn(spec: FgnSpec, seed: int) -> np.ndarray:
     """Draw the spec.n values of one exact fGn path.  Pure function of (spec, seed)."""
-    return _fgn_drawer(spec)(philox_key(seed))
+    return _fgn_drawer(spec)(philox_generator(seed))
 
 
 def _fbm_drawer(hurst: float, horizon: float, n: int):
-    """draw(key) -> the n+1 fBm values of that Philox key, in a buffer the drawer owns.
+    """draw(rng) -> n+1 fBm values drawn from the generator rng, in a buffer the drawer owns.
 
     B_0 = 0 and the increments are (horizon/n)^hurst times exact unit fGn, so
     the values at the times j*horizon/n have the exact fBm covariance.
@@ -186,8 +180,8 @@ def _fbm_drawer(hurst: float, horizon: float, n: int):
     scale = (horizon / n) ** hurst
     values = np.zeros(n + 1)
 
-    def draw(key: np.ndarray) -> np.ndarray:
-        increments = noise(key)
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        increments = noise(rng)
         np.cumsum(np.multiply(increments, scale, out=increments), out=values[1:])
         return values
 

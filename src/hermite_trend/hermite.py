@@ -9,16 +9,16 @@ m, not just in the m -> infinity limit.
 
 ``replicate`` is the one replication loop.  It builds one path drawer per
 call, and the drawer owns every per-path buffer (the fGn buffers, the H_q
-scratch, the m+1 partial sums, the n+1 values) and one Philox generator, so a
-range of paths costs one set of allocations, not one per path; at m = 131072
-the fresh arrays took about a third of a path's time.  The seeding rule is
-unchanged: path r of the range runs on the stream of
-``philox_generator(derive_seed(seed, *key, r))``.  ``replicate`` computes the
-Philox keys of its whole range in one vectorised pass (``rng.philox_keys``,
-equal to that scalar route key for key) and the drawer resets its generator
-to each.  ``sample_hermite`` is the one-path use of the same drawer.  No
-buffer or generator outlives its call or is shared between threads (see
-``gaussian``).
+scratch, the m+1 partial sums, the n+1 values), so a range of paths costs one
+set of allocations, not one per path; at m = 131072 the fresh arrays took
+about a third of a path's time.  The seeding rule is unchanged: path r of the
+range runs on the stream of ``philox_generator(derive_seed(seed, *key, r))``.
+``replicate`` draws it from ``rng.philox_streams``, one Philox reset to each
+path's key, with the keys of the whole range computed in one vectorised pass
+(``rng.philox_keys``, equal to the scalar route key for key).
+``sample_hermite`` is the one-path use of the same drawer, on
+``philox_generator(seed)``.  No buffer or generator outlives its call or is
+shared between threads (see ``gaussian``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gaussian import FgnSpec, _fbm_drawer, _fgn_drawer, fgn_autocovariance
-from .rng import derive_seed, philox_generator, philox_key, philox_keys
+from .rng import derive_seed, philox_generator, philox_streams
 from .validation import ParameterError, check_hurst
 
 __all__ = [
@@ -179,9 +179,9 @@ def discrete_normalizer(order: int, hurst: float, m: int, horizon: float) -> flo
 
 
 def _path_drawer(spec: HermiteSpec):
-    """draw(key) -> the n+1 values of the path of that Philox key, in buffers the drawer owns.
+    """draw(rng) -> the n+1 values of a path drawn from the generator rng.
 
-    Every draw overwrites the one before.
+    The values sit in buffers the drawer owns; every draw overwrites the one before.
     """
     if spec.order == 1:
         return _fbm_drawer(spec.hurst, spec.horizon, spec.n)
@@ -192,8 +192,8 @@ def _path_drawer(spec: HermiteSpec):
     b = discrete_normalizer(spec.order, spec.hurst, spec.m, spec.horizon)
     values = np.empty(spec.n + 1)
 
-    def draw(key: np.ndarray) -> np.ndarray:
-        np.cumsum(_hermite_into(spec.order, noise(key), work), out=partial[1:])
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        np.cumsum(_hermite_into(spec.order, noise(rng), work), out=partial[1:])
         return np.multiply(np.take(partial, idx, out=values), b, out=values)
 
     return draw
@@ -206,7 +206,7 @@ def sample_hermite(spec: HermiteSpec, seed: int) -> HermitePath:
     horizon^(2 hurst) exactly by construction.
     """
     times = np.linspace(0.0, spec.horizon, spec.n + 1)
-    return HermitePath(times=times, values=_path_drawer(spec)(philox_key(seed)), spec=spec)
+    return HermitePath(times=times, values=_path_drawer(spec)(philox_generator(seed)), spec=spec)
 
 
 def replicate(spec: HermiteSpec, seed: int, key: tuple, reps: range, statistic) -> np.ndarray:
@@ -219,8 +219,8 @@ def replicate(spec: HermiteSpec, seed: int, key: tuple, reps: range, statistic) 
     """
     draw = _path_drawer(spec)
     rows = np.empty(0)
-    for i, path_key in enumerate(philox_keys(seed, key, reps)):
-        row = np.asarray(statistic(draw(path_key)))
+    for i, rng in enumerate(philox_streams(seed, key, reps)):
+        row = np.asarray(statistic(draw(rng)))
         if i == 0:
             rows = np.empty((len(reps),) + row.shape, row.dtype)
         rows[i] = row

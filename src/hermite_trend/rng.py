@@ -16,9 +16,9 @@ whole replication range in one vectorised pass: numpy's SeedSequence hash run
 on uint32 arrays, first from the spawn key to the child seed (what
 ``derive_seed`` does), then from the child seed to the Philox key (what
 ``philox_generator`` does).  The seeding rule is unchanged: each row equals the
-scalar route, which stays the reference.  A path drawer owns one Philox and
-resets it to each path's key, in place of building two SeedSequences and a
-generator per path (about 40 us of a q = 1, n = 4096 path of 390 us).
+scalar route, which stays the reference.  ``philox_streams`` resets one
+Philox to each key of a range in turn, in place of building two SeedSequences
+and a generator per path (about 40 us of a q = 1, n = 4096 path of 390 us).
 """
 
 from __future__ import annotations
@@ -28,24 +28,15 @@ import numpy.random  # numpy 2 loads it lazily: load it on import, not in the fi
 
 from .validation import ParameterError
 
-__all__ = ["philox_generator", "philox_key", "philox_keys", "derive_seed"]
-
-
-def _seed_sequence(seed: int) -> np.random.SeedSequence:
-    seed = int(seed)
-    if seed < 0:
-        raise ParameterError("seed", f"must be a nonnegative integer, got {seed}")
-    return np.random.SeedSequence(seed)
+__all__ = ["philox_generator", "philox_keys", "philox_streams", "derive_seed"]
 
 
 def philox_generator(seed: int) -> np.random.Generator:
     """Generator backed by counter-based Philox, keyed by a single integer seed."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
-
-
-def philox_key(seed: int) -> np.ndarray:
-    """The two uint64 words of the Philox key that ``philox_generator(seed)`` runs on."""
-    return _seed_sequence(seed).generate_state(2, np.uint64)
+    seed = int(seed)
+    if seed < 0:
+        raise ParameterError("seed", f"must be a nonnegative integer, got {seed}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -172,3 +163,21 @@ def philox_keys(master_seed: int, key: tuple, reps) -> np.ndarray:
             child = _generate_state(_pool(prefix + tail), 2)  # derive_seed's uint64
             keys[rows] = _seed_keys(*child)
     return keys
+
+
+def philox_streams(master_seed: int, key: tuple, reps):
+    """Yield, for each path r in ``reps``, a generator on the stream of
+    ``philox_generator(derive_seed(master_seed, *key, r))``.
+
+    The same Generator is yielded every time, reset to the path's Philox key
+    at counter 0 with an empty buffer, so each path's stream lasts until the
+    next is yielded.  Never share the iterator between threads.
+    """
+    keys = philox_keys(master_seed, key, reps)
+    rng = philox_generator(0)
+    bits = rng.bit_generator
+    fresh = bits.state  # counter 0, empty buffer: only the key differs between paths
+    for path_key in keys:
+        fresh["state"]["key"] = path_key
+        bits.state = fresh
+        yield rng

@@ -184,6 +184,13 @@ class TestProductEstimator:
         )
         assert kernel_estimate_product(path, cfg, 0.5) == 0.0
 
+    def test_no_evaluation_time_gives_empty_result(self):
+        path = noiseless_path(constant_trend(0.5, horizon=1.0), 1.0, 64)
+        cfg = EstimatorConfig(
+            kernel=vanishing_moment_kernel(1), bandwidth=0.1, window=(0.4, 0.6), horizon=1.0
+        )
+        assert kernel_estimate_product(path, cfg, []).shape == (0,)
+
     def test_noiseless_constant_trend(self):
         # J(t) = c e^{ct}; quadratic kernel bias at phi = 0.1 stays below 1e-3
         c = 0.5

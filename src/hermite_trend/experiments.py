@@ -36,10 +36,10 @@ from .estimators import (
     bandwidth_main,
     bias_center_term,
 )
-from .hermite import replicate
+from .hermite import replicate, replicate_increments
 from .kernels import asymptotic_variance, box_kernel, vanishing_moment_kernel
 from .rng import derive_seed
-from .sde import PathConfig, _growth_factors, _variation_of_constants
+from .sde import PathConfig, _fold_integrator, _growth_factors, _variation_of_constants
 from .trends import DerivativeUnavailable, parse_trend
 from .validation import ParameterError, check_hurst
 
@@ -345,13 +345,18 @@ def _error_block(task) -> np.ndarray:
     normalized error eps^{-alpha} (est - J(t0) - phi^{k+1} bias) at t0.
 
     Only the noise differs between the replications of a cell, so the trend
-    integral and its growth factors, the target, the kernel weight matrix, the
-    oracle drift and the buffers of the integrated path and its increments are
-    built once here; each path ``replicate`` draws is then integrated into the
-    buffers and takes one dot per weight row, through the same cores as
-    ``simulate_sde``, ``kernel_estimate_product`` and ``alternate_estimate``.
-    ``_gather`` gives each worker one block per cell, so a serial run builds
-    them once per cell.
+    integral and its growth factors, the target and the kernel weight matrix
+    are built once here.  The product estimate of the linear kinds is affine in
+    the driving noise, c + A . diff(Z) (``sde._fold_integrator``): the cell
+    folds the integrator into its weight rows and hands them to
+    ``replicate_increments``, which at q = 1 folds the circulant FFT into them
+    as well.  It equals ``kernel_estimate_product`` on ``simulate_sde``'s path
+    to rounding.  The truncated estimator of rate-alt is not linear in the
+    noise (the indicator, the division by X); it builds the oracle drift and
+    the buffers of the integrated path once, and each path ``replicate`` draws
+    is integrated into them and estimated through the same cores as
+    ``simulate_sde`` and ``alternate_estimate``.  ``_gather`` gives each worker
+    one block per cell, so a serial run builds them once per cell.
     """
     cfg, rung, trend_idx, start, stop = task
     trend = parse_trend(cfg.trends[trend_idx], cfg.horizon)
@@ -364,20 +369,22 @@ def _error_block(task) -> np.ndarray:
     target = np.asarray(trend.value(ts), dtype=float)
     if not alt:  # the product estimate targets theta(t) x(t)
         target = target * np.interp(ts, grid, cfg.x0 * growth)
-    oracle = None
-    if alt and cfg.variant == "oracle":
-        oracle = _oracle_drift(grid, trend, eps, cfg.horizon, cfg.x0, trend.bound)
+    key, reps = (rung, trend_idx), range(start, stop)
+    if alt:
+        oracle = None
+        if cfg.variant == "oracle":
+            oracle = _oracle_drift(grid, trend, eps, cfg.horizon, cfg.x0, trend.bound)
+        x = np.empty(cfg.n + 1)
 
-    x, dx = np.empty(cfg.n + 1), np.empty(cfg.n)
-
-    def estimate(z):
-        _variation_of_constants(growth, decay, cfg.x0, eps, z, out=x)
-        if alt:
+        def estimate(z):
+            _variation_of_constants(growth, decay, cfg.x0, eps, z, out=x)
             dy, alive = _truncated_increments(grid, x, z, cfg.x0, trend.bound, oracle)
             return alive * _weighted_sums(weights, dy, phi)
-        return _weighted_sums(weights, np.subtract(x[1:], x[:-1], out=dx), phi)  # np.diff(x)
 
-    estimates = replicate(spec, cfg.seed, (rung, trend_idx), range(start, stop), estimate)
+        estimates = replicate(spec, cfg.seed, key, reps, estimate)
+    else:
+        offset, fold = _fold_integrator(weights, growth, decay, cfg.x0, eps, phi)
+        estimates = offset + replicate_increments(spec, cfg.seed, key, reps, fold)
     if cfg.kind == "clt":
         k = kernel.order
         alpha = (k + 1.0) / (k - cfg.hurst + 2.0)

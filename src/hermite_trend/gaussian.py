@@ -22,6 +22,15 @@ passes and cached read-only.  A path then costs one draw of 2n normals and
 one inverse real FFT of the conjugated half spectrum (n+1 complex values),
 which equals the forward FFT of the full Hermitian 2n spectrum to rounding.
 
+The draw layout, the order in which a path's 2n normals enter the half
+spectrum, is defined once, by ``_draw_layout``: z[0] and z[1] scale
+frequencies 0 and n, z[2:n+1] the real parts and z[n+1:] the imaginary parts
+of frequencies 1..n-1.  Two functions read it.  ``_fgn_drawer`` turns the
+normals into a path.  ``_fgn_fold`` turns a weight row a into the row b with
+a . fgn(z) = b . z, one forward ``rfft`` of a scaled by the same amplitudes, so
+that a caller who needs only fixed linear functionals of the path can skip the
+inverse transform and take one dot product with the normals.
+
 The per-path work goes into buffers, not fresh arrays: ``_fgn_drawer`` owns
 the 2n normals, the half spectrum and the 2n transform output, and each path
 it draws overwrites the one before.  At n = 131072 fresh arrays cost more than
@@ -132,6 +141,12 @@ def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray:
 # -------------------------------------------------------------- sampling ---
 
 
+def _draw_layout(n: int) -> tuple:
+    """(real, imag): where a path's 2n normals hold the real and imaginary parts of
+    frequencies 1..n-1.  z[0] and z[1] scale frequencies 0 and n."""
+    return slice(2, n + 1), slice(n + 1, 2 * n)
+
+
 def _fgn_drawer(spec: FgnSpec):
     """draw(rng) -> the spec.n values of an fGn path drawn from the generator rng.
 
@@ -147,22 +162,48 @@ def _fgn_drawer(spec: FgnSpec):
     out = np.empty(2 * n)
     noise = out[:n]
     scale = np.sqrt(2 * n)
+    real, imag = _draw_layout(n)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        # Draw layout: z[0], z[1] for frequencies 0 and n, then the n-1 real
-        # parts, then the n-1 imaginary parts of frequencies 1..n-1.
         rng.standard_normal(out=z)
         half.real[0] = amp[0] * z[0]
         half.real[n] = amp[n] * z[1]
-        np.multiply(amp[1:n], z[2 : n + 1], out=half.real[1:n])
+        np.multiply(amp[1:n], z[real], out=half.real[1:n])
         # Conjugated, so the inverse real FFT equals the forward FFT of the
         # Hermitian 2n spectrum; *sqrt(2n) undoes irfft's 1/(2n) and restores
         # the covariance.
-        np.multiply(neg_amp, z[n + 1 :], out=half.imag[1:n])
+        np.multiply(neg_amp, z[imag], out=half.imag[1:n])
         np.fft.irfft(half, 2 * n, out=out)
         return np.multiply(noise, scale, out=noise)
 
     return draw
+
+
+def _fgn_fold(spec: FgnSpec, rows: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The (len(rows), 2n) matrix B with B . z = scale * rows . fgn(z) for the normals z.
+
+    fgn(z) is the path ``_fgn_drawer`` draws from the normals z (``_draw_layout``);
+    each row a has spec.n weights.  Since fgn_t = (1/sqrt(2n)) (amp_0 z_0 +
+    (-1)^t amp_n z_1 + 2 sum_{k=1}^{n-1} amp_k (z_re,k cos(pi k t/n) + z_im,k sin(pi k t/n))),
+    row b is the forward FFT A = rfft(a, 2n) scaled by the amplitudes: b_0 = amp_0 Re A_0,
+    b_1 = amp_n Re A_n, b_re = 2 amp_k Re A_k and b_im = -2 amp_k Im A_k, all times
+    scale/sqrt(2n).  Built row by row, so only one transform is held at a time.  Raises
+    ``EmbeddingFailure``, as ``_fgn_drawer`` does, for a spec whose embedding fails.
+    """
+    n = spec.n
+    amp = _half_spectrum_amplitudes(n, spec.hurst)
+    real, imag = _draw_layout(n)
+    s = scale / np.sqrt(2 * n)
+    ends = np.array([amp[0], amp[n]]) * s
+    inner = amp[1:n] * (2.0 * s)
+    neg_inner = -inner
+    fold = np.empty((len(rows), 2 * n))
+    for a, b in zip(rows, fold):
+        spectrum = np.fft.rfft(a, 2 * n)
+        np.multiply(ends, spectrum.real[[0, n]], out=b[:2])
+        np.multiply(inner, spectrum.real[1:n], out=b[real])
+        np.multiply(neg_inner, spectrum.imag[1:n], out=b[imag])
+    return fold
 
 
 def sample_fgn(spec: FgnSpec, seed: int) -> np.ndarray:

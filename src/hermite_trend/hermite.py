@@ -7,18 +7,25 @@ h0 = 1 + (hurst - 1)/q, rescaled by an exact discrete normalizer so that
 Var(Z_horizon) = horizon^(2 hurst) holds exactly at every internal resolution
 m, not just in the m -> infinity limit.
 
-``replicate`` is the one replication loop.  It builds one path drawer per
-call, and the drawer owns every per-path buffer (the fGn buffers, the H_q
-scratch, the m+1 partial sums, the n+1 values), so a range of paths costs one
-set of allocations, not one per path; at m = 131072 the fresh arrays took
-about a third of a path's time.  The seeding rule is unchanged: path r of the
-range runs on the stream of ``philox_generator(derive_seed(seed, *key, r))``.
-``replicate`` draws it from ``rng.philox_streams``, one Philox reset to each
-path's key, with the keys of the whole range computed in one vectorised pass
-(``rng.philox_keys``, equal to the scalar route key for key).
-``sample_hermite`` is the one-path use of the same drawer, on
-``philox_generator(seed)``.  No buffer or generator outlives its call or is
-shared between threads (see ``gaussian``).
+There is one replication loop, ``_replicate_draws``, and two entry points to
+it.  ``replicate`` hands a statistic each drawn path.  It builds one path
+drawer per call, and the drawer owns every per-path buffer (the fGn buffers,
+the H_q scratch, the m+1 partial sums, the n+1 values), so a range of paths
+costs one set of allocations, not one per path; at m = 131072 the fresh arrays
+took about a third of a path's time.  ``replicate_increments`` returns fixed
+weighted sums of each path's increments.  At order 1 these are a linear map of
+the path's 2n normals, so it folds the sampler into the weights once
+(``gaussian._fgn_fold``) and draws only the normals: one ``np.vecdot`` per path
+replaces the inverse FFT and the cumulative sum.  At higher order it weights
+the increments of the path ``replicate`` draws.
+
+The seeding rule is the same for both: path r of the range runs on the stream
+of ``philox_generator(derive_seed(seed, *key, r))``.  The loop draws it from
+``rng.philox_streams``, one Philox reset to each path's key, with the keys of
+the whole range computed in one vectorised pass (``rng.philox_keys``, equal to
+the scalar route key for key).  ``sample_hermite`` is the one-path use of the
+path drawer, on ``philox_generator(seed)``.  No buffer or generator outlives
+its call or is shared between threads (see ``gaussian``).
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import FgnSpec, _fbm_drawer, _fgn_drawer, fgn_autocovariance
+from .gaussian import FgnSpec, _fbm_drawer, _fgn_drawer, _fgn_fold, fgn_autocovariance
 from .rng import derive_seed, philox_generator, philox_streams
 from .validation import ParameterError, check_hurst
 
@@ -43,6 +50,7 @@ __all__ = [
     "discrete_normalizer",
     "sample_hermite",
     "replicate",
+    "replicate_increments",
     "max_moment_scaling_check",
 ]
 
@@ -212,12 +220,17 @@ def sample_hermite(spec: HermiteSpec, seed: int) -> HermitePath:
 def replicate(spec: HermiteSpec, seed: int, key: tuple, reps: range, statistic) -> np.ndarray:
     """Rows statistic(values), one per path r in ``reps``, drawn from derive_seed(seed, *key, r).
 
-    The one replication loop: every Monte Carlo check and experiment draws its paths here,
-    and row r does not depend on the range it is drawn in.  All paths are drawn into one
-    drawer's buffers, so ``statistic`` may be handed a view that the next draw overwrites;
-    each row is copied into the result as soon as it is computed.
+    Every Monte Carlo check and experiment draws its paths here or through
+    ``replicate_increments``, and row r does not depend on the range it is drawn in.
+    All paths are drawn into one drawer's buffers, so ``statistic`` may be handed a
+    view that the next draw overwrites; each row is copied into the result as soon
+    as it is computed.
     """
-    draw = _path_drawer(spec)
+    return _replicate_draws(_path_drawer(spec), seed, key, reps, statistic)
+
+
+def _replicate_draws(draw, seed: int, key: tuple, reps: range, statistic) -> np.ndarray:
+    """``replicate``'s loop over any drawer: rows statistic(draw(rng)), one per path r in reps."""
     rows = np.empty(0)
     for i, rng in enumerate(philox_streams(seed, key, reps)):
         row = np.asarray(statistic(draw(rng)))
@@ -225,6 +238,35 @@ def replicate(spec: HermiteSpec, seed: int, key: tuple, reps: range, statistic) 
             rows = np.empty((len(reps),) + row.shape, row.dtype)
         rows[i] = row
     return rows
+
+
+def replicate_increments(spec: HermiteSpec, seed: int, key: tuple, reps: range,
+                         weights: np.ndarray) -> np.ndarray:
+    """Rows weights . diff(Z_r), one per path r in ``reps``: a (len(reps), len(weights)) array.
+
+    Z_r is the path ``replicate`` hands its statistic for r, and ``weights`` a (rows, n)
+    matrix.  At order 1 diff(Z_r) is a fixed linear map of the path's 2n normals z, so
+    the map is folded into the weights once (``gaussian._fgn_fold``, with the fBm scale)
+    and each path costs its normals and one ``np.vecdot`` with them: no inverse FFT and
+    no cumulative sum.  The rows equal weights . diff(Z_r) to rounding, and row r does not
+    depend on the range, as ``np.vecdot`` sums each row on its own.  At higher order the
+    partial sums of H_q are not linear in z, and the drawn path's increments are weighted.
+    """
+    weights = np.reshape(weights, (-1, spec.n))
+    if spec.order == 1:
+        fold = _fgn_fold(FgnSpec(hurst=spec.hurst, n=spec.n), weights,
+                         (spec.horizon / spec.n) ** spec.hurst)
+        z = np.empty(2 * spec.n)
+
+        def normals(rng: np.random.Generator) -> np.ndarray:
+            return rng.standard_normal(out=z)
+
+        rows = _replicate_draws(normals, seed, key, reps, lambda x: np.vecdot(fold, x))
+    else:
+        dz = np.empty(spec.n)
+        rows = replicate(spec, seed, key, reps,
+                         lambda z: np.vecdot(weights, np.subtract(z[1:], z[:-1], out=dz)))
+    return np.reshape(rows, (len(reps), len(weights)))
 
 
 def max_moment_scaling_check(

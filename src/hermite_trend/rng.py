@@ -4,9 +4,10 @@ Every sampler in this package is a pure function of (spec, seed).  Replicated
 experiments derive one integer seed per replication from a master seed and a
 tuple of indices (rung, trend, replication, ...) through ``derive_seed``, and
 the path of that seed runs on the stream of ``philox_generator``;
-``hermite.replicate`` is the one place that applies this rule and loops over
-paths.  The streams are statistically independent and do not depend on worker
-count or scheduling order.
+``hermite``'s replication loop is the one place that applies this rule and
+loops over paths, taking its streams from ``philox_streams``.  The streams are
+statistically independent and do not depend on worker count or scheduling
+order.
 
 Philox is counter-based (Salmon et al. 2011, "Parallel random numbers: as easy
 as 1, 2, 3", SC'11): a stream is set by its 128-bit key and its counter, so a

@@ -166,6 +166,30 @@ def _variation_of_constants(
     return np.multiply(growth, x, out=x)
 
 
+def _fold_integrator(
+    weights: np.ndarray, growth: np.ndarray, decay: np.ndarray, x0: float, eps: float,
+    bandwidth: float,
+) -> tuple:
+    """(c, A) with weights . diff(X) / phi = c + A . diff(Z), X the variation-of-constants path.
+
+    X is ``_variation_of_constants(growth, decay, x0, eps, Z)``, which is affine in Z, so
+    each weighted sum of its increments is too.  Summing by parts, with W_n = 0,
+
+        c = (x0/phi) W . diff(e^{I}),
+        A_l = (eps/phi) e^{-I_l} sum_{k>l} e^{I_k} (W_{k-1} - W_k).
+
+    ``weights`` is a (rows, n) matrix the caller owns; A is written over it, row by row.
+    """
+    c = np.vecdot(weights, np.diff(growth)) * (x0 / bandwidth)
+    factor = decay * (eps / bandwidth)
+    for row in weights:
+        np.subtract(row[:-1], row[1:], out=row[:-1])  # W_{k-1} - W_k, and W_{n-1} - 0
+        np.multiply(row, growth[1:], out=row)
+        np.cumsum(row[::-1], out=row[::-1])  # the sum over k > l
+        np.multiply(row, factor, out=row)
+    return c, weights
+
+
 def simulate_sde(
     trend: TrendFunction,
     config: PathConfig,

@@ -379,12 +379,12 @@ class TestExperiment:
 
     @staticmethod
     def forbid_paths(monkeypatch):
-        """Make every path draw raise; ``hermite.replicate`` draws through this drawer."""
+        """Make every path draw raise: every replication route takes its streams here."""
 
-        def no_path(seed):
+        def no_streams(seed, key, reps):
             raise RuntimeError("a path was drawn")
 
-        monkeypatch.setattr(hermite, "_path_drawer", lambda spec: no_path)
+        monkeypatch.setattr(hermite, "philox_streams", no_streams)
 
     def test_valid_config_reaches_the_patched_draw(self, tmp_path, capsys, monkeypatch):
         # positive control for the test below: the patch sits where the paths are drawn

@@ -10,11 +10,13 @@ from hermite_trend import cli
 from hermite_trend.gaussian import (
     EmbeddingFailure,
     FgnSpec,
+    _fgn_fold,
     fgn_autocovariance,
     sample_fgn,
 )
 import hermite_trend.gaussian as gaussian_mod
-from hermite_trend.hermite import HermiteSpec, replicate, sample_hermite
+import hermite_trend.hermite as hermite_mod
+from hermite_trend.hermite import HermiteSpec, replicate, replicate_increments, sample_hermite
 from hermite_trend.rng import philox_generator
 
 # Frozen oracles, evaluated directly from ((l+1)^{2h} - 2 l^{2h} + (l-1)^{2h})/2.
@@ -153,12 +155,15 @@ class TestEmbeddingFailure:
 
     @pytest.fixture
     def non_psd(self, monkeypatch):
-        """Fake the covariance and forbid Philox draws; the amplitude cache is
-        cleared on both sides of the patch, so no decision crosses it."""
+        """Fake the covariance and record Philox draws and the streams of every
+        replication route; the amplitude cache is cleared on both sides of the
+        patch, so no decision crosses it."""
         draws = []
         gaussian_mod._half_spectrum_amplitudes.cache_clear()
         monkeypatch.setattr(gaussian_mod, "fgn_autocovariance", self.lag_one_only)
         monkeypatch.setattr(gaussian_mod, "philox_generator", lambda seed: draws.append(seed))
+        monkeypatch.setattr(hermite_mod, "philox_streams",
+                            lambda *args: draws.append(args) or iter(()))
         yield draws
         gaussian_mod._half_spectrum_amplitudes.cache_clear()
 
@@ -174,6 +179,13 @@ class TestEmbeddingFailure:
             sample_hermite(spec, 0)
         with pytest.raises(EmbeddingFailure):
             replicate(spec, 0, (), range(5), lambda z: z)
+        with pytest.raises(EmbeddingFailure):
+            replicate_increments(spec, 0, (), range(5), np.ones((2, 32)))
+        assert non_psd == []
+
+    def test_fgn_fold_raises(self, non_psd):
+        with pytest.raises(EmbeddingFailure, match=r"n=32, hurst=0\.7\b"):
+            _fgn_fold(FgnSpec(hurst=0.7, n=32), np.ones((2, 32)))
         assert non_psd == []
 
     def test_cli_simulate_exits_3_naming_the_error(self, non_psd, tmp_path, capsys):

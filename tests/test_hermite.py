@@ -5,8 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hermite_trend.gaussian import FgnSpec, fgn_autocovariance, sample_fgn
+from hermite_trend.gaussian import (
+    FgnSpec,
+    _half_spectrum_amplitudes,
+    fgn_autocovariance,
+    sample_fgn,
+)
 from hermite_trend.hermite import (
     HermiteSpec,
     MomentScalingReport,
@@ -15,6 +22,7 @@ from hermite_trend.hermite import (
     hermite_polynomial,
     max_moment_scaling_check,
     replicate,
+    replicate_increments,
     sample_hermite,
 )
 from hermite_trend.rng import derive_seed, philox_generator
@@ -332,3 +340,72 @@ class TestReplicate:
         args = dict(order=order, hurst=0.7, p=2.0, t1=t1, t2=t2, reps=200, seed=33, n=64)
         report = max_moment_scaling_check(**args, bootstrap=300)
         assert report == old_moment_scaling_loop(**args, bootstrap=300)
+
+
+def increments_bound(spec, weights, paths, normals):
+    """8 (n+2) u sum_j |W_j| (sum_l |dZ_l| + s F) per path and row, u = 2^-53.
+
+    The rounding bound of ``replicate_increments`` at order 1 against
+    weights . diff(path).  The path's cumulative sum puts at most n u sum |dZ| into
+    each value; each fGn value, and each entry of the folded weights, is a transform
+    whose terms add up to at most F = (amp_0 |z_0| + amp_n |z_1| + 2 sum_k amp_k
+    (|z_re,k| + |z_im,k|)) / sqrt(2n) in absolute value, times the fBm scale s; and
+    each weighted sum adds about n u times its absolute terms.
+    """
+    n = spec.n
+    amp = _half_spectrum_amplitudes(n, spec.hurst)
+    a = np.abs(normals)
+    spectral = (amp[0] * a[:, 0] + amp[n] * a[:, 1]
+                + 2 * (a[:, 2 : n + 1] + a[:, n + 1 :]) @ amp[1:n]) / np.sqrt(2 * n)
+    scale = (spec.horizon / n) ** spec.hurst
+    absolute = np.abs(np.diff(paths, axis=1)).sum(axis=1) + scale * spectral
+    return 8 * (n + 2) * 2.0**-53 * np.outer(absolute, np.abs(weights).sum(axis=1))
+
+
+@st.composite
+def increment_cases(draw):
+    """(spec, weights): order 1-3, m often not a multiple of n, 0-3 weight rows."""
+    order = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 200) if order == 1 else st.integers(1, 40))
+    m = 0 if order == 1 else draw(st.integers(n, 8 * n + 7))
+    hurst = draw(st.floats(0.5, 0.99, exclude_min=True))
+    horizon = draw(st.floats(0.1, 5.0))
+    spec = HermiteSpec(order=order, hurst=hurst, horizon=horizon, n=n, m=m)
+    rows = draw(st.integers(0, 3))
+    weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, n))
+    return spec, weights
+
+
+class TestReplicateIncrements:
+    """weights . diff(Z_r) per path, with the q = 1 sampler folded into the weights."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=increment_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_weighted_increments_of_the_path(self, case, seed):
+        spec, weights = case
+        rows = replicate_increments(spec, seed, (4,), range(3), weights)
+        paths = replicate(spec, seed, (4,), range(3), lambda z: z)
+        direct = np.vecdot(weights[None], np.diff(paths, axis=1)[:, None])
+        assert rows.shape == direct.shape == (3, len(weights))
+        if spec.order > 1:  # the same path and the same sums
+            assert np.array_equal(rows, direct)
+        else:
+            normals = np.array([philox_generator(derive_seed(seed, 4, r))
+                                .standard_normal(2 * spec.n) for r in range(3)])
+            assert np.all(np.abs(rows - direct) <= increments_bound(spec, weights, paths,
+                                                                     normals))
+
+    @pytest.mark.parametrize("name", sorted(TestReplicate.SPECS))
+    def test_one_row_range_equals_same_row_of_larger_range(self, name):
+        spec = TestReplicate.SPECS[name]
+        weights = np.random.default_rng(3).standard_normal((21, spec.n))
+        block = replicate_increments(spec, 41, (2,), range(0, 25), weights)
+        single = replicate_increments(spec, 41, (2,), range(7, 8), weights)
+        assert single.shape == (1, 21)
+        assert np.array_equal(single, block[7:8])
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_no_rows_or_no_paths_give_empty_shapes(self, order):
+        spec = HermiteSpec(order=order, hurst=0.7, horizon=1.0, n=16)
+        assert replicate_increments(spec, 9, (), range(4), np.empty((0, 16))).shape == (4, 0)
+        assert replicate_increments(spec, 9, (), range(0), np.ones((2, 16))).shape == (0, 2)

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermite_trend.rng import derive_seed
 from hermite_trend.sde import (
     BoundViolation,
     GronwallReport,
     PathConfig,
+    _fold_integrator,
+    _growth_factors,
+    _variation_of_constants,
     cumulative_trend_integral,
     gronwall_check,
     mean_square_bound_check,
@@ -252,6 +257,54 @@ class TestMeanSquareBound:
         th = constant_trend(0.5, horizon=2.0)
         with pytest.raises(ValueError, match="reps"):
             mean_square_bound_check(th, make_config(), reps=100, seed=0)
+
+
+class TestFoldIntegrator:
+    """c + A . diff(Z) equals weights . diff(X) / phi, X the variation-of-constants path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trend=st.sampled_from(("sin:0.5,0.8,3.0", "const:-0.7", "weier:0.3,0.5,3,12")),
+        n=st.integers(3, 600),
+        rows=st.integers(0, 3),
+        x0=st.floats(-50.0, -1e-3),
+        eps=st.floats(0.0, 1.0, exclude_min=True),
+        bandwidth=st.floats(1e-3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_integrate_then_weight(self, trend, n, rows, x0, eps, bandwidth, seed):
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(0.0, 2.0, n + 1)
+        growth, decay = _growth_factors(parse_trend(trend, 2.0), grid)
+        weights = rng.standard_normal((rows, n))
+        z = np.concatenate(([0.0], np.cumsum(rng.standard_normal(n) * n**-0.7)))
+        x = _variation_of_constants(growth, decay, x0, eps, z)
+        direct = np.vecdot(weights, np.diff(x)) / bandwidth
+        bound = fold_bound(weights, growth, decay, x0, eps, bandwidth, z)
+        offset, fold = _fold_integrator(weights.copy(), growth, decay, x0, eps, bandwidth)
+        assert offset.shape == fold.shape[:1] == (rows,)
+        assert np.all(np.abs(offset + np.vecdot(fold, np.diff(z)) - direct) <= bound)
+
+    def test_fold_is_written_over_the_weights(self):
+        grid = np.linspace(0.0, 2.0, 65)
+        growth, decay = _growth_factors(parse_trend("sin:0.5,0.8,3.0", 2.0), grid)
+        weights = np.ones((2, 64))
+        _, fold = _fold_integrator(weights, growth, decay, 1.0, 0.1, 0.5)
+        assert fold is weights
+
+
+def fold_bound(weights, growth, decay, x0, eps, bandwidth, z):
+    """4 n u (sum_j |W_j| / phi) M, u = 2^-53, M = max e^{I} (|x0| + eps sum_l e^{-I_l} |dZ_l|).
+
+    The rounding bound of ``_fold_integrator`` against integrate-then-weight, per row.
+    M bounds every partial sum of X's Stieltjes sum in absolute terms; the cumulative
+    sums of either route put at most about n u M into each term they form, and each
+    weighted sum adds about n u times its absolute terms, so each route is within
+    2 n u (sum |W| / phi) M of the exact value.
+    """
+    n = len(decay)
+    m = np.max(growth) * (abs(x0) + eps * np.sum(decay * np.abs(np.diff(z))))
+    return 4 * n * 2.0**-53 * np.abs(weights).sum(axis=1) / bandwidth * m
 
 
 class TestPinnedStreams:

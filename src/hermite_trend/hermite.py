@@ -252,16 +252,12 @@ def replicate_increments(spec: HermiteSpec, seed: int, key: tuple, reps: range,
     depend on the range, as ``np.vecdot`` sums each row on its own.  At higher order the
     partial sums of H_q are not linear in z, and the drawn path's increments are weighted.
     """
-    weights = np.reshape(weights, (-1, spec.n))
     if spec.order == 1:
         fold = _fgn_fold(FgnSpec(hurst=spec.hurst, n=spec.n), weights,
                          (spec.horizon / spec.n) ** spec.hurst)
         z = np.empty(2 * spec.n)
-
-        def normals(rng: np.random.Generator) -> np.ndarray:
-            return rng.standard_normal(out=z)
-
-        rows = _replicate_draws(normals, seed, key, reps, lambda x: np.vecdot(fold, x))
+        rows = _replicate_draws(lambda rng: rng.standard_normal(out=z), seed, key, reps,
+                                lambda x: np.vecdot(fold, x))
     else:
         dz = np.empty(spec.n)
         rows = replicate(spec, seed, key, reps,

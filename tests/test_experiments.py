@@ -522,7 +522,9 @@ def fold_tolerance(cfg, rung, trend_idx, start, stop, errors):
     M = max e^{I} (|x0| + eps sum_l e^{-I_l} |dZ_l|) bounds every partial sum of X's
     Stieltjes sum in absolute terms (see ``tests/test_sde.py::fold_bound``).  The
     tolerance is twice that, carried through the square of the sup-MSE kinds and
-    the eps^{-alpha} scaling of clt.
+    the eps^{-alpha} scaling of clt.  At q = 1 the circulant transforms add about
+    log2(2n) u per term on either route, far inside the tolerance at n >= 64
+    (``tests/test_hermite.py::increments_bound`` covers any n).
     """
     trend = parse_trend(cfg.trends[trend_idx], cfg.horizon)
     est, _, ts = experiments._rung_setup(cfg, rung)

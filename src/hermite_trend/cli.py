@@ -188,7 +188,7 @@ def _cmd_estimate(args) -> int:
         raise ValueError(f"--bandwidth: bandwidth {_fmt(phi)} ({rule} rule) is too wide for "
                          f"horizon {_fmt(horizon)}: it leaves no default window "
                          f"[{_fmt(hi * phi)}, {_fmt(horizon - hi * phi)}]")
-    est_cfg = EstimatorConfig(kernel=kernel, bandwidth=phi, horizon=horizon, eps=eps, rule=rule,
+    est_cfg = EstimatorConfig(kernel=kernel, bandwidth=phi, horizon=horizon,
                               window=tuple(args.window or (hi * phi, horizon - hi * phi)))
     series = estimate_series(path, est_cfg, points=args.points)
     lines = [f"# {k} = {v}" for k, v in header.items()]

@@ -16,6 +16,13 @@ function, so reports are byte-identical across reruns and worker counts:
 replication r of rung i, trend j always draws from the stream derived from
 (seed, i, j, r), and results land in a preallocated array by index before any
 reduction happens.
+
+Each check is a grid of (rung, trend) cells, and only the noise changes
+between the replications of a cell.  ``_cell`` builds a cell once and returns
+``errors(reps)``, which draws any replication range from it.  A built cell is
+read-only: every buffer (the path drawer, the normals or increments, the
+rate-alt path) belongs to one call of ``errors``, so one cell serves any
+number of ranges, and could serve several threads at once.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .estimators import (
     bandwidth_main,
     bias_center_term,
 )
-from .hermite import replicate, replicate_increments
+from .hermite import increment_sums, replicate
 from .kernels import asymptotic_variance, box_kernel, vanishing_moment_kernel
 from .rng import derive_seed
 from .sde import PathConfig, _fold_integrator, _growth_factors, _variation_of_constants
@@ -188,10 +195,7 @@ def _rung_setup(cfg: ExperimentConfig, rung: int) -> tuple:
     phi = _bandwidth(cfg, kernel, eps)
     spec = PathConfig(horizon=cfg.horizon, n=cfg.n, eps=eps, x0=cfg.x0,
                       order=cfg.q, hurst=cfg.hurst, m=cfg.m).hermite_spec()
-    est = EstimatorConfig(
-        kernel=kernel, bandwidth=phi, window=cfg.window, horizon=cfg.horizon, eps=eps,
-        rule="alt" if cfg.kind == "rate-alt" else "main",
-    )
+    est = EstimatorConfig(kernel=kernel, bandwidth=phi, window=cfg.window, horizon=cfg.horizon)
     grid = est.eval_grid(cfg.eval_points)  # checks eval_points for every kind
     return est, spec, cfg.t0 if cfg.kind == "clt" else grid
 
@@ -337,28 +341,25 @@ class ExperimentResult:
 # ---------------------------------------------------------- replications ---
 
 
-def _error_block(task) -> np.ndarray:
-    """Estimator errors of one (rung, trend) cell for replications [start, stop).
+def _cell(cfg: ExperimentConfig, rung: int, trend_idx: int):
+    """errors(reps) -> estimator errors of one (rung, trend) cell for the replications in reps.
 
     Rows are replications, columns evaluation points.  The sup-MSE kinds
     return squared errors on the eval grid; clt (rung 0, trend 0) returns the
     normalized error eps^{-alpha} (est - J(t0) - phi^{k+1} bias) at t0.
 
-    Only the noise differs between the replications of a cell, so the trend
-    integral and its growth factors, the target and the kernel weight matrix
-    are built once here.  The product estimate of the linear kinds is affine in
-    the driving noise, c + A . diff(Z) (``sde._fold_integrator``): the cell
-    folds the integrator into its weight rows and hands them to
-    ``replicate_increments``, which at q = 1 folds the circulant FFT into them
-    as well.  It equals ``kernel_estimate_product`` on ``simulate_sde``'s path
-    to rounding.  The truncated estimator of rate-alt is not linear in the
-    noise (the indicator, the division by X); it builds the oracle drift and
-    the buffers of the integrated path once, and each path ``replicate`` draws
-    is integrated into them and estimated through the same cores as
-    ``simulate_sde`` and ``alternate_estimate``.  ``_gather`` gives each worker
-    one block per cell, so a serial run builds them once per cell.
+    The cell holds the trend integral and its growth factors, the target and
+    the kernel weight matrix.  The product estimate of the linear kinds is
+    affine in the driving noise, c + A . diff(Z) (``sde._fold_integrator``):
+    the cell folds the integrator into its weight rows and hands them to
+    ``increment_sums``, which at q = 1 folds the circulant FFT into them as
+    well.  It equals ``kernel_estimate_product`` on ``simulate_sde``'s path to
+    rounding.  The truncated estimator of rate-alt is not linear in the noise
+    (the indicator, the division by X); the cell holds the oracle drift, and
+    each path ``replicate`` draws is integrated into a buffer of the call and
+    estimated through the same cores as ``simulate_sde`` and
+    ``alternate_estimate``.
     """
-    cfg, rung, trend_idx, start, stop = task
     trend = parse_trend(cfg.trends[trend_idx], cfg.horizon)
     est, spec, ts = _rung_setup(cfg, rung)
     kernel, phi, eps = est.kernel, est.bandwidth, cfg.ladder[rung]
@@ -369,28 +370,38 @@ def _error_block(task) -> np.ndarray:
     target = np.asarray(trend.value(ts), dtype=float)
     if not alt:  # the product estimate targets theta(t) x(t)
         target = target * np.interp(ts, grid, cfg.x0 * growth)
-    key, reps = (rung, trend_idx), range(start, stop)
+    key = (rung, trend_idx)
     if alt:
         oracle = None
         if cfg.variant == "oracle":
             oracle = _oracle_drift(grid, trend, eps, cfg.horizon, cfg.x0, trend.bound)
-        x = np.empty(cfg.n + 1)
 
-        def estimate(z):
-            _variation_of_constants(growth, decay, cfg.x0, eps, z, out=x)
-            dy, alive = _truncated_increments(grid, x, z, cfg.x0, trend.bound, oracle)
-            return alive * _weighted_sums(weights, dy, phi)
+        def estimates(reps: range) -> np.ndarray:
+            x = np.empty(cfg.n + 1)
 
-        estimates = replicate(spec, cfg.seed, key, reps, estimate)
+            def estimate(z):
+                _variation_of_constants(growth, decay, cfg.x0, eps, z, out=x)
+                dy, alive = _truncated_increments(grid, x, z, cfg.x0, trend.bound, oracle)
+                return alive * _weighted_sums(weights, dy, phi)
+
+            return replicate(spec, cfg.seed, key, reps, estimate)
     else:
         offset, fold = _fold_integrator(weights, growth, decay, cfg.x0, eps, phi)
-        estimates = offset + replicate_increments(spec, cfg.seed, key, reps, fold)
+        sums = increment_sums(spec, fold)
+
+        def estimates(reps: range) -> np.ndarray:
+            return offset + sums(cfg.seed, key, reps)
     if cfg.kind == "clt":
         k = kernel.order
         alpha = (k + 1.0) / (k - cfg.hurst + 2.0)
         center = target + phi ** (k + 1) * bias_center_term(trend, cfg.x0, cfg.t0, k, kernel)
-        return eps ** (-alpha) * (estimates - center)
-    return (estimates - target) ** 2
+        return lambda reps: eps ** (-alpha) * (estimates(reps) - center)
+    return lambda reps: (estimates(reps) - target) ** 2
+
+
+def _block(cfg: ExperimentConfig, rung: int, trend_idx: int, reps: range) -> np.ndarray:
+    """One task of ``_gather``: the cell is built where its errors are drawn."""
+    return _cell(cfg, rung, trend_idx)(reps)
 
 
 def _gather(cfg: ExperimentConfig, workers: int) -> np.ndarray:
@@ -398,24 +409,26 @@ def _gather(cfg: ExperimentConfig, workers: int) -> np.ndarray:
     n_rungs, n_trends, reps = len(cfg.ladder), len(cfg.trends), cfg.replications
     points = 1 if cfg.kind == "clt" else cfg.eval_points
     out = np.full((n_rungs, n_trends, reps, points), np.nan)
-    # one block per cell and worker: a block builds its cell's invariants once
+    # one range per cell and worker, and never more workers than cores
+    workers = min(workers, os.cpu_count() or 1)
     chunk = max(1, -(-reps // max(workers, 1)))
     tasks = [
-        (cfg, rung, trend_idx, start, min(start + chunk, reps))
+        (rung, trend_idx, range(start, min(start + chunk, reps)))
         for rung in range(n_rungs)
         for trend_idx in range(n_trends)
         for start in range(0, reps, chunk)
     ]
+    args = [cfg] * len(tasks), *zip(*tasks)
     if workers <= 1:
-        blocks = map(_error_block, tasks)
+        blocks = map(_block, *args)
     else:
         # imported here: it loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            blocks = list(pool.map(_error_block, tasks))
-    for (_, rung, trend_idx, start, stop), block in zip(tasks, blocks):
-        out[rung, trend_idx, start:stop] = block
+            blocks = list(pool.map(_block, *args))
+    for (rung, trend_idx, span), rows in zip(tasks, blocks):
+        out[rung, trend_idx, span.start:span.stop] = rows
     if np.isnan(out).any():
         raise ReplicationFailure(
             f"{int(np.isnan(out).sum())} of {out.size} replication results are NaN"

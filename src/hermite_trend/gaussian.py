@@ -1,4 +1,4 @@
-"""Exact simulation of fractional Gaussian noise and fractional Brownian motion.
+"""Exact simulation of fractional Gaussian noise; ``hermite`` sums it into fBm.
 
 fGn with Hurst index h in (1/2, 1) is sampled by circulant embedding of the
 Toeplitz autocovariance (Davies-Harte).  The embedding is exact in law, not
@@ -210,20 +210,3 @@ def sample_fgn(spec: FgnSpec, seed: int) -> np.ndarray:
     """Draw the spec.n values of one exact fGn path.  Pure function of (spec, seed)."""
     return _fgn_drawer(spec)(philox_generator(seed))
 
-
-def _fbm_drawer(hurst: float, horizon: float, n: int):
-    """draw(rng) -> n+1 fBm values drawn from the generator rng, in a buffer the drawer owns.
-
-    B_0 = 0 and the increments are (horizon/n)^hurst times exact unit fGn, so
-    the values at the times j*horizon/n have the exact fBm covariance.
-    """
-    noise = _fgn_drawer(FgnSpec(hurst=hurst, n=n))
-    scale = (horizon / n) ** hurst
-    values = np.zeros(n + 1)
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        increments = noise(rng)
-        np.cumsum(np.multiply(increments, scale, out=increments), out=values[1:])
-        return values
-
-    return draw

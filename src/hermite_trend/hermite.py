@@ -12,12 +12,12 @@ it.  ``replicate`` hands a statistic each drawn path.  It builds one path
 drawer per call, and the drawer owns every per-path buffer (the fGn buffers,
 the H_q scratch, the m+1 partial sums, the n+1 values), so a range of paths
 costs one set of allocations, not one per path; at m = 131072 the fresh arrays
-took about a third of a path's time.  ``replicate_increments`` returns fixed
-weighted sums of each path's increments.  At order 1 these are a linear map of
-the path's 2n normals, so it folds the sampler into the weights once
-(``gaussian._fgn_fold``) and draws only the normals: one ``np.vecdot`` per path
-replaces the inverse FFT and the cumulative sum.  At higher order it weights
-the increments of the path ``replicate`` draws.
+took about a third of a path's time.  ``increment_sums`` builds, once per weight
+matrix, the function that returns fixed weighted sums of each path's increments.
+At order 1 these are a linear map of the path's 2n normals, so the builder folds
+the sampler into the weights (``gaussian._fgn_fold``) and a call draws only the
+normals: one ``np.vecdot`` per path replaces the inverse FFT and the cumulative
+sum.  At higher order it weights the increments of the path ``replicate`` draws.
 
 The seeding rule is the same for both: path r of the range runs on the stream
 of ``philox_generator(derive_seed(seed, *key, r))``.  The loop draws it from
@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import FgnSpec, _fbm_drawer, _fgn_drawer, _fgn_fold, fgn_autocovariance
+from .gaussian import FgnSpec, _fgn_drawer, _fgn_fold, fgn_autocovariance
 from .rng import derive_seed, philox_generator, philox_streams
 from .validation import ParameterError, check_hurst
 
@@ -50,7 +50,7 @@ __all__ = [
     "discrete_normalizer",
     "sample_hermite",
     "replicate",
-    "replicate_increments",
+    "increment_sums",
     "max_moment_scaling_check",
 ]
 
@@ -82,8 +82,8 @@ class HermiteSpec:
         if not 1 <= self.order <= MAX_HERMITE_ORDER:
             raise ParameterError("order", f"must lie in [1, {MAX_HERMITE_ORDER}], got {self.order}")
         check_hurst(self.hurst)
-        if not self.horizon > 0.0:
-            raise ParameterError("horizon", f"must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ParameterError("horizon", f"must be positive and finite, got {self.horizon}")
         if self.n < 1:
             raise ParameterError("n", f"must be >= 1, got {self.n}")
         if self.m == 0:
@@ -186,13 +186,29 @@ def discrete_normalizer(order: int, hurst: float, m: int, horizon: float) -> flo
 # -------------------------------------------------------------- sampling ---
 
 
+def _fbm_scale(spec: HermiteSpec) -> float:
+    """(horizon/n)^hurst: an order-1 increment over one grid step is this times unit fGn."""
+    return (spec.horizon / spec.n) ** spec.hurst
+
+
 def _path_drawer(spec: HermiteSpec):
     """draw(rng) -> the n+1 values of a path drawn from the generator rng.
 
     The values sit in buffers the drawer owns; every draw overwrites the one before.
+    At order 1 B_0 = 0 and the increments are ``_fbm_scale`` times exact unit fGn, so
+    the values at the times j*horizon/n have the exact fBm covariance.
     """
     if spec.order == 1:
-        return _fbm_drawer(spec.hurst, spec.horizon, spec.n)
+        noise = _fgn_drawer(FgnSpec(hurst=spec.hurst, n=spec.n))
+        scale = _fbm_scale(spec)
+        values = np.zeros(spec.n + 1)
+
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            increments = noise(rng)
+            np.cumsum(np.multiply(increments, scale, out=increments), out=values[1:])
+            return values
+
+        return draw
     noise = _fgn_drawer(FgnSpec(hurst=h_zero(spec.order, spec.hurst), n=spec.m))
     work = _hermite_work(spec.order, spec.m)
     partial = np.zeros(spec.m + 1)
@@ -221,7 +237,7 @@ def replicate(spec: HermiteSpec, seed: int, key: tuple, reps: range, statistic) 
     """Rows statistic(values), one per path r in ``reps``, drawn from derive_seed(seed, *key, r).
 
     Every Monte Carlo check and experiment draws its paths here or through
-    ``replicate_increments``, and row r does not depend on the range it is drawn in.
+    ``increment_sums``, and row r does not depend on the range it is drawn in.
     All paths are drawn into one drawer's buffers, so ``statistic`` may be handed a
     view that the next draw overwrites; each row is copied into the result as soon
     as it is computed.
@@ -240,29 +256,33 @@ def _replicate_draws(draw, seed: int, key: tuple, reps: range, statistic) -> np.
     return rows
 
 
-def replicate_increments(spec: HermiteSpec, seed: int, key: tuple, reps: range,
-                         weights: np.ndarray) -> np.ndarray:
-    """Rows weights . diff(Z_r), one per path r in ``reps``: a (len(reps), len(weights)) array.
+def increment_sums(spec: HermiteSpec, weights: np.ndarray):
+    """sums(seed, key, reps) -> rows weights . diff(Z_r), a (len(reps), len(weights)) array.
 
     Z_r is the path ``replicate`` hands its statistic for r, and ``weights`` a (rows, n)
     matrix.  At order 1 diff(Z_r) is a fixed linear map of the path's 2n normals z, so
-    the map is folded into the weights once (``gaussian._fgn_fold``, with the fBm scale)
-    and each path costs its normals and one ``np.vecdot`` with them: no inverse FFT and
-    no cumulative sum.  The rows equal weights . diff(Z_r) to rounding, and row r does not
-    depend on the range, as ``np.vecdot`` sums each row on its own.  At higher order the
-    partial sums of H_q are not linear in z, and the drawn path's increments are weighted.
+    the map is folded into the weights here, once (``gaussian._fgn_fold``), and each path
+    costs its normals and one ``np.vecdot`` with them: no inverse FFT and no cumulative
+    sum.  The rows equal weights . diff(Z_r) to rounding, and row r does not depend on the
+    range, as ``np.vecdot`` sums each row on its own.  At higher order the partial sums of
+    H_q are not linear in z, and the drawn path's increments are weighted.  The buffers
+    belong to one call, so one sums serves any number of ranges.
     """
     if spec.order == 1:
-        fold = _fgn_fold(FgnSpec(hurst=spec.hurst, n=spec.n), weights,
-                         (spec.horizon / spec.n) ** spec.hurst)
-        z = np.empty(2 * spec.n)
-        rows = _replicate_draws(lambda rng: rng.standard_normal(out=z), seed, key, reps,
-                                lambda x: np.vecdot(fold, x))
-    else:
-        dz = np.empty(spec.n)
-        rows = replicate(spec, seed, key, reps,
-                         lambda z: np.vecdot(weights, np.subtract(z[1:], z[:-1], out=dz)))
-    return np.reshape(rows, (len(reps), len(weights)))
+        fold = _fgn_fold(FgnSpec(hurst=spec.hurst, n=spec.n), weights, _fbm_scale(spec))
+
+    def sums(seed: int, key: tuple, reps: range) -> np.ndarray:
+        if spec.order == 1:
+            z = np.empty(2 * spec.n)
+            rows = _replicate_draws(lambda rng: rng.standard_normal(out=z), seed, key, reps,
+                                    lambda x: np.vecdot(fold, x))
+        else:
+            dz = np.empty(spec.n)
+            rows = replicate(spec, seed, key, reps,
+                             lambda z: np.vecdot(weights, np.subtract(z[1:], z[:-1], out=dz)))
+        return np.reshape(rows, (len(reps), len(weights)))
+
+    return sums
 
 
 def max_moment_scaling_check(

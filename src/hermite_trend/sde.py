@@ -57,8 +57,6 @@ class PathConfig:
     m: int = field(default=0)
 
     def __post_init__(self):
-        if not 0 < self.horizon < np.inf:
-            raise ParameterError("horizon", f"must be positive and finite, got {self.horizon}")
         if self.n < 64:
             raise ParameterError("n", f"must be >= 64 for integrator accuracy, got {self.n}")
         # eps = 0 is allowed: the path collapses to the noiseless ODE solution.
@@ -66,7 +64,7 @@ class PathConfig:
             raise ParameterError("eps", f"must lie in [0, 1], got {self.eps}")
         if self.x0 == 0 or not np.isfinite(self.x0):
             raise ParameterError("x0", f"must be finite and nonzero, got {self.x0}")
-        self.hermite_spec()  # checks order, hurst and m
+        self.hermite_spec()  # checks horizon, order, hurst and m
 
     def hermite_spec(self) -> HermiteSpec:
         return HermiteSpec(

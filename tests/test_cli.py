@@ -363,10 +363,10 @@ class TestExperiment:
 
     @pytest.mark.parametrize("line, name", [("x0 = nan", "'x0'"), ("trend = const:nan", "const:nan")])
     def test_non_finite_config_exit_2(self, line, name, tmp_path, capsys, monkeypatch):
-        def simulate(task):
+        def simulate(cfg, rung, trend_idx):
             raise RuntimeError("paths simulated for a non-finite config")
 
-        monkeypatch.setattr(experiments, "_error_block", simulate)
+        monkeypatch.setattr(experiments, "_cell", simulate)
         key = line.split(" =")[0]
         text = "\n".join(ln for ln in PASSING_CONSISTENCY.splitlines()
                          if not ln.startswith(key + " ="))
@@ -408,11 +408,10 @@ class TestExperiment:
         assert not out.exists()
 
     def test_nan_replication_exit_3(self, tmp_path, capsys, monkeypatch):
-        def nan_block(task):
-            _, _, _, start, stop = task
-            return np.full((stop - start, 21), np.nan)
+        def nan_cell(cfg, rung, trend_idx):
+            return lambda reps: np.full((len(reps), 21), np.nan)
 
-        monkeypatch.setattr(experiments, "_error_block", nan_block)
+        monkeypatch.setattr(experiments, "_cell", nan_cell)
         cfg = tmp_path / "c.txt"
         cfg.write_text(PASSING_CONSISTENCY)
         assert run(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
@@ -441,11 +440,11 @@ class TestExperiment:
         def no_pool(*args, **kwargs):
             raise RuntimeError("a process pool was built")
 
-        def no_block(task):
+        def no_cell(cfg, rung, trend_idx):
             raise RuntimeError("paths simulated")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(experiments, "_error_block", no_block)
+        monkeypatch.setattr(experiments, "_cell", no_cell)
         cfg = tmp_path / "c.txt"
         cfg.write_text(PASSING_CONSISTENCY)
         out = tmp_path / "rep"

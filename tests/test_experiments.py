@@ -419,11 +419,10 @@ class TestRunners:
     def test_nan_block_raises_typed_error(self, monkeypatch):
         cfg = parse_experiment_config(GOOD_RATE)
 
-        def nan_block(task):
-            _, _, _, start, stop = task
-            return np.full((stop - start, cfg.eval_points), np.nan)
+        def nan_cell(cfg, rung, trend_idx):
+            return lambda reps: np.full((len(reps), cfg.eval_points), np.nan)
 
-        monkeypatch.setattr(experiments, "_error_block", nan_block)
+        monkeypatch.setattr(experiments, "_cell", nan_cell)
         with pytest.raises(ReplicationFailure, match="NaN"):
             run_experiment(cfg)
 
@@ -440,19 +439,25 @@ class TestRunners:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return list(map(fn, tasks))
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = parse_experiment_config(
             config_text(kind="consistency", eps="0.2,0.05", n="64", seed="5")
         )
+        cores = os.cpu_count() or 1
+        real = run_experiment(cfg, workers=1000)  # no pool at all on one core
+        assert sizes == ([min(cores, len(cfg.ladder) * cfg.replications)] if cores > 1 else [])
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: 1000)
         pooled = run_experiment(cfg, workers=1000)  # one replication per task
         assert sizes == [len(cfg.ladder) * cfg.replications]
         a = write_report(pooled, tmp_path / "pooled")
         b = write_report(run_experiment(cfg), tmp_path / "serial")
-        for pa, pb in zip(a, b):
-            assert open(pa, "rb").read() == open(pb, "rb").read()
+        c = write_report(real, tmp_path / "real")
+        for pa, pb, pc in zip(a, b, c):
+            assert open(pa, "rb").read() == open(pb, "rb").read() == open(pc, "rb").read()
 
     def test_workers_do_not_change_bytes(self, small_consistency, tmp_path):
         res2 = run_experiment(small_consistency.config, workers=2)
@@ -470,7 +475,7 @@ def _as_kwargs(cfg):
 
 
 def per_replication_errors(cfg, rung, trend_idx, start, stop):
-    """_error_block's rows through the public per-path route: simulate, then estimate."""
+    """A cell's rows through the public per-path route: simulate, then estimate."""
     trend = parse_trend(cfg.trends[trend_idx], cfg.horizon)
     kernel = experiments._build_kernel(cfg)
     eps = cfg.ladder[rung]
@@ -547,15 +552,16 @@ def fold_tolerance(cfg, rung, trend_idx, start, stop, errors):
 
 
 class TestBlockEquivalence:
-    """The block equals the per-path public route: bit for bit where it runs the public
-    route's arithmetic (rate-alt), to the stated rounding bound where it folds the
+    """The cell's rows equal the per-path public route: bit for bit where it runs the
+    public route's arithmetic (rate-alt), to the stated rounding bound where it folds the
     integrator and the sampler into its weights (the linear kinds)."""
 
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_block_rows_equal_public_route(self, case):
         overrides, rung, trend_idx = BLOCK_CASES[case]
         cfg = parse_experiment_config(config_text(**overrides))
-        block = experiments._error_block((cfg, rung, trend_idx, 0, 25))
+        errors = experiments._cell(cfg, rung, trend_idx)
+        block = errors(range(0, 25))
         assert block.shape == (25, 1 if cfg.kind == "clt" else cfg.eval_points)
         public = per_replication_errors(cfg, rung, trend_idx, 0, 25)
         if cfg.kind == "rate-alt":
@@ -563,9 +569,25 @@ class TestBlockEquivalence:
         else:
             tol = fold_tolerance(cfg, rung, trend_idx, 0, 25, public)
             np.testing.assert_array_less(np.abs(block - public), tol)
-        # a one-row block (the size many workers give) sums exactly as a 25-row one
-        single = experiments._error_block((cfg, rung, trend_idx, 7, 8))
+        # one cell draws any range, a one-row range (the size many workers give) included,
+        # as a freshly built cell does, and carries nothing from one call to the next
+        single = errors(range(7, 8))
         assert np.array_equal(single, block[7:8])
+        fresh = experiments._cell(cfg, rung, trend_idx)
+        assert np.array_equal(fresh(range(7, 8)), single)
+        assert np.array_equal(fresh(range(0, 25)), block)
+        assert np.array_equal(errors(range(0, 25)), block)
+
+    def test_q1_cell_folds_once_for_any_number_of_ranges(self, monkeypatch):
+        folds = []
+        fold = hermite._fgn_fold
+        monkeypatch.setattr(hermite, "_fgn_fold", lambda *args: folds.append(1) or fold(*args))
+        cfg = parse_experiment_config(GOOD_RATE)
+        assert cfg.q == 1
+        errors = experiments._cell(cfg, 2, 0)
+        blocks = [errors(range(start, start + 10)) for start in (0, 10, 20)]
+        assert len(folds) == 1
+        assert np.array_equal(np.concatenate(blocks), errors(range(0, 30)))
 
 
 class TestReports:

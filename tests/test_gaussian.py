@@ -16,7 +16,7 @@ from hermite_trend.gaussian import (
 )
 import hermite_trend.gaussian as gaussian_mod
 import hermite_trend.hermite as hermite_mod
-from hermite_trend.hermite import HermiteSpec, replicate, replicate_increments, sample_hermite
+from hermite_trend.hermite import HermiteSpec, increment_sums, replicate, sample_hermite
 from hermite_trend.rng import philox_generator
 
 # Frozen oracles, evaluated directly from ((l+1)^{2h} - 2 l^{2h} + (l-1)^{2h})/2.
@@ -180,7 +180,7 @@ class TestEmbeddingFailure:
         with pytest.raises(EmbeddingFailure):
             replicate(spec, 0, (), range(5), lambda z: z)
         with pytest.raises(EmbeddingFailure):
-            replicate_increments(spec, 0, (), range(5), np.ones((2, 32)))
+            increment_sums(spec, np.ones((2, 32)))(0, (), range(5))
         assert non_psd == []
 
     def test_fgn_fold_raises(self, non_psd):

@@ -20,9 +20,9 @@ from hermite_trend.hermite import (
     discrete_normalizer,
     h_zero,
     hermite_polynomial,
+    increment_sums,
     max_moment_scaling_check,
     replicate,
-    replicate_increments,
     sample_hermite,
 )
 from hermite_trend.rng import derive_seed, philox_generator
@@ -155,8 +155,9 @@ class TestSpec:
             HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=10, m=5)
         with pytest.raises(ValueError):
             HermiteSpec(order=2, hurst=0.45, horizon=1.0, n=10)
-        with pytest.raises(ValueError):
-            HermiteSpec(order=2, hurst=0.7, horizon=-1.0, n=10)
+        for horizon in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                HermiteSpec(order=2, hurst=0.7, horizon=horizon, n=10)
 
 
 class TestSamplePaths:
@@ -345,7 +346,7 @@ class TestReplicate:
 def increments_bound(spec, weights, paths, normals):
     """8 (n+2) u sum_j |W_j| (sum_l |dZ_l| + s F) per path and row, u = 2^-53.
 
-    The rounding bound of ``replicate_increments`` at order 1 against
+    The rounding bound of ``increment_sums`` at order 1 against
     weights . diff(path).  The path's cumulative sum puts at most n u sum |dZ| into
     each value; each fGn value, and each entry of the folded weights, is a transform
     whose terms add up to at most F = (amp_0 |z_0| + amp_n |z_1| + 2 sum_k amp_k
@@ -383,7 +384,7 @@ class TestReplicateIncrements:
     @given(case=increment_cases(), seed=st.integers(0, 2**32 - 1))
     def test_equals_weighted_increments_of_the_path(self, case, seed):
         spec, weights = case
-        rows = replicate_increments(spec, seed, (4,), range(3), weights)
+        rows = increment_sums(spec, weights)(seed, (4,), range(3))
         paths = replicate(spec, seed, (4,), range(3), lambda z: z)
         direct = np.vecdot(weights[None], np.diff(paths, axis=1)[:, None])
         assert rows.shape == direct.shape == (3, len(weights))
@@ -399,13 +400,15 @@ class TestReplicateIncrements:
     def test_one_row_range_equals_same_row_of_larger_range(self, name):
         spec = TestReplicate.SPECS[name]
         weights = np.random.default_rng(3).standard_normal((21, spec.n))
-        block = replicate_increments(spec, 41, (2,), range(0, 25), weights)
-        single = replicate_increments(spec, 41, (2,), range(7, 8), weights)
+        sums = increment_sums(spec, weights)
+        block = sums(41, (2,), range(0, 25))
+        single = sums(41, (2,), range(7, 8))
         assert single.shape == (1, 21)
         assert np.array_equal(single, block[7:8])
+        assert np.array_equal(increment_sums(spec, weights)(41, (2,), range(7, 8)), single)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_no_rows_or_no_paths_give_empty_shapes(self, order):
         spec = HermiteSpec(order=order, hurst=0.7, horizon=1.0, n=16)
-        assert replicate_increments(spec, 9, (), range(4), np.empty((0, 16))).shape == (4, 0)
-        assert replicate_increments(spec, 9, (), range(0), np.ones((2, 16))).shape == (0, 2)
+        assert increment_sums(spec, np.empty((0, 16)))(9, (), range(4)).shape == (4, 0)
+        assert increment_sums(spec, np.ones((2, 16)))(9, (), range(0)).shape == (0, 2)

@@ -17,12 +17,11 @@ replication r of rung i, trend j always draws from the stream derived from
 (seed, i, j, r), and results land in a preallocated array by index before any
 reduction happens.
 
-Each check is a grid of (rung, trend) cells, and only the noise changes
-between the replications of a cell.  ``_cell`` builds a cell once and returns
-``errors(reps)``, which draws any replication range from it.  A built cell is
-read-only: every buffer (the path drawer, the normals or increments, the
-rate-alt path) belongs to one call of ``errors``, so one cell serves any
-number of ranges, and could serve several threads at once.
+Each check is a grid of (rung, trend) cells.  ``_cell`` builds a cell once and
+returns ``errors(reps)`` for any replication range.  A built cell is read-only:
+every buffer (the path drawer, the normals or increments, the rate-alt path)
+belongs to one call of ``errors``, so one cell serves any number of ranges and
+could serve several threads at once.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hermite import _row_dots
 from .kernels import Kernel, kernel_moment
 from .sde import SdePath
 from .trends import TrendFunction
@@ -124,14 +125,15 @@ def _weight_rows(
 def _weighted_sums(weights: np.ndarray, increments: np.ndarray, bandwidth: float) -> np.ndarray:
     """(1/phi) sum_j w_j dI_j for each row w of the (points, n) weight matrix.
 
-    ``np.vecdot`` runs the inner loop of ``w @ increments`` (one ddot) on each
-    row in turn, so every sum has the bits of its row alone, however many rows
-    the call sees.  A matrix product would not: gemv and gemm block the sums in
-    another order, and BLAS picks between them by the row count, so the last
-    bits would depend on how many rows (hence on the worker count) a call sees.
-    The tests pin vecdot to the row loop bit for bit.
+    ``hermite._row_dots`` runs the inner loop of ``w @ increments`` (ddot, in
+    pieces of a fixed length) on each row in turn, so every sum has the bits of
+    its row alone, however many rows the call sees and however many threads BLAS
+    runs.  A matrix product would not: gemv and gemm block the sums in another
+    order, and BLAS picks between them by the row count, so the last bits would
+    depend on how many rows (hence on the worker count) a call sees.  The tests
+    pin the row dots to the row loop bit for bit.
     """
-    return np.vecdot(weights, increments) / bandwidth
+    return _row_dots(weights, increments) / bandwidth
 
 
 def _weighted_increment_sum(

@@ -16,7 +16,7 @@ took about a third of a path's time.  ``increment_sums`` builds, once per weight
 matrix, the function that returns fixed weighted sums of each path's increments.
 At order 1 these are a linear map of the path's 2n normals, so the builder folds
 the sampler into the weights (``gaussian._fgn_fold``) and a call draws only the
-normals: one ``np.vecdot`` per path replaces the inverse FFT and the cumulative
+normals: one ``_row_dots`` per path replaces the inverse FFT and the cumulative
 sum.  At higher order it weights the increments of the path ``replicate`` draws.
 
 The seeding rule is the same for both: path r of the range runs on the stream
@@ -256,15 +256,34 @@ def _replicate_draws(draw, seed: int, key: tuple, reps: range, statistic) -> np.
     return rows
 
 
+# Longest dot product handed to BLAS in one call: OpenBLAS splits a dot of more
+# than 10000 terms over its own threads, and the split changes the rounding.
+_DOT_PIECE = 8192
+
+
+def _row_dots(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.vecdot(rows, x), summed over pieces of at most _DOT_PIECE terms in a fixed order.
+
+    ``rows`` is a (points, n) matrix and ``x`` a length-n vector.  Each row's sum is the
+    piecewise ``vecdot`` of its first _DOT_PIECE terms, plus that of the next, and so on,
+    so its bits do not depend on how many threads BLAS runs.  A row of at most _DOT_PIECE
+    terms is one ``vecdot``.
+    """
+    sums = np.vecdot(rows[..., :_DOT_PIECE], x[:_DOT_PIECE])
+    for start in range(_DOT_PIECE, len(x), _DOT_PIECE):
+        sums += np.vecdot(rows[..., start:start + _DOT_PIECE], x[start:start + _DOT_PIECE])
+    return sums
+
+
 def increment_sums(spec: HermiteSpec, weights: np.ndarray):
     """sums(seed, key, reps) -> rows weights . diff(Z_r), a (len(reps), len(weights)) array.
 
     Z_r is the path ``replicate`` hands its statistic for r, and ``weights`` a (rows, n)
     matrix.  At order 1 diff(Z_r) is a fixed linear map of the path's 2n normals z, so
     the map is folded into the weights here, once (``gaussian._fgn_fold``), and each path
-    costs its normals and one ``np.vecdot`` with them: no inverse FFT and no cumulative
+    costs its normals and one ``_row_dots`` with them: no inverse FFT and no cumulative
     sum.  The rows equal weights . diff(Z_r) to rounding, and row r does not depend on the
-    range, as ``np.vecdot`` sums each row on its own.  At higher order the partial sums of
+    range, as ``_row_dots`` sums each row on its own.  At higher order the partial sums of
     H_q are not linear in z, and the drawn path's increments are weighted.  The buffers
     belong to one call, so one sums serves any number of ranges.
     """
@@ -275,11 +294,11 @@ def increment_sums(spec: HermiteSpec, weights: np.ndarray):
         if spec.order == 1:
             z = np.empty(2 * spec.n)
             rows = _replicate_draws(lambda rng: rng.standard_normal(out=z), seed, key, reps,
-                                    lambda x: np.vecdot(fold, x))
+                                    lambda x: _row_dots(fold, x))
         else:
             dz = np.empty(spec.n)
             rows = replicate(spec, seed, key, reps,
-                             lambda z: np.vecdot(weights, np.subtract(z[1:], z[:-1], out=dz)))
+                             lambda z: _row_dots(weights, np.subtract(z[1:], z[:-1], out=dz)))
         return np.reshape(rows, (len(reps), len(weights)))
 
     return sums

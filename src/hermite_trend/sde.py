@@ -4,10 +4,9 @@ dX_t = theta(t) X_t dt + eps dZ_t on [0, horizon], X_0 = x0 > 0.  The primary
 integrator is variation of constants,
 X_t = e^{I(t)} (x0 + eps * int_0^t e^{-I(s)} dZ_s) with I(t) = int_0^t theta,
 which collapses exactly to the noiseless ODE solution when eps = 0 and is
-exactly linear in the noise when theta == 0.  I is the composite Simpson
-rule on the grid, computed in numpy with the panel formulas and summation
-order of ``scipy.integrate.cumulative_simpson``, so the two return the same
-values, without importing scipy.  An Euler scheme is kept as an independent
+exactly linear in the noise when theta == 0.  I is each trend's closed-form
+integral evaluated on the grid, the same I the estimator's target and the
+clt bias centre use.  An Euler scheme is kept as an independent
 cross-check.  Pathwise and mean-square deviation bounds from the ODE solution
 are checked by ``gronwall_check`` / ``mean_square_bound_check``.
 """
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite import HermitePath, HermiteSpec, replicate, sample_hermite
+from .hermite import HermitePath, HermiteSpec, _row_dots, replicate, sample_hermite
 from .trends import TrendFunction
 from .validation import ParameterError
 
@@ -102,36 +101,9 @@ class MeanSquareReport:
 # ------------------------------------------------------------ integrators --
 
 
-def _simpson_h1(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Simpson integral over the first interval of every three-point panel.
-
-    Eqn (8) of Cartwright (J. Math. Sci. Math. Educ. 12(2)) for unequal
-    intervals; on the reversed arrays it gives the panels' second intervals.
-    """
-    x21, x32 = dx[:-1], dx[1:]
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
-                      + (-x21x21_x31x32) * y[2:])
-
-
 def cumulative_trend_integral(trend: TrendFunction, times: np.ndarray) -> np.ndarray:
-    """int_0^{t_j} theta(s) ds at every grid time (at least 3), composite Simpson.
-
-    Even intervals take the forward panel formula, odd ones and the last the
-    backward one, then one cumulative sum: the values of scipy's
-    cumulative_simpson(vals, x=times, initial=0.0).
-    """
-    vals = np.asarray(trend.value(times), dtype=float)
-    dx = np.diff(times)
-    forward = _simpson_h1(vals, dx)
-    backward = _simpson_h1(vals[::-1], dx[::-1])[::-1]
-    pieces = np.empty(len(dx))
-    pieces[:-1:2] = forward[::2]
-    pieces[1::2] = backward[::2]
-    pieces[-1] = backward[-1]
-    return np.concatenate(([0.0], np.cumsum(pieces)))
+    """I(t_j) = int_0^{t_j} theta(s) ds at every grid time, from the trend's closed form."""
+    return np.asarray(trend.integral(times), dtype=float)
 
 
 def solve_ode(trend: TrendFunction, x0: float, times: np.ndarray) -> np.ndarray:
@@ -178,7 +150,7 @@ def _fold_integrator(
 
     ``weights`` is a (rows, n) matrix the caller owns; A is written over it, row by row.
     """
-    c = np.vecdot(weights, np.diff(growth)) * (x0 / bandwidth)
+    c = _row_dots(weights, np.diff(growth)) * (x0 / bandwidth)
     factor = decay * (eps / bandwidth)
     for row in weights:
         np.subtract(row[:-1], row[1:], out=row[:-1])  # W_{k-1} - W_k, and W_{n-1} - 0

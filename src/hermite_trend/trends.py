@@ -2,7 +2,7 @@
 
 Every trend carries a certified bound on sup |theta| over [0, horizon] (used
 by pathwise error bounds and by the truncated estimator's threshold), an
-analytic derivative factory, its closed-form integral from 0 (the bias term's
+analytic derivative factory, its closed-form integral from 0 (the one route to
 x(t) = x0 exp(int_0^t theta)) and one smoothness index rho: infinity for smooth
 trends, k + gamma for a trend whose k-th derivative is gamma-Hoelder.  Rough
 trends refuse derivative orders above ceil(rho) - 1.

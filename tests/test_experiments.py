@@ -1,6 +1,8 @@
 import concurrent.futures
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -657,3 +659,43 @@ class TestReports:
         assert rows[0] == "eps,statistic,value"
         stats = [row.split(",")[1] for row in rows[1:]]
         assert stats == ["count", "mean", "se", "variance", "sigma2", "var_lo", "var_hi"]
+
+
+REPORT_SCRIPT = r'''
+import sys
+from hermite_trend import parse_experiment_config, run_experiment, write_report
+cfg = parse_experiment_config(open(sys.argv[1]).read())
+for path in write_report(run_experiment(cfg, workers=1), sys.argv[2]):
+    print(path)
+'''
+
+
+class TestBlasThreads:
+    """Report bytes do not depend on how many threads BLAS runs.
+
+    OpenBLAS splits a dot product of more than 10000 terms over its threads, and the
+    split changes the rounding.  At n = 16384 every weighted sum of a clt cell is that
+    long (2n at q = 1, n at q = 2), so each config is run in a fresh interpreter
+    under one and under two OpenBLAS threads.
+    """
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_clt_report_bytes_equal_across_blas_threads(self, q, tmp_path):
+        config = tmp_path / "clt.txt"
+        config.write_text(config_text(  # eps = 0.05: phi = 0.27, so 8900 nonzero weights
+            kind="clt", trend="const:0.5", q=str(q), kernel="box:1", eps="0.05",
+            replications="100", n="16384", m="16384" if q > 1 else None, horizon="1.0",
+            window="0.45,0.55", t0="0.5", seed="953"))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            out = tmp_path / f"threads{threads}"
+            done = subprocess.run([sys.executable, "-c", REPORT_SCRIPT, str(config), str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            reports.append({os.path.basename(p): open(p, "rb").read()
+                            for p in done.stdout.split()})
+        assert reports[0].keys() == {"results.csv", "summary.txt"}
+        assert reports[0] == reports[1]

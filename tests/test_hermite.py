@@ -15,8 +15,10 @@ from hermite_trend.gaussian import (
     sample_fgn,
 )
 from hermite_trend.hermite import (
+    _DOT_PIECE,
     HermiteSpec,
     MomentScalingReport,
+    _row_dots,
     discrete_normalizer,
     h_zero,
     hermite_polynomial,
@@ -375,6 +377,27 @@ def increment_cases(draw):
     rows = draw(st.integers(0, 3))
     weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, n))
     return spec, weights
+
+
+class TestRowDots:
+    """Row dot products in pieces that BLAS sums on one thread, added in a fixed order."""
+
+    @pytest.mark.parametrize("n", [0, 1, 100, _DOT_PIECE])
+    def test_short_rows_are_one_vecdot(self, n):
+        rng = np.random.default_rng(n)
+        rows, x = rng.standard_normal((3, n)), rng.standard_normal(n)
+        assert np.array_equal(_row_dots(rows, x), np.vecdot(rows, x))
+
+    @pytest.mark.parametrize("n", [_DOT_PIECE + 1, 2 * _DOT_PIECE, 20000])
+    def test_long_rows_add_the_pieces_in_order(self, n):
+        rng = np.random.default_rng(n)
+        rows, x = rng.standard_normal((3, n)), rng.standard_normal(n)
+        pieces = [np.vecdot(rows[:, k:k + _DOT_PIECE], x[k:k + _DOT_PIECE])
+                  for k in range(0, n, _DOT_PIECE)]
+        got = _row_dots(rows, x)
+        assert np.array_equal(got, sum(pieces[1:], pieces[0]))  # added left to right
+        bound = 4 * n * 2.0**-53 * np.vecdot(np.abs(rows), np.abs(x))
+        assert np.all(np.abs(got - [w @ x for w in rows]) <= bound)
 
 
 class TestReplicateIncrements:

@@ -59,9 +59,39 @@ class TestConfig:
         assert spec.m == 8 * 128
 
 
+# (sup |theta^(3)|, sup |theta^(4)|) on [0, 2] for the trends of the Simpson comparison;
+# weier's k-th derivative is at most amplitude sum_j (decay lacunarity^(k-1))^j.
+SIMPSON_TRENDS = {
+    "const:0.5": (0.0, 0.0),
+    "sin:0.5,0.8,3": (0.8 * 3.0**3, 0.8 * 3.0**4),
+    "poly:1,-0.5,0.25": (0.0, 0.0),
+    "weier:0.3,0.5,3,12": tuple(0.3 * sum((0.5 * 3.0 ** (k - 1)) ** j for j in range(12))
+                                for k in (3, 4)),
+}
+
+
+def simpson_bound(ts, m3, m4, m0):
+    """Bound on |cumulative_simpson - exact integral| at every grid time.
+
+    On a uniform grid of step h, a complete three-point panel errs by at most
+    h^5 m4 / 90, and one interval of a panel by at most h^4 m3 / 24 (the
+    quadratic's remainder has one sign on each interval).  So the cumulative error is
+    O(h^4): h^4 (t m4 / 180 + m3 / 24).  On an uneven grid the panel formula is
+    exact for quadratics only.  An interval of length h_i in a panel of width
+    w <= 2 h_max then errs by at most m3 h_i w^3 / 6, which sums to
+    (4/3) m3 h_max^3 t.  The cumulative sum adds at most len(ts) 2^-52 m0 t of
+    rounding, with m0 = sup |theta|.
+    """
+    h = np.diff(ts)
+    rounding = len(ts) * 2.0**-52 * m0 * ts
+    if np.allclose(h, h[0], rtol=1e-12, atol=0):
+        return h[0] ** 4 * (ts * m4 / 180 + m3 / 24) + rounding
+    return 4.0 / 3.0 * m3 * np.max(h) ** 3 * ts + rounding
+
+
 class TestOdeSolver:
     def test_constant_trend_exact(self):
-        # Simpson is exact for a constant integrand
+        # the closed form 0.5 t, then exp: exact up to exp's rounding
         th = constant_trend(0.5, horizon=2.0)
         ts = np.linspace(0.0, 2.0, 1025)
         x = solve_ode(th, 1.0, ts)
@@ -73,7 +103,7 @@ class TestOdeSolver:
         x = solve_ode(th, 1.3, ts)
         j = int(round(1.75 / 2.0 * 1024))  # exactly on-grid
         assert ts[j] == 1.75
-        assert x[j] == pytest.approx(ODE_SIN_175, rel=1e-8)
+        assert x[j] == pytest.approx(ODE_SIN_175, rel=4 * np.finfo(float).eps, abs=0)
 
     def test_cosine_trend_antiderivative(self):
         # ad-hoc trend outside the library constructors: theta = cos,
@@ -88,18 +118,19 @@ class TestOdeSolver:
         )
         ts = np.linspace(0.0, 2.0, 1025)
         x = solve_ode(cos_trend, 2.0, ts)
-        assert np.max(np.abs(x - 2.0 * np.exp(np.sin(ts)))) < 1e-8
+        np.testing.assert_allclose(x, 2.0 * np.exp(np.sin(ts)),
+                                   rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_cumulative_integral_starts_at_zero(self):
         th = sinusoid_trend(offset=0.5, amplitude=0.8, omega=3.0, horizon=2.0)
         ts = np.linspace(0.0, 2.0, 129)
         assert cumulative_trend_integral(th, ts)[0] == 0.0
 
-    @pytest.mark.parametrize("text", ["const:0.5", "sin:0.5,0.8,3", "poly:1,-0.5,0.25",
-                                      "weier:0.3,0.5,3,12"])
+    @pytest.mark.parametrize("text", list(SIMPSON_TRENDS))
     @pytest.mark.parametrize("grid", ["odd", "even", "uneven"])
     def test_cumulative_integral_equals_scipy_simpson(self, text, grid):
-        # the numpy port reproduces scipy's panel formulas and summation order
+        # the trend's closed form bit for bit, and scipy's Simpson rule on theta's
+        # values, an independent quadrature, within its truncation bound
         from scipy.integrate import cumulative_simpson
 
         th = parse_trend(text, horizon=2.0)
@@ -109,8 +140,19 @@ class TestOdeSolver:
         else:
             ts = np.linspace(0.0, 2.0, 1025 if grid == "odd" else 1024)
         ours = cumulative_trend_integral(th, ts)
-        theirs = cumulative_simpson(np.asarray(th.value(ts), dtype=float), x=ts, initial=0.0)
-        assert np.array_equal(ours, theirs)
+        assert np.array_equal(ours, th.integral(ts))
+        simpson = cumulative_simpson(np.asarray(th.value(ts), dtype=float), x=ts, initial=0.0)
+        bound = simpson_bound(ts, *SIMPSON_TRENDS[text], th.bound)
+        assert np.all(np.abs(ours - simpson) <= bound)
+
+    @pytest.mark.parametrize("ts", [[0.0], [0.0, 0.75]], ids=["one-point", "two-point"])
+    def test_short_grids(self, ts):
+        th = sinusoid_trend(offset=0.5, amplitude=0.8, omega=3.0, horizon=2.0)
+        ts = np.array(ts)
+        integral = cumulative_trend_integral(th, ts)
+        assert integral.shape == ts.shape and integral[0] == 0.0
+        assert np.array_equal(integral, th.integral(ts))
+        assert np.array_equal(solve_ode(th, 1.3, ts), 1.3 * np.exp(integral))
 
 
 class TestExactScheme:
@@ -315,7 +357,7 @@ class TestPinnedStreams:
                   -0.33579760787574403, -0.4928862434997603]
     HERMITE_Q2 = [-0.01814747906496887, -0.3478161982420268,
                   -0.6468459745200507, -1.0332400890076734]
-    SDE_X = [1.0212682332556402, 1.6884318418328146, 2.7165652683278476, 2.6998604591677533]
+    SDE_X = [1.0212673600296613, 1.688431671729876, 2.7165646364381444, 2.6998604660218555]
     SDE_Z = [0.042573859352907854, -0.17394147497341406,
              -0.5069579048220393, -0.14729609729723617]
 

@@ -117,9 +117,8 @@ def _weight_rows(
 ) -> np.ndarray:
     """Kernel weights G(arg/phi) at the grid midpoints: a (len(t), n) matrix, 0 rows for no t."""
     mids = 0.5 * (times[:-1] + times[1:])
-    rows = [kernel.evaluate(((s - mids) if reflect else (mids - s)) / bandwidth)
-            for s in np.atleast_1d(np.asarray(t, dtype=float))]
-    return np.reshape(rows, (-1, len(mids)))
+    s = np.asarray(t, dtype=float).reshape(-1, 1)
+    return kernel.evaluate(((s - mids) if reflect else (mids - s)) / bandwidth)
 
 
 def _weighted_sums(weights: np.ndarray, increments: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -150,9 +149,9 @@ def _weighted_increment_sum(
 
 
 def _divide_by_level(path: SdePath, t, product):
-    """(product / X_t, valid): NaN wherever |X_t| < x0 / 2, the division floor."""
+    """(product / X_t, valid): NaN wherever |X_t| < |x0| / 2, the division floor."""
     level = np.interp(t, path.times, path.values)
-    valid = np.abs(level) >= 0.5 * path.config.x0
+    valid = np.abs(level) >= 0.5 * abs(path.config.x0)
     return np.where(valid, product / np.where(valid, level, 1.0), np.nan), valid
 
 
@@ -169,7 +168,7 @@ def estimate_series(
     points: int = 21,
 ) -> EstimateSeries:
     """Product and theta estimates over the evaluation window; theta is NaN
-    wherever |X_t| < x0 / 2, the division floor.
+    wherever |X_t| < |x0| / 2, the division floor.
     """
     ts = cfg.eval_grid(points)
     prod = kernel_estimate_product(path, cfg, ts)
@@ -202,13 +201,14 @@ def bias_center_term(
 
 
 def indicator_path(times: np.ndarray, values: np.ndarray, x0: float, bound_constant: float) -> np.ndarray:
-    """Latched indicator of the running minimum staying above x0 e^{-Lt} / 2.
+    """Latched indicator of the running minimum of sign(x0) X staying above |x0| e^{-Lt} / 2.
 
     Latching (once False, stays False) keeps the event path monotone even
-    though the threshold itself decays.
+    though the threshold itself decays.  The sign makes the event mirror
+    symmetric, as the SDE is: X(-x0, -Z) = -X(x0, Z).
     """
-    threshold = 0.5 * x0 * np.exp(-bound_constant * times)
-    ok = np.minimum.accumulate(values) >= threshold
+    threshold = 0.5 * abs(x0) * np.exp(-bound_constant * times)
+    ok = np.minimum.accumulate(math.copysign(1.0, x0) * values) >= threshold
     return np.logical_and.accumulate(ok)
 
 
@@ -222,19 +222,18 @@ def _oracle_drift(times: np.ndarray, trend: TrendFunction, eps: float, horizon: 
 
 def _truncated_increments(times: np.ndarray, values: np.ndarray, noise: np.ndarray,
                           x0: float, bound_constant: float, oracle: tuple = None) -> tuple:
-    """(dY, I(A_T)): observable dY = I dX / X, or oracle dY = I (theta dt + amp dZ).
+    """(dY, I(A_T)): observable dY = dX / X, or oracle dY = theta dt + amp dZ, on A_T.
 
     ``oracle`` is None for the observable form, else ``_oracle_drift``'s pair.
+    The indicator is latched, so on A_T it is 1 at every step (and X stays
+    away from 0); off A_T the estimate is 0, and so is dY.
     """
-    indicator = indicator_path(times, values, x0, bound_constant)
-    ind_left = indicator[:-1].astype(float)
+    if not indicator_path(times, values, x0, bound_constant)[-1]:
+        return np.zeros(len(times) - 1), 0.0
     if oracle is None:
-        safe = np.where(ind_left > 0, values[:-1], 1.0)
-        dy = ind_left * np.diff(values) / safe
-    else:
-        drift, amp = oracle
-        dy = ind_left * (drift + amp * np.diff(noise))
-    return dy, float(indicator[-1])
+        return np.diff(values) / values[:-1], 1.0
+    drift, amp = oracle
+    return drift + amp * np.diff(noise), 1.0
 
 
 def alternate_estimate(

@@ -1,7 +1,7 @@
 """Exact rational polynomial arithmetic used by the kernel bank.
 
 Univariate polynomials are tuples of Fractions in ascending powers.  The
-piecewise autocorrelation of a polynomial kernel needs one bivariate step
+autocorrelation of a polynomial kernel needs one bivariate step
 (integrating G(u) G(u+w) over u with bounds linear in w); bivariate
 polynomials are dicts {(power_of_u, power_of_w): Fraction}.
 """

@@ -2,11 +2,11 @@
 
 A kernel is one polynomial with rational coefficients on one interval
 [lo, hi], zero elsewhere.  Its autocorrelation psi(w) = int G(u) G(u+w) du is
-the piecewise object: two polynomials, on [lo-hi, 0] and [0, hi-lo].
-Construction, moments, psi, and the power-law part of the asymptotic variance
-functional are all computed in exact rational arithmetic (floats appear only
-in the final irrational power-law step), so moment identities hold to full
-double precision rather than to solver tolerance.
+even (substitute u -> u - w), so it is kept as one polynomial on [0, hi-lo]
+and read at |w|.  Construction, moments, psi, and the power-law part of the
+asymptotic variance functional are all computed in exact rational arithmetic
+(floats appear only in the final irrational power-law step), so moment
+identities hold to full double precision rather than to solver tolerance.
 
 ``vanishing_moment_kernel(k)`` solves the k+1 moment conditions in the even
 Legendre basis with the endpoint condition G(1) = 0 for k >= 1; this yields
@@ -72,33 +72,29 @@ class Kernel:
         return (float(self.piece.lo), float(self.piece.hi))
 
     @cached_property
-    def _float_pieces(self):
-        return _to_float_pieces((self.piece,))
+    def _float_piece(self):
+        return _to_float_piece(self.piece)
 
     def evaluate(self, u):
-        return _evaluate_pieces(self._float_pieces, u)
+        return _evaluate_piece(self._float_piece, u)
 
 
-def _to_float_pieces(pieces) -> list:
-    return [
-        (float(p.lo), float(p.hi), np.array([float(c) for c in p.coeffs]))
-        for p in pieces
-    ]
+def _to_float_piece(piece: KernelPiece) -> tuple:
+    return float(piece.lo), float(piece.hi), np.array([float(c) for c in piece.coeffs])
 
 
-def _evaluate_pieces(float_pieces, u):
-    """Horner evaluation on pieces [lo, hi) (the last one closed), zero elsewhere."""
+def _evaluate_piece(float_piece, u):
+    """Horner evaluation on the closed interval [lo, hi], zero elsewhere."""
+    lo, hi, coeffs = float_piece
     scalar = np.ndim(u) == 0
     arr = np.atleast_1d(np.asarray(u, dtype=float))
     out = np.zeros_like(arr)
-    last = len(float_pieces) - 1
-    for i, (lo, hi, coeffs) in enumerate(float_pieces):
-        mask = (arr >= lo) & (arr < hi) if i < last else (arr >= lo) & (arr <= hi)
-        if mask.any():
-            acc = np.zeros(int(mask.sum()))
-            for c in coeffs[::-1]:
-                acc = acc * arr[mask] + c
-            out[mask] = acc
+    mask = (arr >= lo) & (arr <= hi)
+    x = arr[mask]
+    acc = np.zeros_like(x)
+    for c in coeffs[::-1]:
+        acc = acc * x + c
+    out[mask] = acc
     return float(out[0]) if scalar else out
 
 
@@ -197,51 +193,37 @@ def kernel_moment(kernel: Kernel, j: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _autocorrelation_pieces(kernel: Kernel) -> tuple:
-    """Exact psi(w) = int G(u) G(u+w) du as two pieces meeting at w = 0.
+def _autocorrelation_piece(kernel: Kernel) -> KernelPiece:
+    """Exact psi(w) = int G(u) G(u+w) du on w in [0, hi-lo], the half that fixes psi.
 
     With A(u, w) the u-antiderivative of G(u) G(u+w), the supports overlap on
-    [lo-w, hi] for w in [lo-hi, 0] and on [lo, hi-w] for w in [0, hi-lo];
-    substituting those bounds into A gives a polynomial in w on each side.
+    [lo, hi-w]; substituting those bounds into A gives a polynomial in w.
     """
     p = kernel.piece
     anti = xp.biv_antiderivative_u(xp.biv_product_shifted(p.coeffs, p.coeffs))
-
-    def overlap(upper, lower):
-        acc = xp.poly_add(upper, xp.poly_scale(lower, -1))
-        return acc if acc else (Fraction(0),)
-
-    left = overlap(xp.biv_substitute_u(anti, p.hi, 0), xp.biv_substitute_u(anti, p.lo, -1))
-    right = overlap(xp.biv_substitute_u(anti, p.hi, -1), xp.biv_substitute_u(anti, p.lo, 0))
-    zero = Fraction(0)
-    return (
-        KernelPiece(p.lo - p.hi, zero, left),
-        KernelPiece(zero, p.hi - p.lo, right),
-    )
+    upper = xp.biv_substitute_u(anti, p.hi, -1)
+    lower = xp.biv_substitute_u(anti, p.lo, 0)
+    psi = xp.poly_add(upper, xp.poly_scale(lower, -1))
+    return KernelPiece(Fraction(0), p.hi - p.lo, psi or (Fraction(0),))
 
 
 def kernel_autocorrelation(kernel: Kernel, w) -> float:
-    """psi(w) = int G(u) G(u+w) du, evaluated from the exact piecewise form."""
-    return _evaluate_pieces(_to_float_pieces(_autocorrelation_pieces(kernel)), w)
+    """psi(w) = int G(u) G(u+w) du, the exact half evaluated at |w|."""
+    return _evaluate_piece(_to_float_piece(_autocorrelation_piece(kernel)), np.abs(w))
 
 
 def _power_law_piece_integral(piece: KernelPiece, exponent: float) -> float:
-    """int_piece poly(w) |w|^exponent dw for a piece on one side of zero."""
-    lo, hi = float(piece.lo), float(piece.hi)
+    """int_0^hi poly(w) w^exponent dw for a piece on [0, hi]."""
+    hi = float(piece.hi)
     total = 0.0
-    if lo >= 0.0:
-        for m, c in enumerate(piece.coeffs):
-            p = m + exponent + 1.0
-            total += float(c) * (hi**p - lo**p) / p
-    else:
-        for m, c in enumerate(piece.coeffs):
-            p = m + exponent + 1.0
-            total += float(c) * (-1.0) ** m * ((-lo) ** p - (-hi) ** p) / p
+    for m, c in enumerate(piece.coeffs):
+        p = m + exponent + 1.0
+        total += float(c) * hi**p / p
     return total
 
 
 def asymptotic_variance(kernel: Kernel, hurst: float) -> float:
-    """h(2h-1) * int psi(w) |w|^(2h-2) dw in closed form.
+    """h(2h-1) * int psi(w) |w|^(2h-2) dw in closed form, twice the w >= 0 half.
 
     The exponent on each monomial term is m + 2h - 1 > 0, so the integral is
     proper despite the singular weight.  For the unit-width box this equals 1
@@ -249,10 +231,8 @@ def asymptotic_variance(kernel: Kernel, hurst: float) -> float:
     """
     check_hurst(hurst)
     exponent = 2.0 * hurst - 2.0
-    total = sum(
-        _power_law_piece_integral(p, exponent) for p in _autocorrelation_pieces(kernel)
-    )
-    return hurst * (2.0 * hurst - 1.0) * total
+    half = _power_law_piece_integral(_autocorrelation_piece(kernel), exponent)
+    return hurst * (2.0 * hurst - 1.0) * (half + half)
 
 
 def _autocorrelation_numeric(kernel: Kernel, w: float) -> float:

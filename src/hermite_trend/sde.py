@@ -1,6 +1,6 @@
 """Small-noise linear-multiplier SDE driven by a Hermite process.
 
-dX_t = theta(t) X_t dt + eps dZ_t on [0, horizon], X_0 = x0 > 0.  The primary
+dX_t = theta(t) X_t dt + eps dZ_t on [0, horizon], X_0 = x0 != 0.  The primary
 integrator is variation of constants,
 X_t = e^{I(t)} (x0 + eps * int_0^t e^{-I(s)} dZ_s) with I(t) = int_0^t theta,
 which collapses exactly to the noiseless ODE solution when eps = 0 and is

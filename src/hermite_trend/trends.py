@@ -249,8 +249,6 @@ def parse_trend(text: str, horizon: float = 1.0) -> TrendFunction:
             raise ValueError(f"sin trend takes 3 arguments (offset, amplitude, omega), got {len(args)}")
         return sinusoid_trend(*args, horizon=horizon)
     if kind == "poly":
-        if not args:
-            raise ValueError("poly trend needs at least one coefficient")
         return polynomial_trend(args, horizon)
     if kind == "weier":
         if len(args) != 4:

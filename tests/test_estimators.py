@@ -2,6 +2,7 @@
 truncated variant.  Noiseless paths double as exact oracles throughout."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -468,3 +469,33 @@ class TestAlternateEstimate:
         obs, orc = np.array(obs), np.array(orc)
         se = math.sqrt(obs.var(ddof=1) / 300 + orc.var(ddof=1) / 300)
         assert abs(obs.mean() - orc.mean()) <= 2.0 * se
+
+
+class TestMirroredStart:
+    def test_negated_path_and_start_give_the_same_estimates(self):
+        # X(-x0, -Z) = -X(x0, Z), so the division floor and the truncation
+        # event read |x0| and sign(x0) X: the mirrored path estimates the same
+        # theta bit for bit.  The decaying trend puts part of the window below
+        # the floor while A_T still holds (x(t) = e^{-t} stays above e^{-t}/2).
+        th = constant_trend(-1.0, horizon=1.0)
+        cfg_path = PathConfig(horizon=1.0, n=256, eps=0.01, x0=1.0)
+        path = simulate_path(th, cfg_path, derive_seed(7, 0))
+        mirror = SdePath(
+            times=path.times, values=-path.values, ode=-path.ode, noise=-path.noise,
+            config=replace(cfg_path, x0=-1.0),
+        )
+        cfg = EstimatorConfig(
+            kernel=vanishing_moment_kernel(1), bandwidth=0.05, window=(0.1, 0.9), horizon=1.0
+        )
+        ours, theirs = estimate_series(path, cfg, points=9), estimate_series(mirror, cfg, points=9)
+        assert ours.valid.any() and not ours.valid.all()
+        assert np.array_equal(ours.valid, theirs.valid)
+        assert np.array_equal(ours.theta, theirs.theta, equal_nan=True)
+        for variant in ("observable", "oracle"):
+            ours, theirs = (
+                alternate_estimate(p, cfg, cfg.eval_grid(9), th.bound, p.config.x0,
+                                   variant=variant, trend=th)
+                for p in (path, mirror)
+            )
+            assert np.all(ours != 0.0), variant
+            assert np.array_equal(ours, theirs), variant

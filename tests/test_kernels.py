@@ -192,8 +192,8 @@ class TestAsymptoticVariance:
     @pytest.mark.parametrize("hurst", H_GRID)
     @pytest.mark.parametrize("kernel", OFF_CENTRE, ids=["lopsided-box", "quadratic"])
     def test_off_centre_closed_form_agrees_with_quadrature(self, kernel, hurst):
-        # psi's two pieces come from the overlaps [lo-w, hi] and [lo, hi-w],
-        # which only coincide with their mirror images on a centred support.
+        # The closed form builds psi from the overlap [lo, hi-w] for w >= 0 only
+        # and mirrors it; the quadrature integrates both sides independently.
         exact = asymptotic_variance(kernel, hurst)
         numeric = asymptotic_variance_quadrature(kernel, hurst)
         assert exact == pytest.approx(numeric, rel=1e-12)
@@ -213,3 +213,55 @@ class TestAsymptoticVariance:
         with pytest.raises(ValueError):
             asymptotic_variance(box_kernel(1.0), 0.5)
 
+
+# asymptotic_variance at H_GRID and kernel_autocorrelation at PINNED_W, as
+# repr'd (clt summaries print sigma^2 with repr).  Building psi's half on
+# [0, hi-lo] and mirroring it keeps these bits: the half for w < 0 has
+# exactly the mirrored coefficients.
+PINNED_KERNELS = {
+    "k0": vanishing_moment_kernel(0),
+    "k1": vanishing_moment_kernel(1),
+    "k3": vanishing_moment_kernel(3),
+    "box0.5": box_kernel(0.5),
+    "box1": box_kernel(1.0),
+    "box3": box_kernel(3.0),
+    "lopsided-box": OFF_CENTRE[0],
+    "quadratic": OFF_CENTRE[1],
+}
+PINNED_VARIANCE = {
+    "k0": (0.5358867312681466, 0.6597539553864471, 0.8705505632961242),
+    "k1": (0.6391709453997952, 0.7546205372067204, 0.9141119474589845),
+    "k3": (1.2459594027550978, 1.195552232511954, 1.0742768613299951),
+    "box0.5": (1.866065983073615, 1.5157165665103982, 1.1486983549970349),
+    "box1": (1.0000000000000002, 0.9999999999999999, 1.0),
+    "box3": (0.3720410580113015, 0.5172818579717865, 0.8027415617602307),
+    "lopsided-box": (0.6942531626616071, 0.7840526816831157, 0.9221079114817275),
+    "quadratic": (1.7105363204122799, 2.2711945892403276, 3.3964618804948836),
+}
+PINNED_W = (-1.3, -0.3, 0.0, 0.3, 1.3)
+PINNED_PSI = {
+    "k0": (0.175, 0.425, 0.5, 0.425, 0.175),
+    "k1": (0.0867575625, 0.5425794374999999, 0.6, 0.5425794374999999, 0.0867575625),
+    "k3": (-0.06636955959716806, 0.9117832671362305, 1.25, 0.9117832671362305,
+           -0.06636955959716806),
+    "box0.5": (0.0, 0.8, 2.0, 0.8, 0.0),
+    "box1": (0.0, 0.7, 1.0, 0.7, 0.0),
+    "box3": (0.18888888888888888, 0.3, 0.3333333333333333, 0.3, 0.18888888888888888),
+    "lopsided-box": (0.0888888888888889, 0.5333333333333333, 0.6666666666666666,
+                     0.5333333333333333, 0.0888888888888889),
+    "quadratic": (0.7604238172503569, 1.3177341221130427, 1.5646465839422188,
+                  1.3177341221130427, 0.7604238172503569),
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("name", list(PINNED_KERNELS))
+    def test_asymptotic_variance_bits(self, name):
+        got = tuple(asymptotic_variance(PINNED_KERNELS[name], h) for h in H_GRID)
+        assert got == PINNED_VARIANCE[name]
+
+    @pytest.mark.parametrize("name", list(PINNED_KERNELS))
+    def test_autocorrelation_bits(self, name):
+        kernel = PINNED_KERNELS[name]
+        assert tuple(kernel_autocorrelation(kernel, w) for w in PINNED_W) == PINNED_PSI[name]
+        assert tuple(kernel_autocorrelation(kernel, np.array(PINNED_W))) == PINNED_PSI[name]

@@ -127,10 +127,7 @@ def _weighted_sums(weights: np.ndarray, increments: np.ndarray, bandwidth: float
     ``hermite._row_dots`` runs the inner loop of ``w @ increments`` (ddot, in
     pieces of a fixed length) on each row in turn, so every sum has the bits of
     its row alone, however many rows the call sees and however many threads BLAS
-    runs.  A matrix product would not: gemv and gemm block the sums in another
-    order, and BLAS picks between them by the row count, so the last bits would
-    depend on how many rows (hence on the worker count) a call sees.  The tests
-    pin the row dots to the row loop bit for bit.
+    runs.  The tests pin the row dots to the row loop bit for bit.
     """
     return _row_dots(weights, increments) / bandwidth
 
@@ -201,15 +198,19 @@ def bias_center_term(
 
 
 def indicator_path(times: np.ndarray, values: np.ndarray, x0: float, bound_constant: float) -> np.ndarray:
-    """Latched indicator of the running minimum of sign(x0) X staying above |x0| e^{-Lt} / 2.
+    """Latched indicator of sign(x0) X staying at or above |x0| e^{-Lt} / 2 up to each time.
 
     Latching (once False, stays False) keeps the event path monotone even
-    though the threshold itself decays.  The sign makes the event mirror
-    symmetric, as the SDE is: X(-x0, -Z) = -X(x0, Z).
+    though the threshold itself decays.  With L >= 0 the threshold does not
+    increase, so this is the event of the running minimum of sign(x0) X
+    staying above it.  The sign makes the event mirror symmetric, as the SDE
+    is: X(-x0, -Z) = -X(x0, Z).  L is a trend's certified bound on |theta|,
+    so a negative one raises ``ParameterError``.
     """
+    if not bound_constant >= 0.0:
+        raise ParameterError("bound_constant", f"must be >= 0, got {bound_constant}")
     threshold = 0.5 * abs(x0) * np.exp(-bound_constant * times)
-    ok = np.minimum.accumulate(math.copysign(1.0, x0) * values) >= threshold
-    return np.logical_and.accumulate(ok)
+    return np.logical_and.accumulate(math.copysign(1.0, x0) * values >= threshold)
 
 
 def _oracle_drift(times: np.ndarray, trend: TrendFunction, eps: float, horizon: float,

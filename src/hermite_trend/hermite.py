@@ -7,20 +7,21 @@ h0 = 1 + (hurst - 1)/q, rescaled by an exact discrete normalizer so that
 Var(Z_horizon) = horizon^(2 hurst) holds exactly at every internal resolution
 m, not just in the m -> infinity limit.
 
-There is one replication loop, ``_replicate_draws``, and two entry points to
-it.  ``replicate`` hands a statistic each drawn path.  It builds one path
-drawer per call, and the drawer owns every per-path buffer (the fGn buffers,
-the H_q scratch, the m+1 partial sums, the n+1 values), so a range of paths
-costs one set of allocations, not one per path; at m = 131072 the fresh arrays
-took about a third of a path's time.  ``increment_sums`` builds, once per weight
-matrix, the function that returns fixed weighted sums of each path's increments.
-At order 1 these are a linear map of the path's 2n normals, so the builder folds
+``replicate`` hands a statistic each drawn path.  It builds one path drawer
+per call, and the drawer owns every per-path buffer (the fGn buffers, the H_q
+scratch, the m+1 partial sums, the n+1 values), so a range of paths costs one
+set of allocations, not one per path; at m = 131072 the fresh arrays took about
+a third of a path's time.  ``increment_sums`` builds, once per weight matrix,
+the function that returns fixed weighted sums of each path's increments.  At
+order 1 these are a linear map of the path's 2n normals, so the builder folds
 the sampler into the weights (``gaussian._fgn_fold``) and a call draws only the
-normals: one ``_row_dots`` per path replaces the inverse FFT and the cumulative
-sum.  At higher order it weights the increments of the path ``replicate`` draws.
+normals, _BLOCK paths at a time into the rows of one buffer: one matrix product
+of a fixed shape per block replaces the inverse FFT and the cumulative sum of
+each path.  At higher order it weights the increments of the path ``replicate``
+draws.
 
 The seeding rule is the same for both: path r of the range runs on the stream
-of ``philox_generator(derive_seed(seed, *key, r))``.  The loop draws it from
+of ``philox_generator(derive_seed(seed, *key, r))``.  Both draw it from
 ``rng.philox_streams``, one Philox reset to each path's key, with the keys of
 the whole range computed in one vectorised pass (``rng.philox_keys``, equal to
 the scalar route key for key).  ``sample_hermite`` is the one-path use of the
@@ -242,11 +243,7 @@ def replicate(spec: HermiteSpec, seed: int, key: tuple, reps: range, statistic) 
     view that the next draw overwrites; each row is copied into the result as soon
     as it is computed.
     """
-    return _replicate_draws(_path_drawer(spec), seed, key, reps, statistic)
-
-
-def _replicate_draws(draw, seed: int, key: tuple, reps: range, statistic) -> np.ndarray:
-    """``replicate``'s loop over any drawer: rows statistic(draw(rng)), one per path r in reps."""
+    draw = _path_drawer(spec)
     rows = np.empty(0)
     for i, rng in enumerate(philox_streams(seed, key, reps)):
         row = np.asarray(statistic(draw(rng)))
@@ -259,6 +256,10 @@ def _replicate_draws(draw, seed: int, key: tuple, reps: range, statistic) -> np.
 # Longest dot product handed to BLAS in one call: OpenBLAS splits a dot of more
 # than 10000 terms over its own threads, and the split changes the rounding.
 _DOT_PIECE = 8192
+
+# Paths whose normals go through one matrix product with an order-1 fold.  Every
+# product of a fold has this many rows, the last block of a range included.
+_BLOCK = 4
 
 
 def _row_dots(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -280,26 +281,34 @@ def increment_sums(spec: HermiteSpec, weights: np.ndarray):
 
     Z_r is the path ``replicate`` hands its statistic for r, and ``weights`` a (rows, n)
     matrix.  At order 1 diff(Z_r) is a fixed linear map of the path's 2n normals z, so
-    the map is folded into the weights here, once (``gaussian._fgn_fold``), and each path
-    costs its normals and one ``_row_dots`` with them: no inverse FFT and no cumulative
-    sum.  The rows equal weights . diff(Z_r) to rounding, and row r does not depend on the
-    range, as ``_row_dots`` sums each row on its own.  At higher order the partial sums of
-    H_q are not linear in z, and the drawn path's increments are weighted.  The buffers
+    the map is folded into the weights here, once (``gaussian._fgn_fold``), and a path
+    costs its normals and no inverse FFT.  The normals of _BLOCK consecutive paths fill
+    one buffer, and one ``np.matmul`` with the fold turns them into rows, so the fold is
+    read once per block.  The last block of a range goes through the same product and
+    keeps its first rows.  BLAS thus sees one shape per fold, and the bits of row r
+    depend neither on the range, nor on r's place in its block, nor on the BLAS thread
+    count (a one-row product would go to gemv, which sums in another order).  The rows
+    equal weights . diff(Z_r) to rounding.  At higher order the partial sums of H_q are
+    not linear in z, and ``_row_dots`` weights the drawn path's increments.  The buffers
     belong to one call, so one sums serves any number of ranges.
     """
     if spec.order == 1:
-        fold = _fgn_fold(FgnSpec(hurst=spec.hurst, n=spec.n), weights, _fbm_scale(spec))
+        fold_t = _fgn_fold(FgnSpec(hurst=spec.hurst, n=spec.n), weights, _fbm_scale(spec)).T
 
     def sums(seed: int, key: tuple, reps: range) -> np.ndarray:
-        if spec.order == 1:
-            z = np.empty(2 * spec.n)
-            rows = _replicate_draws(lambda rng: rng.standard_normal(out=z), seed, key, reps,
-                                    lambda x: _row_dots(fold, x))
-        else:
+        if spec.order > 1:
             dz = np.empty(spec.n)
             rows = replicate(spec, seed, key, reps,
                              lambda z: _row_dots(weights, np.subtract(z[1:], z[:-1], out=dz)))
-        return np.reshape(rows, (len(reps), len(weights)))
+            return np.reshape(rows, (len(reps), len(weights)))
+        rows = np.empty((len(reps), len(weights)))
+        block = np.zeros((_BLOCK, 2 * spec.n))
+        streams = philox_streams(seed, key, reps)
+        for start in range(0, len(reps), _BLOCK):
+            for z, rng in zip(block, streams):  # block first: a full block takes no stream
+                rng.standard_normal(out=z)
+            rows[start:start + _BLOCK] = np.matmul(block, fold_t)[:len(reps) - start]
+        return rows
 
     return sums
 

@@ -25,6 +25,7 @@ from hermite_trend.kernels import Kernel, KernelPiece, vanishing_moment_kernel
 from hermite_trend.rng import derive_seed
 from hermite_trend.sde import PathConfig, SdePath, simulate_path, solve_ode
 from hermite_trend.trends import constant_trend, parse_trend, sinusoid_trend, weierstrass_trend
+from hermite_trend.validation import ParameterError
 
 BW_MAIN_001 = 0.13503140378698728  # 0.01^(1/2.3)
 BW_ALT_001 = 0.028942661247167517  # 0.01^(1/1.3)
@@ -410,6 +411,27 @@ class TestIndicator:
             path = simulate_path(th, cfg, derive_seed(55, r))
             ind = indicator_path(path.times, path.values, 1.0, th.bound)
             assert not np.any(np.diff(ind.astype(int)) > 0)
+
+    @pytest.mark.parametrize("x0", [1.0, -1.0])
+    def test_equals_latched_running_minimum(self, x0):
+        # the threshold does not increase for L >= 0, so the running minimum adds nothing
+        th = sinusoid_trend(offset=0.5, amplitude=0.8, omega=3.0, horizon=2.0)
+        cfg = PathConfig(horizon=2.0, n=256, eps=1.0, x0=x0, order=1, hurst=0.7)
+        dead = {bound: 0 for bound in (0.0, th.bound, 3.0)}
+        for r in range(40):
+            path = simulate_path(th, cfg, derive_seed(71, r))
+            for bound in dead:
+                threshold = 0.5 * abs(x0) * np.exp(-bound * path.times)
+                low = np.minimum.accumulate(math.copysign(1.0, x0) * path.values)
+                ind = indicator_path(path.times, path.values, x0, bound)
+                assert np.array_equal(ind, np.logical_and.accumulate(low >= threshold))
+                dead[bound] += not ind[-1]
+        assert all(0 < count < 40 for count in dead.values()), dead
+
+    def test_negative_bound_constant_raises(self):
+        ts = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ParameterError, match="bound_constant"):
+            indicator_path(ts, np.ones(11), 1.0, -0.5)
 
 
 class TestAlternateEstimate:

@@ -675,17 +675,14 @@ class TestBlasThreads:
 
     OpenBLAS splits a dot product of more than 10000 terms over its threads, and the
     split changes the rounding.  At n = 16384 every weighted sum of a clt cell is that
-    long (2n at q = 1, n at q = 2), so each config is run in a fresh interpreter
-    under one and under two OpenBLAS threads.
+    long (2n at q = 1, n at q = 2).  A q = 1 rate-main cell at n = 4096 turns each
+    block of paths into 21 rows with one matrix product, which OpenBLAS threads too.
+    So each config is run in a fresh interpreter under one and under two OpenBLAS
+    threads.
     """
 
-    @pytest.mark.parametrize("q", [1, 2])
-    def test_clt_report_bytes_equal_across_blas_threads(self, q, tmp_path):
-        config = tmp_path / "clt.txt"
-        config.write_text(config_text(  # eps = 0.05: phi = 0.27, so 8900 nonzero weights
-            kind="clt", trend="const:0.5", q=str(q), kernel="box:1", eps="0.05",
-            replications="100", n="16384", m="16384" if q > 1 else None, horizon="1.0",
-            window="0.45,0.55", t0="0.5", seed="953"))
+    @staticmethod
+    def reports_by_threads(config, tmp_path):
         src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
         reports = []
         for threads in ("1", "2"):
@@ -697,5 +694,23 @@ class TestBlasThreads:
             assert done.returncode == 0, done.stderr
             reports.append({os.path.basename(p): open(p, "rb").read()
                             for p in done.stdout.split()})
+        return reports
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_clt_report_bytes_equal_across_blas_threads(self, q, tmp_path):
+        config = tmp_path / "clt.txt"
+        config.write_text(config_text(  # eps = 0.05: phi = 0.27, so 8900 nonzero weights
+            kind="clt", trend="const:0.5", q=str(q), kernel="box:1", eps="0.05",
+            replications="100", n="16384", m="16384" if q > 1 else None, horizon="1.0",
+            window="0.45,0.55", t0="0.5", seed="953"))
+        reports = self.reports_by_threads(config, tmp_path)
         assert reports[0].keys() == {"results.csv", "summary.txt"}
+        assert reports[0] == reports[1]
+
+    def test_rate_main_q1_report_bytes_equal_across_blas_threads(self, tmp_path):
+        config = tmp_path / "rate.txt"
+        config.write_text(config_text(n="4096", seed="953"))
+        assert parse_experiment_config(config.read_text()).eval_points == 21
+        reports = self.reports_by_threads(config, tmp_path)
+        assert reports[0].keys() == {"results.csv", "rate_fit.csv", "summary.txt"}
         assert reports[0] == reports[1]

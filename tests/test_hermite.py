@@ -15,6 +15,7 @@ from hermite_trend.gaussian import (
     sample_fgn,
 )
 from hermite_trend.hermite import (
+    _BLOCK,
     _DOT_PIECE,
     HermiteSpec,
     MomentScalingReport,
@@ -425,9 +426,13 @@ class TestReplicateIncrements:
         weights = np.random.default_rng(3).standard_normal((21, spec.n))
         sums = increment_sums(spec, weights)
         block = sums(41, (2,), range(0, 25))
+        for r in range(_BLOCK + 1):  # row r sits at place r % _BLOCK of its block in range(25)
+            assert np.array_equal(sums(41, (2,), range(r, r + 1)), block[r:r + 1])
         single = sums(41, (2,), range(7, 8))
         assert single.shape == (1, 21)
         assert np.array_equal(single, block[7:8])
+        middle = range(3, 3 + 2 * _BLOCK + 1)  # ends one row into its third block
+        assert np.array_equal(sums(41, (2,), middle), block[middle.start:middle.stop])
         assert np.array_equal(increment_sums(spec, weights)(41, (2,), range(7, 8)), single)
 
     @pytest.mark.parametrize("order", [1, 2])

@@ -122,10 +122,10 @@ def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray:
     r = fgn_autocovariance(np.arange(n + 1), hurst)
     row = np.concatenate([r, r[-2:0:-1]])  # first row of the 2n circulant
     # Keep the complex 2n fft, not rfft.  Its temporaries (4 MB at n = 131072) raise
-    # glibc's dynamic mmap threshold above the scratch that numpy's irfft allocates on
-    # every draw, so that scratch comes from the heap, not from fresh pages.  With
-    # rfft here a clt-q2 path (n = 131072) took 1,043 minor faults instead of 90, and
-    # the run about 12 % more time.
+    # glibc's dynamic mmap threshold above the work buffer that numpy's irfft
+    # allocates on every draw, so that buffer comes from the heap, not from fresh
+    # pages.  With rfft here a clt-q2 path (n = 131072) took 1,043 minor faults
+    # instead of 90, and the run about 12 % more time.
     eig = np.fft.fft(row).real
     # The embedding is PSD in exact arithmetic (Dietrich-Newsam, module docstring):
     # slightly negative eigenvalues are rounding, in the FFT or in r itself.

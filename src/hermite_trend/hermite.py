@@ -9,9 +9,9 @@ m, not just in the m -> infinity limit.
 
 ``replicate`` hands a statistic each drawn path.  It builds one path drawer
 per call, and the drawer owns every per-path buffer (the fGn buffers, the H_q
-scratch, the m+1 partial sums, the n+1 values), so a range of paths costs one
-set of allocations, not one per path; at m = 131072 the fresh arrays took about
-a third of a path's time.  ``increment_sums`` builds, once per weight matrix,
+work arrays, the m+1 partial sums, the n+1 values), so a range of paths costs
+one set of allocations, not one per path; at m = 131072 the fresh arrays took
+about a third of a path's time.  ``increment_sums`` builds, once per weight matrix,
 the function that returns fixed weighted sums of each path's increments.  At
 order 1 these are a linear map of the path's 2n normals, so the builder folds
 the sampler into the weights (``gaussian._fgn_fold``) and a call draws only the

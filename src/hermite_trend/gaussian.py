@@ -16,9 +16,10 @@ rounding; one below -1e-12 times the largest raises ``EmbeddingFailure`` while
 the drawer is being built, before any normal is drawn.  No dense O(n^2)
 factorisation is ever attempted.
 
-Everything that depends only on the spec (n, hurst), the embedding check and
-the n+1 amplitudes of the half spectrum, is computed once per spec that
-passes and cached read-only.  A path then costs one draw of 2n normals and
+Everything that depends only on the spec (n, hurst) is computed once and
+cached read-only: the n+1 autocovariances, which ``hermite`` also reads for
+its normalizer, and, for a spec that passes the embedding check, the n+1
+amplitudes of the half spectrum.  A path then costs one draw of 2n normals and
 one inverse real FFT of the conjugated half spectrum (n+1 complex values),
 which equals the forward FFT of the full Hermitian 2n spectrum to rounding.
 
@@ -112,6 +113,19 @@ def fgn_autocovariance(lag, hurst: float):
 
 
 @lru_cache(maxsize=8)
+def _autocovariances(n: int, hurst: float) -> np.ndarray:
+    """fgn_autocovariance at the lags 0..n, memoised per (n, hurst) and read-only.
+
+    The circulant embedding of an n-point fGn reads all n+1 lags, and
+    ``hermite.discrete_normalizer`` at m = n reads lags 1..m-1 of the same array,
+    so a Hermite spec evaluates the m powers once (6 ms at m = 131072).
+    """
+    r = fgn_autocovariance(np.arange(n + 1), hurst)
+    r.flags.writeable = False
+    return r
+
+
+@lru_cache(maxsize=8)
 def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray:
     """The n+1 half-spectrum amplitudes of the 2n circulant embedding.
 
@@ -119,7 +133,7 @@ def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray:
     the array.  Raises ``EmbeddingFailure`` when the embedding is not
     nonnegative definite up to roundoff.
     """
-    r = fgn_autocovariance(np.arange(n + 1), hurst)
+    r = _autocovariances(n, hurst)
     row = np.concatenate([r, r[-2:0:-1]])  # first row of the 2n circulant
     # Keep the complex 2n fft, not rfft.  Its temporaries (4 MB at n = 131072) raise
     # glibc's dynamic mmap threshold above the work buffer that numpy's irfft

@@ -7,18 +7,24 @@ h0 = 1 + (hurst - 1)/q, rescaled by an exact discrete normalizer so that
 Var(Z_horizon) = horizon^(2 hurst) holds exactly at every internal resolution
 m, not just in the m -> infinity limit.
 
-``replicate`` hands a statistic each drawn path.  It builds one path drawer
-per call, and the drawer owns every per-path buffer (the fGn buffers, the H_q
-work arrays, the m+1 partial sums, the n+1 values), so a range of paths costs
-one set of allocations, not one per path; at m = 131072 the fresh arrays took
-about a third of a path's time.  ``increment_sums`` builds, once per weight matrix,
-the function that returns fixed weighted sums of each path's increments.  At
-order 1 these are a linear map of the path's 2n normals, so the builder folds
-the sampler into the weights (``gaussian._fgn_fold``) and a call draws only the
-normals, _BLOCK paths at a time into the rows of one buffer: one matrix product
-of a fixed shape per block replaces the inverse FFT and the cumulative sum of
-each path.  At higher order it weights the increments of the path ``replicate``
-draws.
+A path's grid increments come from one drawer, ``_increment_drawer``.  For
+q >= 2 grid step j is b times the block sum of H_q over its own fine points,
+floor(m*j/n) up to floor(m*(j+1)/n) - 1, so the first k increments read only the
+fine points of the first k steps: a drawer of k steps applies H_q and the block
+sums to that prefix alone.  ``replicate`` hands a statistic each drawn path, the
+cumulative sum of all n increments.  It builds one path drawer per call, and the
+drawer owns every per-path buffer (the fGn buffers, the H_q work arrays, the n
+increments, the n+1 values), so a range of paths costs one set of allocations,
+not one per path; at m = 131072 the fresh arrays took about a third of a path's
+time.  ``increment_sums`` builds, once per weight matrix, the function that
+returns fixed weighted sums of each path's increments.  At order 1 these are a
+linear map of the path's 2n normals, so it folds the sampler into the weights
+(``gaussian._fgn_fold``) once, and a call draws only the normals, _BLOCK paths
+at a time into the rows of one buffer: one matrix product of a fixed shape per
+block replaces the inverse FFT and the cumulative sum of each path.  At higher
+order it finds, once, the last column the weights reach and weights the
+increments of that prefix; a clt cell's weights stop at t0 + phi, about half
+of the path.
 
 The seeding rule is the same for both: path r of the range runs on the stream
 of ``philox_generator(derive_seed(seed, *key, r))``.  Both draw it from
@@ -37,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import FgnSpec, _fgn_drawer, _fgn_fold, fgn_autocovariance
+from .gaussian import FgnSpec, _autocovariances, _fgn_drawer, _fgn_fold
 from .rng import derive_seed, philox_generator, philox_streams
 from .validation import ParameterError, check_hurst
 
@@ -69,8 +75,8 @@ class HermiteSpec:
 
     `n` is the number of grid steps (the path has n+1 points); `m` is the
     internal fGn resolution for the rank construction (defaults to 8n).  m is
-    not required to be a multiple of n: grid point j reads partial sum
-    floor(m*j/n), computed in integer arithmetic.
+    not required to be a multiple of n: grid step j sums the fine points
+    floor(m*j/n) up to floor(m*(j+1)/n) - 1, computed in integer arithmetic.
     """
 
     order: int
@@ -173,13 +179,13 @@ def discrete_normalizer(order: int, hurst: float, m: int, horizon: float) -> flo
     The double sum sum_{i,j<m} r(i-j)^q collapses to
     sum_{|l|<m} (m-|l|) r(l)^q, an O(m) expression; no asymptotic constant is
     involved, so the identity holds at every finite m.  A pure function of its
-    arguments, memoised because every path of a spec needs the same value.
+    arguments, memoised because every path of a spec needs the same value.  r is
+    the array the spec's m-point fGn embedding reads (``gaussian._autocovariances``).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    h0 = h_zero(order, hurst)
     lags = np.arange(1, m)
-    r_pow = fgn_autocovariance(lags, h0) ** order if m > 1 else np.zeros(0)
+    r_pow = _autocovariances(m, h_zero(order, hurst))[1:m] ** order
     total = float(m) + 2.0 * float(np.sum((m - lags) * r_pow))
     return horizon**hurst / math.sqrt(math.factorial(order) * total)
 
@@ -192,34 +198,52 @@ def _fbm_scale(spec: HermiteSpec) -> float:
     return (spec.horizon / spec.n) ** spec.hurst
 
 
-def _path_drawer(spec: HermiteSpec):
-    """draw(rng) -> the n+1 values of a path drawn from the generator rng.
+def _increment_drawer(spec: HermiteSpec, steps: int):
+    """draw(rng) -> the first ``steps`` grid increments of the path drawn from the generator rng.
 
-    The values sit in buffers the drawer owns; every draw overwrites the one before.
-    At order 1 B_0 = 0 and the increments are ``_fbm_scale`` times exact unit fGn, so
-    the values at the times j*horizon/n have the exact fBm covariance.
+    At order 1 they are ``_fbm_scale`` times exact unit fGn.  At higher order grid step j
+    is b times the block sum of H_q over the fine points floor(m*j/n) .. floor(m*(j+1)/n) - 1,
+    and since m >= n no block is empty.  Only the fine points of the first ``steps``
+    blocks go through H_q and the sums, so a caller whose weights stop early skips the
+    rest of the path after its transform.  The increments sit in buffers the drawer owns;
+    every draw overwrites the one before.
     """
     if spec.order == 1:
         noise = _fgn_drawer(FgnSpec(hurst=spec.hurst, n=spec.n))
         scale = _fbm_scale(spec)
-        values = np.zeros(spec.n + 1)
 
         def draw(rng: np.random.Generator) -> np.ndarray:
-            increments = noise(rng)
-            np.cumsum(np.multiply(increments, scale, out=increments), out=values[1:])
-            return values
+            increments = noise(rng)[:steps]
+            return np.multiply(increments, scale, out=increments)
 
         return draw
     noise = _fgn_drawer(FgnSpec(hurst=h_zero(spec.order, spec.hurst), n=spec.m))
-    work = _hermite_work(spec.order, spec.m)
-    partial = np.zeros(spec.m + 1)
-    idx = (np.arange(spec.n + 1, dtype=np.int64) * spec.m) // spec.n
+    starts = (np.arange(steps, dtype=np.int64) * spec.m) // spec.n
+    fine = (steps * spec.m) // spec.n
+    work = _hermite_work(spec.order, fine)
     b = discrete_normalizer(spec.order, spec.hurst, spec.m, spec.horizon)
-    values = np.empty(spec.n + 1)
+    increments = np.empty(steps)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        np.cumsum(_hermite_into(spec.order, noise(rng), work), out=partial[1:])
-        return np.multiply(np.take(partial, idx, out=values), b, out=values)
+        h = _hermite_into(spec.order, noise(rng)[:fine], work)
+        return np.multiply(np.add.reduceat(h, starts, out=increments), b, out=increments)
+
+    return draw
+
+
+def _path_drawer(spec: HermiteSpec):
+    """draw(rng) -> the n+1 values of a path drawn from the generator rng.
+
+    Z_0 = 0 and the value at j*horizon/n is the sum of the first j increments of
+    ``_increment_drawer``; at order 1 the values have the exact fBm covariance.  They
+    sit in a buffer the drawer owns; every draw overwrites the one before.
+    """
+    increments = _increment_drawer(spec, spec.n)
+    values = np.zeros(spec.n + 1)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        np.cumsum(increments(rng), out=values[1:])
+        return values
 
     return draw
 
@@ -277,31 +301,37 @@ def _row_dots(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def increment_sums(spec: HermiteSpec, weights: np.ndarray):
-    """sums(seed, key, reps) -> rows weights . diff(Z_r), a (len(reps), len(weights)) array.
+    """sums(seed, key, reps) -> rows weights . dZ_r, a (len(reps), len(weights)) array.
 
-    Z_r is the path ``replicate`` hands its statistic for r, and ``weights`` a (rows, n)
-    matrix.  At order 1 diff(Z_r) is a fixed linear map of the path's 2n normals z, so
-    the map is folded into the weights here, once (``gaussian._fgn_fold``), and a path
-    costs its normals and no inverse FFT.  The normals of _BLOCK consecutive paths fill
-    one buffer, and one ``np.matmul`` with the fold turns them into rows, so the fold is
-    read once per block.  The last block of a range goes through the same product and
-    keeps its first rows.  BLAS thus sees one shape per fold, and the bits of row r
-    depend neither on the range, nor on r's place in its block, nor on the BLAS thread
-    count (a one-row product would go to gemv, which sums in another order).  The rows
-    equal weights . diff(Z_r) to rounding.  At higher order the partial sums of H_q are
-    not linear in z, and ``_row_dots`` weights the drawn path's increments.  The buffers
-    belong to one call, so one sums serves any number of ranges.
+    dZ_r holds the n grid increments of the path ``replicate`` hands its statistic for r,
+    and ``weights`` is a (rows, n) matrix.  At order 1 dZ_r is a fixed linear map of the
+    path's 2n normals z, so the map is folded into the weights here, once
+    (``gaussian._fgn_fold``), and a path costs its normals and no inverse FFT.  The
+    normals of _BLOCK consecutive paths fill one buffer, and one ``np.matmul`` with the
+    fold turns them into rows, so the fold is read once per block.  The last block of a
+    range goes through the same product and keeps its first rows.  BLAS thus sees one
+    shape per fold, and the bits of row r depend neither on the range, nor on r's place
+    in its block, nor on the BLAS thread count (a one-row product would go to gemv, which
+    sums in another order).  The rows equal weights . diff(Z_r) to rounding.  At higher
+    order the block sums of H_q are not linear in z.  The weights reach only up to their
+    last nonzero column, found here, once, so ``_increment_drawer`` draws the increments
+    of that prefix and ``_row_dots`` weights them.  The buffers belong to one call, so
+    one sums serves any number of ranges.
     """
     if spec.order == 1:
         fold_t = _fgn_fold(FgnSpec(hurst=spec.hurst, n=spec.n), weights, _fbm_scale(spec)).T
+    else:
+        columns = np.flatnonzero(np.any(weights, axis=0))
+        reach = int(columns[-1]) + 1 if columns.size else 0
+        reached = weights[:, :reach]
 
     def sums(seed: int, key: tuple, reps: range) -> np.ndarray:
-        if spec.order > 1:
-            dz = np.empty(spec.n)
-            rows = replicate(spec, seed, key, reps,
-                             lambda z: _row_dots(weights, np.subtract(z[1:], z[:-1], out=dz)))
-            return np.reshape(rows, (len(reps), len(weights)))
         rows = np.empty((len(reps), len(weights)))
+        if spec.order > 1:
+            draw = _increment_drawer(spec, reach)
+            for row, rng in zip(rows, philox_streams(seed, key, reps)):
+                row[:] = _row_dots(reached, draw(rng))
+            return rows
         block = np.zeros((_BLOCK, 2 * spec.n))
         streams = philox_streams(seed, key, reps)
         for start in range(0, len(reps), _BLOCK):

@@ -136,12 +136,21 @@ class TestHalfSpectrum:
                                 rng.standard_normal(n - 1)])
         assert np.array_equal(one, three)
 
+    @pytest.mark.parametrize("n, hurst", [(1, 0.75), (64, 0.75), (4097, 0.85), (131072, 0.85)])
+    def test_amplitudes_equal_those_of_the_direct_covariance(self, n, hurst):
+        # the cached covariance array has the bits fgn_autocovariance gives directly
+        r = fgn_autocovariance(np.arange(n + 1), hurst)
+        eig = np.clip(np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real[: n + 1], 0.0, None)
+        direct = np.concatenate([np.sqrt(eig[:1]), np.sqrt(0.5 * eig[1:n]), np.sqrt(eig[n:])])
+        assert np.array_equal(gaussian_mod._half_spectrum_amplitudes(n, hurst), direct)
+
     def test_cached_arrays_are_read_only(self):
-        amp = gaussian_mod._half_spectrum_amplitudes(64, 0.75)
-        assert amp.shape == (65,)
-        assert not amp.flags.writeable
-        with pytest.raises(ValueError):
-            amp[0] = 0.0
+        for cached in (gaussian_mod._autocovariances, gaussian_mod._half_spectrum_amplitudes):
+            arr = cached(64, 0.75)
+            assert arr.shape == (65,)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestEmbeddingFailure:
@@ -156,16 +165,19 @@ class TestEmbeddingFailure:
     @pytest.fixture
     def non_psd(self, monkeypatch):
         """Fake the covariance and record Philox draws and the streams of every
-        replication route; the amplitude cache is cleared on both sides of the
-        patch, so no decision crosses it."""
+        replication route; the covariance and amplitude caches are cleared on both
+        sides of the patch, so no value crosses it."""
         draws = []
-        gaussian_mod._half_spectrum_amplitudes.cache_clear()
+        caches = (gaussian_mod._autocovariances, gaussian_mod._half_spectrum_amplitudes)
+        for cache in caches:
+            cache.cache_clear()
         monkeypatch.setattr(gaussian_mod, "fgn_autocovariance", self.lag_one_only)
         monkeypatch.setattr(gaussian_mod, "philox_generator", lambda seed: draws.append(seed))
         monkeypatch.setattr(hermite_mod, "philox_streams",
                             lambda *args: draws.append(args) or iter(()))
         yield draws
-        gaussian_mod._half_spectrum_amplitudes.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
 
     def test_sample_fgn_raises_before_any_draw(self, non_psd):
         with pytest.raises(EmbeddingFailure, match=r"n=32, hurst=0\.7\b.*min/max eigenvalue -"):

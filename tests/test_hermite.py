@@ -19,6 +19,7 @@ from hermite_trend.hermite import (
     _DOT_PIECE,
     HermiteSpec,
     MomentScalingReport,
+    _increment_drawer,
     _row_dots,
     discrete_normalizer,
     h_zero,
@@ -28,7 +29,7 @@ from hermite_trend.hermite import (
     replicate,
     sample_hermite,
 )
-from hermite_trend.rng import derive_seed, philox_generator
+from hermite_trend.rng import derive_seed, philox_generator, philox_streams
 from hermite_trend.sde import (
     PathConfig,
     _growth_factors,
@@ -139,6 +140,16 @@ class TestDiscreteNormalizer:
         )
         got = discrete_normalizer(order, hurst, m=m, horizon=1.0)
         assert got == pytest.approx(1.0 / math.sqrt(math.factorial(order) * brute), rel=1e-12)
+
+    @pytest.mark.parametrize("order,hurst,m", [(1, 0.7, 1), (2, 0.7, 300), (3, 0.9, 4097),
+                                               (2, 0.7, 131072)])
+    def test_equals_sum_of_the_direct_covariance(self, order, hurst, m):
+        # the cached covariance array has the bits fgn_autocovariance gives directly
+        lags = np.arange(1, m)
+        r_pow = fgn_autocovariance(lags, h_zero(order, hurst)) ** order
+        total = float(m) + 2.0 * float(np.sum((m - lags) * r_pow))
+        direct = 2.0**hurst / math.sqrt(math.factorial(order) * total)
+        assert discrete_normalizer(order, hurst, m=m, horizon=2.0) == direct
 
     def test_horizon_scaling(self):
         b1 = discrete_normalizer(2, 0.7, m=64, horizon=1.0)
@@ -346,24 +357,32 @@ class TestReplicate:
         assert report == old_moment_scaling_loop(**args, bootstrap=300)
 
 
-def increments_bound(spec, weights, paths, normals):
+def increments_bound(spec, weights, paths, normals=None):
     """8 (n+2) u sum_j |W_j| (sum_l |dZ_l| + s F) per path and row, u = 2^-53.
 
-    The rounding bound of ``increment_sums`` at order 1 against
-    weights . diff(path).  The path's cumulative sum puts at most n u sum |dZ| into
-    each value; each fGn value, and each entry of the folded weights, is a transform
+    The rounding bound of ``increment_sums`` against weights . diff(path).  The
+    path's cumulative sum puts at most n u sum |dZ| into each value, and each
+    weighted sum adds about n u times its absolute terms.  At order 1 (``normals``
+    given) each fGn value, and each entry of the folded weights, is also a transform
     whose terms add up to at most F = (amp_0 |z_0| + amp_n |z_1| + 2 sum_k amp_k
-    (|z_re,k| + |z_im,k|)) / sqrt(2n) in absolute value, times the fBm scale s; and
-    each weighted sum adds about n u times its absolute terms.
+    (|z_re,k| + |z_im,k|)) / sqrt(2n) in absolute value, times the fBm scale s; at
+    higher order both routes weight the same increments and F is 0.
     """
     n = spec.n
-    amp = _half_spectrum_amplitudes(n, spec.hurst)
-    a = np.abs(normals)
-    spectral = (amp[0] * a[:, 0] + amp[n] * a[:, 1]
-                + 2 * (a[:, 2 : n + 1] + a[:, n + 1 :]) @ amp[1:n]) / np.sqrt(2 * n)
-    scale = (spec.horizon / n) ** spec.hurst
-    absolute = np.abs(np.diff(paths, axis=1)).sum(axis=1) + scale * spectral
+    absolute = np.abs(np.diff(paths, axis=1)).sum(axis=1)
+    if normals is not None:
+        amp = _half_spectrum_amplitudes(n, spec.hurst)
+        a = np.abs(normals)
+        spectral = (amp[0] * a[:, 0] + amp[n] * a[:, 1]
+                    + 2 * (a[:, 2 : n + 1] + a[:, n + 1 :]) @ amp[1:n]) / np.sqrt(2 * n)
+        absolute += (spec.horizon / n) ** spec.hurst * spectral
     return 8 * (n + 2) * 2.0**-53 * np.outer(absolute, np.abs(weights).sum(axis=1))
+
+
+def drawn_increments(spec, steps, seed, key, reps):
+    """The first ``steps`` increments ``_increment_drawer`` draws for each path of ``reps``."""
+    draw = _increment_drawer(spec, steps)
+    return np.array([draw(rng).copy() for rng in philox_streams(seed, key, reps)])
 
 
 @st.composite
@@ -412,13 +431,51 @@ class TestReplicateIncrements:
         paths = replicate(spec, seed, (4,), range(3), lambda z: z)
         direct = np.vecdot(weights[None], np.diff(paths, axis=1)[:, None])
         assert rows.shape == direct.shape == (3, len(weights))
-        if spec.order > 1:  # the same path and the same sums
-            assert np.array_equal(rows, direct)
+        if spec.order > 1:  # the path sums the increments that the rows weight
+            increments = drawn_increments(spec, spec.n, seed, (4,), range(3))
+            assert np.array_equal(paths[:, 1:], [np.cumsum(dz) for dz in increments])
+            assert np.array_equal(rows, np.vecdot(weights[None], increments[:, None]))
+            normals = None
         else:
             normals = np.array([philox_generator(derive_seed(seed, 4, r))
                                 .standard_normal(2 * spec.n) for r in range(3)])
-            assert np.all(np.abs(rows - direct) <= increments_bound(spec, weights, paths,
-                                                                     normals))
+        assert np.all(np.abs(rows - direct) <= increments_bound(spec, weights, paths, normals))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("n, m", [(3, 7), (64, 300), (64, 512)])
+    def test_increments_are_block_sums_of_hermite_fgn(self, order, n, m):
+        # b sum H_q(xi) over the fine points floor(m j/n) .. floor(m (j+1)/n) - 1, from
+        # sample_fgn and a normalizer from the literal double sum
+        spec = HermiteSpec(order=order, hurst=0.7, horizon=2.0, n=n, m=m)
+        h0 = h_zero(order, 0.7)
+        fine = np.arange(m)
+        brute = np.sum(fgn_autocovariance(np.subtract.outer(fine, fine), h0) ** order)
+        b = 2.0**0.7 / math.sqrt(math.factorial(order) * brute)
+        h = hermite_polynomial(order, sample_fgn(FgnSpec(h0, m), 17))
+        edges = [m * j // n for j in range(n + 1)]
+        expected = np.array([b * math.fsum(h[lo:hi]) for lo, hi in zip(edges, edges[1:])])
+        increments = _increment_drawer(spec, n)(philox_generator(17))
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(increments, expected, rtol=1e-12, atol=1e-14 * scale)
+        values = sample_hermite(spec, 17).values
+        np.testing.assert_allclose(values, np.concatenate([[0.0], np.cumsum(expected)]),
+                                   rtol=1e-12, atol=1e-14 * n * scale)
+
+    @pytest.mark.parametrize("name", ["q2-explicit-m", "q3"])
+    @pytest.mark.parametrize("reach", [0, 1, 37, 64])
+    def test_zero_trailing_columns_give_the_rows_of_the_reached_prefix(self, name, reach):
+        spec = TestReplicate.SPECS[name]
+        weights = np.random.default_rng(5).standard_normal((3, spec.n))
+        weights[0, reach:] = 0.0
+        weights[1, :] = 0.0
+        weights[2, reach // 2:] = 0.0  # the longest row sets the reach
+        rows = increment_sums(spec, weights)(41, (2,), range(4))
+        increments = drawn_increments(spec, spec.n, 41, (2,), range(4))[:, :reach]
+        assert np.array_equal(rows, np.vecdot(weights[None, :, :reach], increments[:, None]))
+        if reach == 0:  # an all-zero matrix
+            assert np.array_equal(rows, np.zeros((4, 3)))
+        prefix = drawn_increments(spec, reach, 41, (2,), range(4))
+        assert np.array_equal(prefix, increments)
 
     @pytest.mark.parametrize("name", sorted(TestReplicate.SPECS))
     def test_one_row_range_equals_same_row_of_larger_range(self, name):

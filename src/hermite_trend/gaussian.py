@@ -8,7 +8,7 @@ rounding, since the closed form cancels at large lags (about 1.1e-7 relative
 at lag 32768 and 2.6e-7 at lag 131071), and the embedding check below
 inherits it.
 
-There is one route.  Dietrich & Newsam (1997, SIAM J. Sci. Comput. 18(4))
+There is one embedding.  Dietrich & Newsam (1997, SIAM J. Sci. Comput. 18(4))
 show that the minimal circulant embedding of a nonnegative, decreasing, convex
 covariance sequence is nonnegative definite, and the fGn autocovariance with
 h in (1/2, 1) is such a sequence.  Eigenvalues slightly below zero are
@@ -20,8 +20,20 @@ Everything that depends only on the spec (n, hurst) is computed once and
 cached read-only: the n+1 autocovariances, which ``hermite`` also reads for
 its normalizer, and, for a spec that passes the embedding check, the n+1
 amplitudes of the half spectrum.  A path then costs one draw of 2n normals and
-one inverse real FFT of the conjugated half spectrum (n+1 complex values),
+one inverse transform of the conjugated half spectrum (n+1 complex values),
 which equals the forward FFT of the full Hermitian 2n spectrum to rounding.
+The transform takes one of two routes, chosen from n alone.  Below a measured
+length (``_BLOCKED_MIN_LENGTH``, 2n = 2^17), and for a 2n with no split into
+even n1 times n2 near sqrt(2n) (2 * prime, say), it is one inverse real FFT of
+length 2n.  From there up it is Bailey's four-step transform (Bailey 1990,
+J. Supercomputing 4, "FFTs in external or hierarchical memory"): short inverse
+FFTs down the n2//2 + 1 columns of an (n1, n2//2 + 1) spectrum, one multiply by
+a cached twiddle table, and n1 short inverse real FFTs along its rows
+(``_blocked_drawer``).  The one long FFT streams its 2n values through memory
+on each of its passes; the short ones work in cache.  At 2n = 2^18 the
+increments of a clt-q2 path took 8.2 instead of 9.8 ms (medians of 12
+interleaved rounds).  The routes agree to a few ulps of the path's scale, and
+the one irfft stays the tests' reference.
 
 The draw layout, the order in which a path's 2n normals enter the half
 spectrum, is defined once, by ``_draw_layout``: z[0] and z[1] scale
@@ -32,10 +44,12 @@ a . fgn(z) = b . z, one forward ``rfft`` of a scaled by the same amplitudes, so
 that a caller who needs only fixed linear functionals of the path can skip the
 inverse transform and take one dot product with the normals.
 
-The per-path work goes into buffers, not fresh arrays: ``_fgn_drawer`` owns
-the 2n normals, the half spectrum and the 2n transform output, and each path
-it draws overwrites the one before.  At n = 131072 fresh arrays cost more than
-the arithmetic (19.6 against 12.5 ms per path, the same bits).  A drawer
+The per-path work goes into buffers, not fresh arrays: a drawer owns the 2n
+normals, the spectrum and the transform output, and each path it draws
+overwrites the one before.  At n = 131072 fresh arrays cost more than the
+arithmetic (19.6 against 12.5 ms per path, the same bits).  A caller that reads
+only the first ``points`` values of each path says so when it builds the
+drawer; the blocked route then transposes only those out.  A drawer
 draws each path's normals from the generator it is handed: ``sample_fgn``
 hands it ``philox_generator(seed)``, and ``hermite.replicate`` one Philox that
 ``rng.philox_streams`` resets to each path's key.
@@ -47,6 +61,7 @@ never write to one buffer or step one generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -135,11 +150,14 @@ def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray:
     """
     r = _autocovariances(n, hurst)
     row = np.concatenate([r, r[-2:0:-1]])  # first row of the 2n circulant
-    # Keep the complex 2n fft, not rfft.  Its temporaries (4 MB at n = 131072) raise
-    # glibc's dynamic mmap threshold above the work buffer that numpy's irfft
-    # allocates on every draw, so that buffer comes from the heap, not from fresh
-    # pages.  With rfft here a clt-q2 path (n = 131072) took 1,043 minor faults
-    # instead of 90, and the run about 12 % more time.
+    # The complex 2n fft, not rfft.  Its temporaries (4 MB at n = 131072) raise glibc's
+    # dynamic mmap threshold above the 2n work buffer that numpy's irfft allocates on
+    # every draw, so on the one-irfft route that buffer comes from the heap, not from
+    # fresh pages.  With rfft, a q = 2 path on that route took 226 minor faults instead
+    # of 3 at m = 32768 (AC08's shape), 97 instead of 1 at m = 16384, and 1,055 instead
+    # of 78 on clt-q2 (m = 131072) before clt-q2 took the blocked route.  That route
+    # allocates no such buffer: there rfft gave 70 faults a clt-q2 path instead of 86
+    # and cut the run's VmHWM from 58.8 to 50.6 MB (ROADMAP).
     eig = np.fft.fft(row).real
     # The embedding is PSD in exact arithmetic (Dietrich-Newsam, module docstring):
     # slightly negative eigenvalues are rounding, in the FFT or in r itself.
@@ -166,20 +184,76 @@ def _draw_layout(n: int) -> tuple:
     return slice(2, n + 1), slice(n + 1, 2 * n)
 
 
-def _fgn_drawer(spec: FgnSpec):
-    """draw(rng) -> the spec.n values of an fGn path drawn from the generator rng.
+# Shortest embedding 2n drawn through ``_blocked_drawer``.  Whole fGn draws (normals
+# included) at the prefix a clt-q2 cell reads and at the full path, medians of
+# interleaved rounds on a 2-core Xeon with numpy 2.4.6: 3-7 % faster at 2n = 2^14,
+# 2^15 and 2^16, with one round 3 % slower at 2^16; 8-9 % faster at 2^17 and
+# 10-15 % at 2^18.
+_BLOCKED_MIN_LENGTH = 1 << 17
 
-    Raises ``EmbeddingFailure`` here, not in draw, for a spec whose embedding
-    fails.  draw returns a view of buffers this drawer owns, so each draw
-    overwrites the one before.
+
+def _blocked_rows(n: int) -> int:
+    """n1 for a blocked inverse transform of length 2n = n1 * n2, or 0 for none.
+
+    n1 is the largest even divisor of 2n not above sqrt(n).  Over n1 from 32 to 2048
+    at 2n = 2^15 .. 2^19, and at 2n = 60000, 118098, 196608 and 200000, that choice was
+    within a few percent of the fastest.  Lopsided splits cost more: at 2n = 2^18 and
+    3 * 2^16, n1 = 2 drew 16-18 % slower than the one irfft.  So a 2n with no such
+    divisor down to sqrt(n)/4 (2 * prime, say) has none.
+    """
+    for n1 in range(math.isqrt(n) // 2 * 2, 1, -2):
+        if n % (n1 // 2) == 0:
+            return n1 if 16 * n1 * n1 >= n else 0
+    return 0
+
+
+@lru_cache(maxsize=8)
+def _twiddles(n1: int, n2: int) -> np.ndarray:
+    """The (n1, n2//2 + 1) table exp(2 pi i t1 k2 / (n1 n2)), memoised and read-only.
+
+    The exponent is reduced modulo n1 n2 in integers first, so every angle lies in
+    [0, 2 pi) and is within a few ulps.
+    """
+    length = n1 * n2
+    turns = np.outer(np.arange(n1), np.arange(n2 // 2 + 1)) % length
+    angle = turns * (2.0 * np.pi / length)
+    table = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=table.real)
+    np.sin(angle, out=table.imag)
+    table.flags.writeable = False
+    return table
+
+
+def _fgn_drawer(spec: FgnSpec, points: int | None = None):
+    """draw(rng) -> the first ``points`` values (default spec.n) of an fGn path drawn from rng.
+
+    Raises ``EmbeddingFailure`` here, not in draw, for a spec whose embedding fails.  The
+    route follows from n alone: one ``irfft`` of length 2n (``_irfft_drawer``), or, from
+    ``_BLOCKED_MIN_LENGTH`` up and when ``_blocked_rows`` finds a split, the four-step
+    transform of ``_blocked_drawer``.  Either drawer owns the 2n normals, the spectrum and
+    the transform output, and draw returns a view of them, so each draw overwrites the one
+    before.  The values of a shorter ``points`` are the bits of the same prefix of a full
+    draw.
     """
     n = spec.n
     amp = _half_spectrum_amplitudes(n, spec.hurst)
+    points = n if points is None else points
+    n1 = _blocked_rows(n) if 2 * n >= _BLOCKED_MIN_LENGTH else 0
+    return _blocked_drawer(amp, n1, points) if n1 else _irfft_drawer(amp, points)
+
+
+def _irfft_drawer(amp: np.ndarray, points: int):
+    """``_fgn_drawer`` through one inverse real FFT of the n+1 half-spectrum values.
+
+    Owns the 2n normals, the half spectrum and the 2n transform output; ``irfft``
+    itself allocates a 2n scratch on every draw.
+    """
+    n = len(amp) - 1
     neg_amp = -amp[1:n]
     z = np.empty(2 * n)
     half = np.zeros(n + 1, dtype=complex)  # imag[0] and imag[n] stay 0
     out = np.empty(2 * n)
-    noise = out[:n]
+    noise = out[:points]
     scale = np.sqrt(2 * n)
     real, imag = _draw_layout(n)
 
@@ -194,6 +268,78 @@ def _fgn_drawer(spec: FgnSpec):
         np.multiply(neg_amp, z[imag], out=half.imag[1:n])
         np.fft.irfft(half, 2 * n, out=out)
         return np.multiply(noise, scale, out=noise)
+
+    return draw
+
+
+def _blocked_drawer(amp: np.ndarray, n1: int, points: int):
+    """``_fgn_drawer`` through Bailey's four-step inverse FFT, 2n = n1 * n2 with n1 even.
+
+    X is the Hermitian 2n spectrum that ``_irfft_drawer``'s half spectrum extends
+    (X[2n-k] = conj X[k]).  With k = k2 + n2 k1 and t = t1 + n1 t2,
+    2n x[t1 + n1 t2] = sum_k2 e(k2 t2 / n2) e(t1 k2 / 2n) sum_k1 e(k1 t1 / n1) X[k2 + n2 k1],
+    e(u) = exp(2 pi i u): n2//2 + 1 inverse FFTs of length n1 down the columns, one
+    multiply by ``_twiddles``, then n1 inverse real FFTs of length n2 along the rows.
+    Row t1 is x[t1::n1], a real sequence, so its spectrum is Hermitian in k2 and only
+    the columns k2 <= n2//2 are built.  Their rows k1 < n1/2 hold X[k] for k < n, and the
+    rows k1 >= n1/2 hold X[k] = conj X[2n - k] for 0 < 2n - k <= n: both are written
+    straight from the normals (``_draw_layout``) through views, the second read backwards.
+    Last, the first ``points`` values are transposed out of the rows.  Each short FFT
+    works on n1 or n2 values in cache, where the one ``irfft`` of length 2n streams its
+    2n values through memory on every pass (Bailey 1990, J. Supercomputing 4, "FFTs in
+    external or hierarchical memory").
+
+    Owns the 2n normals, the (n1, n2//2 + 1) spectrum, the (n1, n2) rows and the
+    points out; no draw allocates an array of the path's size.
+    """
+    n = len(amp) - 1
+    n2 = 2 * n // n1
+    top = n1 // 2
+    cols = n2 // 2 + 1
+    real, imag = _draw_layout(n)
+    z_pad = np.zeros(2 * n + 1)  # z_pad[2n] stays 0, the imaginary part of frequency n
+    z = z_pad[: 2 * n]
+    # re[k] and im[k] are the normals of frequency k's real and imaginary parts for
+    # 0 < k < n.  Frequencies 0 and n are written after the fill, except for the
+    # imaginary part of n, which reads z_pad[2n].
+    re, im = z_pad[real.start - 1 :], z_pad[imag.start - 1 :]
+    neg_amp = -amp
+    spectrum = np.empty((n1, cols), dtype=complex)
+    rows = np.empty((n1, n2))
+    used = -(-points // n1)
+    out = np.empty(used * n1)
+    noise = out[:points]
+    scale = np.sqrt(2 * n)
+
+    def forward(a):  # a[k2 + n2 k1] at row k1 < n1/2, column k2
+        return a[:n].reshape(top, n2)[:, :cols]
+
+    def backward(a):  # a[n - (k2 + n2 k1)] at row k1 < n1/2, column k2
+        return a[n::-1][:n].reshape(top, n2)[:, :cols]
+
+    amp_back = backward(amp)
+    fill = [
+        (forward(amp), forward(re), spectrum.real[:top]),
+        (forward(neg_amp), forward(im), spectrum.imag[:top]),  # conjugated, as in irfft's half
+        (amp_back, backward(re), spectrum.real[top:]),
+        (amp_back, backward(im), spectrum.imag[top:]),  # and conjugated back
+    ]
+    twiddles = _twiddles(n1, n2)
+    by_point = out.reshape(used, n1)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        rng.standard_normal(out=z)
+        for a, zk, part in fill:
+            np.multiply(a, zk, out=part)
+        spectrum[0, 0] = amp[0] * z[0]  # frequency 0
+        spectrum[top, 0] = amp[n] * z[1]  # frequency n
+        # In place: a second (n1, n2//2 + 1) buffer doubles the working set, and the
+        # strided column transforms then took twice as long.
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+        np.multiply(spectrum, twiddles, out=spectrum)
+        np.fft.irfft(spectrum, n2, axis=1, out=rows)
+        np.multiply(rows[:, :used].T, scale, out=by_point)
+        return noise
 
     return draw
 

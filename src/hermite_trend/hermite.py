@@ -11,7 +11,10 @@ A path's grid increments come from one drawer, ``_increment_drawer``.  For
 q >= 2 grid step j is b times the block sum of H_q over its own fine points,
 floor(m*j/n) up to floor(m*(j+1)/n) - 1, so the first k increments read only the
 fine points of the first k steps: a drawer of k steps applies H_q and the block
-sums to that prefix alone.  ``replicate`` hands a statistic each drawn path, the
+sums to that prefix alone.  It asks the fGn drawer for that fine prefix only, so on
+the blocked route (2m >= 2^17, see ``gaussian``) only those points are transposed
+out of the transform; the normals and the transform still cover the whole 2m
+embedding.  ``replicate`` hands a statistic each drawn path, the
 cumulative sum of all n increments.  It builds one path drawer per call, and the
 drawer owns every per-path buffer (the fGn buffers, the H_q work arrays, the n
 increments, the n+1 values), so a range of paths costs one set of allocations,
@@ -209,23 +212,23 @@ def _increment_drawer(spec: HermiteSpec, steps: int):
     every draw overwrites the one before.
     """
     if spec.order == 1:
-        noise = _fgn_drawer(FgnSpec(hurst=spec.hurst, n=spec.n))
+        noise = _fgn_drawer(FgnSpec(hurst=spec.hurst, n=spec.n), steps)
         scale = _fbm_scale(spec)
 
         def draw(rng: np.random.Generator) -> np.ndarray:
-            increments = noise(rng)[:steps]
+            increments = noise(rng)
             return np.multiply(increments, scale, out=increments)
 
         return draw
-    noise = _fgn_drawer(FgnSpec(hurst=h_zero(spec.order, spec.hurst), n=spec.m))
     starts = (np.arange(steps, dtype=np.int64) * spec.m) // spec.n
     fine = (steps * spec.m) // spec.n
+    noise = _fgn_drawer(FgnSpec(hurst=h_zero(spec.order, spec.hurst), n=spec.m), fine)
     work = _hermite_work(spec.order, fine)
     b = discrete_normalizer(spec.order, spec.hurst, spec.m, spec.horizon)
     increments = np.empty(steps)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        h = _hermite_into(spec.order, noise(rng)[:fine], work)
+        h = _hermite_into(spec.order, noise(rng), work)
         return np.multiply(np.add.reduceat(h, starts, out=increments), b, out=increments)
 
     return draw

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermite_trend import cli
 from hermite_trend.gaussian import (
@@ -145,12 +147,97 @@ class TestHalfSpectrum:
         assert np.array_equal(gaussian_mod._half_spectrum_amplitudes(n, hurst), direct)
 
     def test_cached_arrays_are_read_only(self):
-        for cached in (gaussian_mod._autocovariances, gaussian_mod._half_spectrum_amplitudes):
-            arr = cached(64, 0.75)
-            assert arr.shape == (65,)
+        cached = [(gaussian_mod._autocovariances(64, 0.75), (65,)),
+                  (gaussian_mod._half_spectrum_amplitudes(64, 0.75), (65,)),
+                  (gaussian_mod._twiddles(8, 16), (8, 9))]
+        for arr, shape in cached:
+            assert arr.shape == shape
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def blocked_shapes(n):
+    """(n, n1) for n1 = 2 and for the split ``_blocked_rows`` picks, when it picks one."""
+    return [(n, n1) for n1 in sorted({2, gaussian_mod._blocked_rows(n) or 2})]
+
+
+class TestBlockedRoute:
+    """Bailey's four-step inverse transform against one irfft of the same half spectrum.
+
+    The builder is called directly, so shapes below the route's crossover are covered
+    too: n1 = 2, odd n2 (n = 3, 7, 4097 and the prime 1009) and n2 = 2.
+    """
+
+    @staticmethod
+    def irfft_reference(amp, seed):
+        # The half spectrum irfft reads, built from the draw layout: z[0] and z[1]
+        # scale frequencies 0 and n, then the real and the negated imaginary parts.
+        n = len(amp) - 1
+        z = philox_generator(seed).standard_normal(2 * n)
+        half = np.zeros(n + 1, dtype=complex)
+        half[0], half[n] = amp[0] * z[0], amp[n] * z[1]
+        half[1:n] = amp[1:n] * (z[2 : n + 1] - 1j * z[n + 1 :])
+        return np.fft.irfft(half, 2 * n)[:n] * np.sqrt(2 * n)
+
+    @staticmethod
+    def bound(n, ref):
+        # a few ulps of the path's scale for each of the log2(2n) radix passes
+        return 4 * np.finfo(float).eps * np.log2(2 * n) * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, n1", [shape for n in (2, 3, 7, 64, 300, 1009, 4097, 3 * 2**13, 2**17)
+                                       for shape in blocked_shapes(n)])
+    def test_matches_one_irfft(self, n, n1):
+        amp = gaussian_mod._half_spectrum_amplitudes(n, 0.8)
+        ref = self.irfft_reference(amp, 31)
+        got = gaussian_mod._blocked_drawer(amp, n1, n)(philox_generator(31))
+        assert np.max(np.abs(got - ref)) <= self.bound(n, ref)
+
+    @pytest.mark.parametrize("n, n1, points", [(7, 2, 1), (300, 12, 149), (300, 12, 0),
+                                               (3 * 2**13, 128, 12289)])
+    def test_points_prefix_is_a_full_draw_bit_for_bit(self, n, n1, points):
+        amp = gaussian_mod._half_spectrum_amplitudes(n, 0.8)
+        full = gaussian_mod._blocked_drawer(amp, n1, n)(philox_generator(5))
+        prefix = gaussian_mod._blocked_drawer(amp, n1, points)(philox_generator(5))
+        assert prefix.shape == (points,)
+        assert np.array_equal(prefix, full[:points])
+
+    @pytest.mark.parametrize("n, blocked", [(2**16 - 1, False), (2**16, True), (65537, False)])
+    def test_fgn_drawer_takes_the_blocked_route_from_its_crossover(self, n, blocked):
+        # 2n = 2 * 65537 is past the crossover but has no usable split
+        assert 2 * 2**16 == gaussian_mod._BLOCKED_MIN_LENGTH
+        amp = gaussian_mod._half_spectrum_amplitudes(n, 0.8)
+        n1 = gaussian_mod._blocked_rows(n)
+        route = (gaussian_mod._blocked_drawer(amp, n1, 1000) if blocked
+                 else gaussian_mod._irfft_drawer(amp, 1000))
+        got = gaussian_mod._fgn_drawer(FgnSpec(hurst=0.8, n=n), 1000)(philox_generator(8))
+        assert np.array_equal(got, route(philox_generator(8)))
+
+    def test_increment_drawer_matches_the_irfft_route(self, monkeypatch):
+        # q = 2 with 2m = 2^17: the first steps increments through the blocked route
+        spec = HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=2048, m=65536)
+        steps, block = 1000, spec.m // spec.n
+        got = hermite_mod._increment_drawer(spec, steps)(philox_generator(12)).copy()
+        monkeypatch.setattr(gaussian_mod, "_BLOCKED_MIN_LENGTH", 2 * spec.m + 1)
+        ref = hermite_mod._increment_drawer(spec, steps)(philox_generator(12))
+        h0 = hermite_mod.h_zero(spec.order, spec.hurst)
+        xi = gaussian_mod._irfft_drawer(gaussian_mod._half_spectrum_amplitudes(spec.m, h0),
+                                        spec.m)(philox_generator(12))
+        # H_2(x) = x^2 - 1 moves by at most (2|x| + d) d when x moves by d
+        d = self.bound(spec.m, xi)
+        b = hermite_mod.discrete_normalizer(spec.order, spec.hurst, spec.m, spec.horizon)
+        assert np.max(np.abs(got - ref)) <= b * block * (2 * np.max(np.abs(xi)) + d) * d
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_spectrum_and_split_matches_one_irfft(self, n, seed, data):
+        n1 = data.draw(st.sampled_from([d for d in range(2, 2 * n + 1, 2) if 2 * n % d == 0]))
+        points = data.draw(st.integers(0, n))
+        amp = np.random.default_rng(seed).uniform(0.0, 2.0, n + 1)
+        ref = self.irfft_reference(amp, seed)
+        got = gaussian_mod._blocked_drawer(amp, n1, points)(philox_generator(seed))
+        assert got.shape == (points,)
+        assert np.max(np.abs(got - ref[:points]), initial=0.0) <= self.bound(n, ref)
 
 
 class TestEmbeddingFailure:

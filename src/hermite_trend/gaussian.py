@@ -19,10 +19,14 @@ factorisation is ever attempted.
 Everything that depends only on the spec (n, hurst) is computed once and
 cached read-only: the n+1 autocovariances, which ``hermite`` also reads for
 its normalizer, and, for a spec that passes the embedding check, the n+1
-amplitudes of the half spectrum.  A path then costs one draw of 2n normals and
-one inverse transform of the conjugated half spectrum (n+1 complex values),
-which equals the forward FFT of the full Hermitian 2n spectrum to rounding.
-The transform takes one of two routes, chosen from n alone.  Below a measured
+amplitudes of the half spectrum.  Their eigenvalues come from the transform
+that suits the drawer's route (``_route``): ``rfft`` on the blocked route
+below, the complex 2n ``fft`` on the one-irfft route, where its transient keeps
+the irfft's per-draw scratch on the heap (see ``_half_spectrum_amplitudes``).
+A path then costs one draw of 2n normals and one inverse transform of the
+conjugated half spectrum (n+1 complex values), which equals the forward FFT of
+the full Hermitian 2n spectrum to rounding.  The transform takes one of two
+routes, chosen from n alone.  Below a measured
 length (``_BLOCKED_MIN_LENGTH``, 2n = 2^17), and for a 2n with no split into
 even n1 times n2 near sqrt(2n) (2 * prime, say), it is one inverse real FFT of
 length 2n.  From there up it is Bailey's four-step transform (Bailey 1990,
@@ -45,13 +49,14 @@ that a caller who needs only fixed linear functionals of the path can skip the
 inverse transform and take one dot product with the normals.
 
 The per-path work goes into buffers, not fresh arrays: a drawer owns the 2n
-normals, the spectrum and the transform output, and each path it draws
-overwrites the one before.  At n = 131072 fresh arrays cost more than the
-arithmetic (19.6 against 12.5 ms per path, the same bits).  A caller that reads
-only the first ``points`` values of each path says so when it builds the
-drawer; the blocked route then transposes only those out.  A drawer
-draws each path's normals from the generator it is handed: ``sample_fgn``
-hands it ``philox_generator(seed)``, and ``hermite.replicate`` one Philox that
+normals and the spectrum, the inverse transform writes its output over the
+normals it has already read, and each path it draws overwrites the one
+before.  At n = 131072 fresh arrays cost more than the arithmetic (19.6
+against 12.5 ms per path, the same bits).  A caller that reads only the first
+``points`` values of each path says so when it builds the drawer; the blocked
+route then transposes only those out.  A drawer draws each path's normals
+from the generator it is handed: ``sample_fgn`` hands it
+``philox_generator(seed)``, and ``hermite.replicate`` one Philox that
 ``rng.philox_streams`` resets to each path's key.
 A drawer lives as long as the call that built it (one path for
 ``sample_fgn``, a whole range for ``hermite.replicate``); none is cached or
@@ -149,16 +154,16 @@ def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray:
     nonnegative definite up to roundoff.
     """
     r = _autocovariances(n, hurst)
-    row = np.concatenate([r, r[-2:0:-1]])  # first row of the 2n circulant
-    # The complex 2n fft, not rfft.  Its temporaries (4 MB at n = 131072) raise glibc's
-    # dynamic mmap threshold above the 2n work buffer that numpy's irfft allocates on
-    # every draw, so on the one-irfft route that buffer comes from the heap, not from
-    # fresh pages.  With rfft, a q = 2 path on that route took 226 minor faults instead
-    # of 3 at m = 32768 (AC08's shape), 97 instead of 1 at m = 16384, and 1,055 instead
-    # of 78 on clt-q2 (m = 131072) before clt-q2 took the blocked route.  That route
-    # allocates no such buffer: there rfft gave 70 faults a clt-q2 path instead of 86
-    # and cut the run's VmHWM from 58.8 to 50.6 MB (ROADMAP).
-    eig = np.fft.fft(row).real
+    row = np.concatenate([r, r[-2:0:-1]])  # first row of the 2n circulant, real and even
+    # Its eigenvalues 0..n are all the distinct ones.  On the blocked route (``_route``)
+    # rfft gives them.  On the one-irfft route the complex 2n fft does: its temporaries
+    # (4 MB at n = 131072) raise glibc's dynamic mmap threshold above the 2n scratch that
+    # numpy's irfft allocates on every draw, so that scratch comes from the heap, not
+    # from fresh pages.  With rfft there, a q = 2 path took 226 minor faults instead of 3
+    # at m = 32768 (AC08's shape) and 97 instead of 1 at m = 16384.  The blocked route
+    # allocates no such scratch, and there the fft's transient set a clt-q2 run's
+    # memory peak: rfft cut the run's own VmHWM from 59.5 to 50.6 MB.
+    eig = (np.fft.rfft if _route(n) else np.fft.fft)(row).real[: n + 1]
     # The embedding is PSD in exact arithmetic (Dietrich-Newsam, module docstring):
     # slightly negative eigenvalues are rounding, in the FFT or in r itself.
     if eig.min() < -1e-12 * eig.max():
@@ -166,7 +171,7 @@ def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray:
             f"circulant embedding of fGn with n={n}, hurst={hurst!r} is not "
             f"nonnegative definite: min/max eigenvalue {eig.min() / eig.max():.3e}"
         )
-    eig = np.clip(eig[: n + 1], 0.0, None)
+    eig = np.clip(eig, 0.0, None)
     amp = np.empty(n + 1)
     amp[0] = np.sqrt(eig[0])
     amp[n] = np.sqrt(eig[n])
@@ -207,6 +212,16 @@ def _blocked_rows(n: int) -> int:
     return 0
 
 
+def _route(n: int) -> int:
+    """n1 when a 2n embedding is drawn through ``_blocked_drawer``, or 0 for the one irfft.
+
+    The blocked route runs from ``_BLOCKED_MIN_LENGTH`` up, for a 2n that ``_blocked_rows``
+    splits.  ``_fgn_drawer`` builds its drawer by it, and ``_half_spectrum_amplitudes``
+    picks its eigenvalue transform by it.
+    """
+    return _blocked_rows(n) if 2 * n >= _BLOCKED_MIN_LENGTH else 0
+
+
 @lru_cache(maxsize=8)
 def _twiddles(n1: int, n2: int) -> np.ndarray:
     """The (n1, n2//2 + 1) table exp(2 pi i t1 k2 / (n1 n2)), memoised and read-only.
@@ -228,32 +243,33 @@ def _fgn_drawer(spec: FgnSpec, points: int | None = None):
     """draw(rng) -> the first ``points`` values (default spec.n) of an fGn path drawn from rng.
 
     Raises ``EmbeddingFailure`` here, not in draw, for a spec whose embedding fails.  The
-    route follows from n alone: one ``irfft`` of length 2n (``_irfft_drawer``), or, from
-    ``_BLOCKED_MIN_LENGTH`` up and when ``_blocked_rows`` finds a split, the four-step
-    transform of ``_blocked_drawer``.  Either drawer owns the 2n normals, the spectrum and
-    the transform output, and draw returns a view of them, so each draw overwrites the one
-    before.  The values of a shorter ``points`` are the bits of the same prefix of a full
-    draw.
+    route follows from n alone (``_route``): one ``irfft`` of length 2n
+    (``_irfft_drawer``), or, from ``_BLOCKED_MIN_LENGTH`` up and when ``_blocked_rows``
+    finds a split, the four-step transform of ``_blocked_drawer``.  Either drawer owns the
+    2n normals, which the transform overwrites once it has read them, and the spectrum.
+    draw returns a view of a buffer the drawer owns, so each draw overwrites the one
+    before.  The values of a shorter ``points`` are the bits of the same prefix of a
+    full draw.
     """
     n = spec.n
     amp = _half_spectrum_amplitudes(n, spec.hurst)
     points = n if points is None else points
-    n1 = _blocked_rows(n) if 2 * n >= _BLOCKED_MIN_LENGTH else 0
+    n1 = _route(n)
     return _blocked_drawer(amp, n1, points) if n1 else _irfft_drawer(amp, points)
 
 
 def _irfft_drawer(amp: np.ndarray, points: int):
     """``_fgn_drawer`` through one inverse real FFT of the n+1 half-spectrum values.
 
-    Owns the 2n normals, the half spectrum and the 2n transform output; ``irfft``
-    itself allocates a 2n scratch on every draw.
+    Owns the 2n normals and the half spectrum; the transform writes its 2n output over
+    the normals, which it no longer reads.  ``irfft`` itself allocates a 2n scratch on
+    every draw.
     """
     n = len(amp) - 1
     neg_amp = -amp[1:n]
     z = np.empty(2 * n)
     half = np.zeros(n + 1, dtype=complex)  # imag[0] and imag[n] stay 0
-    out = np.empty(2 * n)
-    noise = out[:points]
+    noise = z[:points]
     scale = np.sqrt(2 * n)
     real, imag = _draw_layout(n)
 
@@ -266,7 +282,7 @@ def _irfft_drawer(amp: np.ndarray, points: int):
         # Hermitian 2n spectrum; *sqrt(2n) undoes irfft's 1/(2n) and restores
         # the covariance.
         np.multiply(neg_amp, z[imag], out=half.imag[1:n])
-        np.fft.irfft(half, 2 * n, out=out)
+        np.fft.irfft(half, 2 * n, out=z)
         return np.multiply(noise, scale, out=noise)
 
     return draw
@@ -289,8 +305,9 @@ def _blocked_drawer(amp: np.ndarray, n1: int, points: int):
     2n values through memory on every pass (Bailey 1990, J. Supercomputing 4, "FFTs in
     external or hierarchical memory").
 
-    Owns the 2n normals, the (n1, n2//2 + 1) spectrum, the (n1, n2) rows and the
-    points out; no draw allocates an array of the path's size.
+    Owns the 2n normals, the (n1, n2//2 + 1) spectrum and the points out.  The row
+    transforms write the (n1, n2) rows over the normals, which the spectrum has already
+    read; no draw allocates an array of the path's size.
     """
     n = len(amp) - 1
     n2 = 2 * n // n1
@@ -303,9 +320,8 @@ def _blocked_drawer(amp: np.ndarray, n1: int, points: int):
     # 0 < k < n.  Frequencies 0 and n are written after the fill, except for the
     # imaginary part of n, which reads z_pad[2n].
     re, im = z_pad[real.start - 1 :], z_pad[imag.start - 1 :]
-    neg_amp = -amp
     spectrum = np.empty((n1, cols), dtype=complex)
-    rows = np.empty((n1, n2))
+    rows = z.reshape(n1, n2)
     used = -(-points // n1)
     out = np.empty(used * n1)
     noise = out[:points]
@@ -320,7 +336,7 @@ def _blocked_drawer(amp: np.ndarray, n1: int, points: int):
     amp_back = backward(amp)
     fill = [
         (forward(amp), forward(re), spectrum.real[:top]),
-        (forward(neg_amp), forward(im), spectrum.imag[:top]),  # conjugated, as in irfft's half
+        (-forward(amp), forward(im), spectrum.imag[:top]),  # conjugated, as in irfft's half
         (amp_back, backward(re), spectrum.real[top:]),
         (amp_back, backward(im), spectrum.imag[top:]),  # and conjugated back
     ]

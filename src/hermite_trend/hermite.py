@@ -16,11 +16,12 @@ the blocked route (2m >= 2^17, see ``gaussian``) only those points are transpose
 out of the transform; the normals and the transform still cover the whole 2m
 embedding.  ``replicate`` hands a statistic each drawn path, the
 cumulative sum of all n increments.  It builds one path drawer per call, and the
-drawer owns every per-path buffer (the fGn buffers, the H_q work arrays, the n
-increments, the n+1 values), so a range of paths costs one set of allocations,
-not one per path; at m = 131072 the fresh arrays took about a third of a path's
-time.  ``increment_sums`` builds, once per weight matrix, the function that
-returns fixed weighted sums of each path's increments.  At order 1 these are a
+drawer owns every per-path buffer: the fGn normals and spectrum (the transform
+writes its output over the normals), the H_q work arrays, the n increments and
+the n+1 values.  So a range of paths costs one set of allocations, not one per
+path; at m = 131072 the fresh arrays took about a third of a path's time.
+``increment_sums`` builds, once per weight matrix, the function that returns
+fixed weighted sums of each path's increments.  At order 1 these are a
 linear map of the path's 2n normals, so it folds the sampler into the weights
 (``gaussian._fgn_fold``) once, and a call draws only the normals, _BLOCK paths
 at a time into the rows of one buffer: one matrix product of a fixed shape per

@@ -1,6 +1,9 @@
 """fGn autocovariance oracles and exactness checks for the circulant sampler."""
 
 import contextlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -138,13 +141,36 @@ class TestHalfSpectrum:
                                 rng.standard_normal(n - 1)])
         assert np.array_equal(one, three)
 
-    @pytest.mark.parametrize("n, hurst", [(1, 0.75), (64, 0.75), (4097, 0.85), (131072, 0.85)])
-    def test_amplitudes_equal_those_of_the_direct_covariance(self, n, hurst):
-        # the cached covariance array has the bits fgn_autocovariance gives directly
+    # Embedding halves n whose 2n takes the blocked route: from 2^17 up, with a split.
+    BLOCKED = {2**16, 3 * 2**15, 2**17}
+
+    @staticmethod
+    def direct_amplitudes(n, hurst, transform):
         r = fgn_autocovariance(np.arange(n + 1), hurst)
-        eig = np.clip(np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real[: n + 1], 0.0, None)
-        direct = np.concatenate([np.sqrt(eig[:1]), np.sqrt(0.5 * eig[1:n]), np.sqrt(eig[n:])])
+        eig = np.clip(transform(np.concatenate([r, r[-2:0:-1]])).real[: n + 1], 0.0, None)
+        return np.concatenate([np.sqrt(eig[:1]), np.sqrt(0.5 * eig[1:n]), np.sqrt(eig[n:])])
+
+    @pytest.mark.parametrize("n, hurst", [(1, 0.75), (64, 0.75), (4097, 0.85), (2**16 - 1, 0.85),
+                                          (65537, 0.85), (2**16, 0.7), (3 * 2**15, 0.85),
+                                          (131072, 0.85)])
+    def test_amplitudes_equal_those_of_the_direct_covariance(self, n, hurst):
+        # The cached covariance array has the bits fgn_autocovariance gives directly.  The
+        # eigenvalues come from rfft where the drawer takes the blocked route, and from the
+        # complex fft on the one-irfft route: below 2n = 2^17 and at 2 * prime (65537).
+        blocked = n in self.BLOCKED
+        assert bool(gaussian_mod._route(n)) == blocked
+        direct = self.direct_amplitudes(n, hurst, np.fft.rfft if blocked else np.fft.fft)
         assert np.array_equal(gaussian_mod._half_spectrum_amplitudes(n, hurst), direct)
+
+    @pytest.mark.parametrize("n", sorted(BLOCKED))
+    @pytest.mark.parametrize("hurst", [0.7, 0.85])
+    def test_blocked_route_amplitudes_are_within_ulps_of_the_complex_fft(self, n, hurst):
+        # a few ulps of the largest amplitude for each of the log2(2n) radix passes; the
+        # largest deviation over these cases was 0.4 of it.  Near h = 1 the smallest
+        # eigenvalues approach 0, where the square root magnifies their rounding.
+        amp = gaussian_mod._half_spectrum_amplitudes(n, hurst)
+        ref = self.direct_amplitudes(n, hurst, np.fft.fft)
+        assert np.max(np.abs(amp - ref)) <= 4 * np.finfo(float).eps * np.log2(2 * n) * ref.max()
 
     def test_cached_arrays_are_read_only(self):
         cached = [(gaussian_mod._autocovariances(64, 0.75), (65,)),
@@ -240,6 +266,109 @@ class TestBlockedRoute:
         assert np.max(np.abs(got - ref[:points]), initial=0.0) <= self.bound(n, ref)
 
 
+def traced(build):
+    """(result, bytes still traced, peak bytes traced) of build(), under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+class TestBufferOwnership:
+    """What a drawer holds and what a draw allocates, traced by tracemalloc.
+
+    The cached arrays (covariances, amplitudes, twiddles) are built before tracing, so
+    only the drawer's own buffers are counted.  A 2n buffer of doubles (16 n bytes) is
+    the unit; the slack allowed for small objects is 1/16 of it.
+    """
+
+    @pytest.mark.parametrize("points", [2**17, 8232 * 8])
+    def test_blocked_drawer_holds_normals_spectrum_and_points(self, points):
+        n = 2**17
+        amp = gaussian_mod._half_spectrum_amplitudes(n, 0.85)
+        n1 = gaussian_mod._route(n)
+        n2, top, cols = 2 * n // n1, n1 // 2, n // n1 + 1
+        gaussian_mod._twiddles(n1, n2)
+        draw, _, peak = traced(lambda: gaussian_mod._blocked_drawer(amp, n1, points))
+        used = -(-points // n1)
+        # the 2n+1 normals, the complex spectrum, the points out and the negated
+        # amplitudes of the spectrum's top rows; the (n1, n2) rows are the normals
+        owned = 8 * (2 * n + 1) + 16 * n1 * cols + 8 * used * n1 + 8 * top * cols
+        assert peak <= owned + n
+        # a warm draw allocates nothing of the path's size: 1/8 of a 2n buffer at most
+        rng = philox_generator(3)
+        draw(rng)
+        _, _, peak = traced(lambda: draw(rng))
+        assert peak <= 2 * n
+
+    def test_irfft_drawer_holds_normals_and_half_spectrum(self):
+        n = 2**14
+        amp = gaussian_mod._half_spectrum_amplitudes(n, 0.85)
+        draw, _, peak = traced(lambda: gaussian_mod._irfft_drawer(amp, n))
+        # the 2n normals, which irfft overwrites, the complex half spectrum and the n-1
+        # negated amplitudes of its imaginary parts
+        owned = 8 * 2 * n + 16 * (n + 1) + 8 * (n - 1)
+        assert peak <= owned + n
+
+    def test_amplitudes_at_a_blocked_length_peak_near_three_2n_buffers(self):
+        # rfft's input row, its n+1 complex eigenvalues and the clipped copy; the complex
+        # fft of the one-irfft route peaked at 5 such buffers here
+        n = 2**17
+        assert gaussian_mod._route(n)
+        gaussian_mod._autocovariances(n, 0.85)
+        _, _, peak = traced(lambda: gaussian_mod._half_spectrum_amplitudes.__wrapped__(n, 0.85))
+        assert peak <= 3.25 * 16 * n
+
+
+FRESH_PROCESS_SCRIPT = r'''
+import re, resource
+from hermite_trend.hermite import HermiteSpec, _increment_drawer
+from hermite_trend.rng import philox_generator
+
+def high_water_mark():
+    return int(re.search(r"VmHWM:\s+(\d+) kB", open("/proc/self/status").read()).group(1)) * 1024
+
+def faults_per_path(draw, paths):
+    rng = philox_generator(1)
+    draw(rng)
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(paths):
+        draw(rng)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / paths
+
+# AC08's q = 2 shape first, so that nothing else has raised glibc's mmap threshold yet
+spec = HermiteSpec(order=2, hurst=0.7, horizon=2.0, n=4096)
+ac08 = faults_per_path(_increment_drawer(spec, 4096), 20)
+before = high_water_mark()
+spec = HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=16384)
+faults_per_path(_increment_drawer(spec, 8232), 3)
+print(ac08, high_water_mark() - before)
+'''
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from procfs")
+def test_fresh_process_memory_and_faults_by_route():
+    """A fresh interpreter, since this process's own peak and heap hide both effects.
+
+    clt-q2's q = 2 drawer (2m = 2^18, the blocked route): the rise of VmHWM over building
+    it and drawing 3 paths was 17.3 MiB with the complex eigenvalue fft and a rows buffer
+    of its own, and 10.3 MiB with rfft and the rows written over the normals.  AC08's
+    (2m = 2^16, one irfft): the complex fft there keeps the per-draw irfft scratch on the
+    heap, 0 minor faults a path against 224 with rfft.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gaussian_mod.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", FRESH_PROCESS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    ac08_faults, clt_rise = map(float, done.stdout.split())
+    assert ac08_faults < 20
+    assert clt_rise < 14 * 2**20
+
+
 class TestEmbeddingFailure:
     """A non-PSD embedding raises while the drawer is built, before any draw."""
 
@@ -280,6 +409,18 @@ class TestEmbeddingFailure:
             replicate(spec, 0, (), range(5), lambda z: z)
         with pytest.raises(EmbeddingFailure):
             increment_sums(spec, np.ones((2, 32)))(0, (), range(5))
+        assert non_psd == []
+
+    def test_blocked_route_raises_before_any_draw(self, non_psd):
+        # 2n = 2^17 takes the blocked route, whose check reads the rfft eigenvalues
+        n = 2**16
+        assert gaussian_mod._route(n)
+        with pytest.raises(EmbeddingFailure, match=rf"n={n}, hurst=0\.7\b.*min/max eigenvalue -"):
+            sample_fgn(FgnSpec(hurst=0.7, n=n), 0)
+        spec = HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=n // 8)
+        assert spec.m == n
+        with pytest.raises(EmbeddingFailure):
+            replicate(spec, 0, (), range(5), lambda z: z)
         assert non_psd == []
 
     def test_fgn_fold_raises(self, non_psd):

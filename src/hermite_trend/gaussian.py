@@ -19,25 +19,19 @@ factorisation is ever attempted.
 Everything that depends only on the spec (n, hurst) is computed once and
 cached read-only: the n+1 autocovariances, which ``hermite`` also reads for
 its normalizer, and, for a spec that passes the embedding check, the n+1
-amplitudes of the half spectrum.  Their eigenvalues come from the transform
-that suits the drawer's route (``_route``): ``rfft`` on the blocked route
-below, the complex 2n ``fft`` on the one-irfft route, where its transient keeps
-the irfft's per-draw scratch on the heap (see ``_half_spectrum_amplitudes``).
-A path then costs one draw of 2n normals and one inverse transform of the
-conjugated half spectrum (n+1 complex values), which equals the forward FFT of
-the full Hermitian 2n spectrum to rounding.  The transform takes one of two
-routes, chosen from n alone.  Below a measured
-length (``_BLOCKED_MIN_LENGTH``, 2n = 2^17), and for a 2n with no split into
-even n1 times n2 near sqrt(2n) (2 * prime, say), it is one inverse real FFT of
-length 2n.  From there up it is Bailey's four-step transform (Bailey 1990,
-J. Supercomputing 4, "FFTs in external or hierarchical memory"): short inverse
-FFTs down the n2//2 + 1 columns of an (n1, n2//2 + 1) spectrum, one multiply by
-a cached twiddle table, and n1 short inverse real FFTs along its rows
-(``_blocked_drawer``).  The one long FFT streams its 2n values through memory
-on each of its passes; the short ones work in cache.  At 2n = 2^18 the
-increments of a clt-q2 path took 8.2 instead of 9.8 ms (medians of 12
-interleaved rounds).  The routes agree to a few ulps of the path's scale, and
-the one irfft stays the tests' reference.
+amplitudes of the half spectrum.  A path then costs one draw of 2n normals and
+one inverse transform of the conjugated half spectrum (n+1 complex values),
+which equals the forward FFT of the full Hermitian 2n spectrum to rounding.
+At every n that transform is Bailey's four-step transform (Bailey 1990,
+J. Supercomputing 4, "FFTs in external or hierarchical memory"): with
+2n = n1 * n2, short inverse FFTs down the n2//2 + 1 columns of an
+(n1, n2//2 + 1) spectrum, one multiply by a cached twiddle table, and n1 short
+inverse real FFTs along its rows (``_blocked_drawer``).  One inverse real FFT
+of length 2n would stream its values through memory on each of its passes;
+the short ones work in cache, and a 2n with a large prime factor pays two
+transforms of about that prime's length, not one of a Bluestein-sized length.
+The two agree to a few ulps of the path's scale, and the one irfft stays the
+tests' reference.
 
 The draw layout, the order in which a path's 2n normals enter the half
 spectrum, is defined once, by ``_draw_layout``: z[0] and z[1] scale
@@ -53,9 +47,9 @@ normals and the spectrum, the inverse transform writes its output over the
 normals it has already read, and each path it draws overwrites the one
 before.  At n = 131072 fresh arrays cost more than the arithmetic (19.6
 against 12.5 ms per path, the same bits).  A caller that reads only the first
-``points`` values of each path says so when it builds the drawer; the blocked
-route then transposes only those out.  A drawer draws each path's normals
-from the generator it is handed: ``sample_fgn`` hands it
+``points`` values of each path says so when it builds the drawer, and only
+those are transposed out of the transform's rows.  A drawer draws each path's
+normals from the generator it is handed: ``sample_fgn`` hands it
 ``philox_generator(seed)``, and ``hermite.replicate`` one Philox that
 ``rng.philox_streams`` resets to each path's key.
 A drawer lives as long as the call that built it (one path for
@@ -155,15 +149,7 @@ def _half_spectrum_amplitudes(n: int, hurst: float) -> np.ndarray:
     """
     r = _autocovariances(n, hurst)
     row = np.concatenate([r, r[-2:0:-1]])  # first row of the 2n circulant, real and even
-    # Its eigenvalues 0..n are all the distinct ones.  On the blocked route (``_route``)
-    # rfft gives them.  On the one-irfft route the complex 2n fft does: its temporaries
-    # (4 MB at n = 131072) raise glibc's dynamic mmap threshold above the 2n scratch that
-    # numpy's irfft allocates on every draw, so that scratch comes from the heap, not
-    # from fresh pages.  With rfft there, a q = 2 path took 226 minor faults instead of 3
-    # at m = 32768 (AC08's shape) and 97 instead of 1 at m = 16384.  The blocked route
-    # allocates no such scratch, and there the fft's transient set a clt-q2 run's
-    # memory peak: rfft cut the run's own VmHWM from 59.5 to 50.6 MB.
-    eig = (np.fft.rfft if _route(n) else np.fft.fft)(row).real[: n + 1]
+    eig = np.fft.rfft(row).real  # eigenvalues 0..n, all the distinct ones
     # The embedding is PSD in exact arithmetic (Dietrich-Newsam, module docstring):
     # slightly negative eigenvalues are rounding, in the FFT or in r itself.
     if eig.min() < -1e-12 * eig.max():
@@ -189,37 +175,23 @@ def _draw_layout(n: int) -> tuple:
     return slice(2, n + 1), slice(n + 1, 2 * n)
 
 
-# Shortest embedding 2n drawn through ``_blocked_drawer``.  Whole fGn draws (normals
-# included) at the prefix a clt-q2 cell reads and at the full path, medians of
-# interleaved rounds on a 2-core Xeon with numpy 2.4.6: 3-7 % faster at 2n = 2^14,
-# 2^15 and 2^16, with one round 3 % slower at 2^16; 8-9 % faster at 2^17 and
-# 10-15 % at 2^18.
-_BLOCKED_MIN_LENGTH = 1 << 17
-
-
 def _blocked_rows(n: int) -> int:
-    """n1 for a blocked inverse transform of length 2n = n1 * n2, or 0 for none.
+    """n1 for the four-step transform of length 2n = n1 * n2: the largest even divisor
+    of 2n not above sqrt(n), or 2 when there is none.
 
-    n1 is the largest even divisor of 2n not above sqrt(n).  Over n1 from 32 to 2048
-    at 2n = 2^15 .. 2^19, and at 2n = 60000, 118098, 196608 and 200000, that choice was
-    within a few percent of the fastest.  Lopsided splits cost more: at 2n = 2^18 and
-    3 * 2^16, n1 = 2 drew 16-18 % slower than the one irfft.  So a 2n with no such
-    divisor down to sqrt(n)/4 (2 * prime, say) has none.
+    Over n1 from 32 to 2048 at 2n = 2^15 .. 2^19, and at 2n = 60000, 118098, 196608 and
+    200000, that choice was within a few percent of the fastest.  Against one irfft of
+    length 2n, a whole fGn draw (normals included; medians of 5 interleaved rounds on a
+    2-core Xeon, numpy 2.4.6) took 1.05 times as long at n = 2048 and 4096, 0.92-0.99
+    times at n = 8192 .. 32768 and 30000, 0.70 at 2 * prime (n = 4099 and 65537) and
+    0.35-0.48 at lopsided splits (n = 12345, 4 * 4099 and 5 * 32771), whose long
+    transform is Bluestein-sized.  Below n = 2048 the short transforms add a fixed
+    5-10 us a draw (13.2 against 8.1 us at n = 1).
     """
-    for n1 in range(math.isqrt(n) // 2 * 2, 1, -2):
+    for n1 in range(math.isqrt(n) // 2 * 2, 2, -2):
         if n % (n1 // 2) == 0:
-            return n1 if 16 * n1 * n1 >= n else 0
-    return 0
-
-
-def _route(n: int) -> int:
-    """n1 when a 2n embedding is drawn through ``_blocked_drawer``, or 0 for the one irfft.
-
-    The blocked route runs from ``_BLOCKED_MIN_LENGTH`` up, for a 2n that ``_blocked_rows``
-    splits.  ``_fgn_drawer`` builds its drawer by it, and ``_half_spectrum_amplitudes``
-    picks its eigenvalue transform by it.
-    """
-    return _blocked_rows(n) if 2 * n >= _BLOCKED_MIN_LENGTH else 0
+            return n1
+    return 2
 
 
 @lru_cache(maxsize=8)
@@ -243,56 +215,22 @@ def _fgn_drawer(spec: FgnSpec, points: int | None = None):
     """draw(rng) -> the first ``points`` values (default spec.n) of an fGn path drawn from rng.
 
     Raises ``EmbeddingFailure`` here, not in draw, for a spec whose embedding fails.  The
-    route follows from n alone (``_route``): one ``irfft`` of length 2n
-    (``_irfft_drawer``), or, from ``_BLOCKED_MIN_LENGTH`` up and when ``_blocked_rows``
-    finds a split, the four-step transform of ``_blocked_drawer``.  Either drawer owns the
-    2n normals, which the transform overwrites once it has read them, and the spectrum.
-    draw returns a view of a buffer the drawer owns, so each draw overwrites the one
-    before.  The values of a shorter ``points`` are the bits of the same prefix of a
-    full draw.
+    draw is ``_blocked_drawer``'s at the split ``_blocked_rows`` picks.  draw returns a
+    view of a buffer the drawer owns, so each draw overwrites the one before.  The values
+    of a shorter ``points`` are the bits of the same prefix of a full draw.
     """
     n = spec.n
     amp = _half_spectrum_amplitudes(n, spec.hurst)
-    points = n if points is None else points
-    n1 = _route(n)
-    return _blocked_drawer(amp, n1, points) if n1 else _irfft_drawer(amp, points)
-
-
-def _irfft_drawer(amp: np.ndarray, points: int):
-    """``_fgn_drawer`` through one inverse real FFT of the n+1 half-spectrum values.
-
-    Owns the 2n normals and the half spectrum; the transform writes its 2n output over
-    the normals, which it no longer reads.  ``irfft`` itself allocates a 2n scratch on
-    every draw.
-    """
-    n = len(amp) - 1
-    neg_amp = -amp[1:n]
-    z = np.empty(2 * n)
-    half = np.zeros(n + 1, dtype=complex)  # imag[0] and imag[n] stay 0
-    noise = z[:points]
-    scale = np.sqrt(2 * n)
-    real, imag = _draw_layout(n)
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        rng.standard_normal(out=z)
-        half.real[0] = amp[0] * z[0]
-        half.real[n] = amp[n] * z[1]
-        np.multiply(amp[1:n], z[real], out=half.real[1:n])
-        # Conjugated, so the inverse real FFT equals the forward FFT of the
-        # Hermitian 2n spectrum; *sqrt(2n) undoes irfft's 1/(2n) and restores
-        # the covariance.
-        np.multiply(neg_amp, z[imag], out=half.imag[1:n])
-        np.fft.irfft(half, 2 * n, out=z)
-        return np.multiply(noise, scale, out=noise)
-
-    return draw
+    return _blocked_drawer(amp, _blocked_rows(n), n if points is None else points)
 
 
 def _blocked_drawer(amp: np.ndarray, n1: int, points: int):
     """``_fgn_drawer`` through Bailey's four-step inverse FFT, 2n = n1 * n2 with n1 even.
 
-    X is the Hermitian 2n spectrum that ``_irfft_drawer``'s half spectrum extends
-    (X[2n-k] = conj X[k]).  With k = k2 + n2 k1 and t = t1 + n1 t2,
+    X is the Hermitian 2n spectrum (X[2n-k] = conj X[k]) whose first n+1 values are the
+    conjugated half spectrum: X[0] = amp_0 z_0, X[n] = amp_n z_1 and, for 0 < k < n,
+    X[k] = amp_k (z_re,k - i z_im,k) in the draw layout.  With k = k2 + n2 k1 and
+    t = t1 + n1 t2,
     2n x[t1 + n1 t2] = sum_k2 e(k2 t2 / n2) e(t1 k2 / 2n) sum_k1 e(k1 t1 / n1) X[k2 + n2 k1],
     e(u) = exp(2 pi i u): n2//2 + 1 inverse FFTs of length n1 down the columns, one
     multiply by ``_twiddles``, then n1 inverse real FFTs of length n2 along the rows.
@@ -300,10 +238,7 @@ def _blocked_drawer(amp: np.ndarray, n1: int, points: int):
     the columns k2 <= n2//2 are built.  Their rows k1 < n1/2 hold X[k] for k < n, and the
     rows k1 >= n1/2 hold X[k] = conj X[2n - k] for 0 < 2n - k <= n: both are written
     straight from the normals (``_draw_layout``) through views, the second read backwards.
-    Last, the first ``points`` values are transposed out of the rows.  Each short FFT
-    works on n1 or n2 values in cache, where the one ``irfft`` of length 2n streams its
-    2n values through memory on every pass (Bailey 1990, J. Supercomputing 4, "FFTs in
-    external or hierarchical memory").
+    Last, the first ``points`` values are transposed out of the rows.
 
     Owns the 2n normals, the (n1, n2//2 + 1) spectrum and the points out.  The row
     transforms write the (n1, n2) rows over the normals, which the spectrum has already
@@ -325,7 +260,7 @@ def _blocked_drawer(amp: np.ndarray, n1: int, points: int):
     used = -(-points // n1)
     out = np.empty(used * n1)
     noise = out[:points]
-    scale = np.sqrt(2 * n)
+    scale = np.sqrt(2 * n)  # undoes the transforms' 1/(n1 n2) and restores the covariance
 
     def forward(a):  # a[k2 + n2 k1] at row k1 < n1/2, column k2
         return a[:n].reshape(top, n2)[:, :cols]
@@ -336,7 +271,7 @@ def _blocked_drawer(amp: np.ndarray, n1: int, points: int):
     amp_back = backward(amp)
     fill = [
         (forward(amp), forward(re), spectrum.real[:top]),
-        (-forward(amp), forward(im), spectrum.imag[:top]),  # conjugated, as in irfft's half
+        (-forward(amp), forward(im), spectrum.imag[:top]),  # conjugated
         (amp_back, backward(re), spectrum.real[top:]),
         (amp_back, backward(im), spectrum.imag[top:]),  # and conjugated back
     ]

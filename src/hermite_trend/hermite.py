@@ -11,15 +11,15 @@ A path's grid increments come from one drawer, ``_increment_drawer``.  For
 q >= 2 grid step j is b times the block sum of H_q over its own fine points,
 floor(m*j/n) up to floor(m*(j+1)/n) - 1, so the first k increments read only the
 fine points of the first k steps: a drawer of k steps applies H_q and the block
-sums to that prefix alone.  It asks the fGn drawer for that fine prefix only, so on
-the blocked route (2m >= 2^17, see ``gaussian``) only those points are transposed
-out of the transform; the normals and the transform still cover the whole 2m
-embedding.  ``replicate`` hands a statistic each drawn path, the
-cumulative sum of all n increments.  It builds one path drawer per call, and the
-drawer owns every per-path buffer: the fGn normals and spectrum (the transform
-writes its output over the normals), the H_q work arrays, the n increments and
-the n+1 values.  So a range of paths costs one set of allocations, not one per
-path; at m = 131072 the fresh arrays took about a third of a path's time.
+sums to that prefix alone.  It asks the fGn drawer for that fine prefix only, so
+only those points are transposed out of the transform (see ``gaussian``); the
+normals and the transform still cover the whole 2m embedding.  ``replicate``
+hands a statistic each drawn path, the cumulative sum of all n increments.  It
+builds one path drawer per call, and the drawer owns every per-path buffer: the
+fGn normals and spectrum (the transform writes its output over the normals),
+the H_q work arrays, the n increments and the n+1 values.  So a range of paths
+costs one set of allocations, not one per path; at m = 131072 the fresh arrays
+took about a third of a path's time.
 ``increment_sums`` builds, once per weight matrix, the function that returns
 fixed weighted sums of each path's increments.  At order 1 these are a
 linear map of the path's 2n normals, so it folds the sampler into the weights

@@ -1,6 +1,7 @@
 """fGn autocovariance oracles and exactness checks for the circulant sampler."""
 
 import contextlib
+import math
 import os
 import subprocess
 import sys
@@ -141,9 +142,6 @@ class TestHalfSpectrum:
                                 rng.standard_normal(n - 1)])
         assert np.array_equal(one, three)
 
-    # Embedding halves n whose 2n takes the blocked route: from 2^17 up, with a split.
-    BLOCKED = {2**16, 3 * 2**15, 2**17}
-
     @staticmethod
     def direct_amplitudes(n, hurst, transform):
         r = fgn_autocovariance(np.arange(n + 1), hurst)
@@ -154,19 +152,16 @@ class TestHalfSpectrum:
                                           (65537, 0.85), (2**16, 0.7), (3 * 2**15, 0.85),
                                           (131072, 0.85)])
     def test_amplitudes_equal_those_of_the_direct_covariance(self, n, hurst):
-        # The cached covariance array has the bits fgn_autocovariance gives directly.  The
-        # eigenvalues come from rfft where the drawer takes the blocked route, and from the
-        # complex fft on the one-irfft route: below 2n = 2^17 and at 2 * prime (65537).
-        blocked = n in self.BLOCKED
-        assert bool(gaussian_mod._route(n)) == blocked
-        direct = self.direct_amplitudes(n, hurst, np.fft.rfft if blocked else np.fft.fft)
+        # The cached covariance array has the bits fgn_autocovariance gives directly, and
+        # the eigenvalues come from rfft at every n.
+        direct = self.direct_amplitudes(n, hurst, np.fft.rfft)
         assert np.array_equal(gaussian_mod._half_spectrum_amplitudes(n, hurst), direct)
 
-    @pytest.mark.parametrize("n", sorted(BLOCKED))
+    @pytest.mark.parametrize("n", [1, 64, 4097, 2**16 - 1, 2**16, 65537, 3 * 2**15, 2**17])
     @pytest.mark.parametrize("hurst", [0.7, 0.85])
     def test_blocked_route_amplitudes_are_within_ulps_of_the_complex_fft(self, n, hurst):
         # a few ulps of the largest amplitude for each of the log2(2n) radix passes; the
-        # largest deviation over these cases was 0.4 of it.  Near h = 1 the smallest
+        # largest deviation over these cases was 0.1 of it.  Near h = 1 the smallest
         # eigenvalues approach 0, where the square root magnifies their rounding.
         amp = gaussian_mod._half_spectrum_amplitudes(n, hurst)
         ref = self.direct_amplitudes(n, hurst, np.fft.fft)
@@ -184,15 +179,15 @@ class TestHalfSpectrum:
 
 
 def blocked_shapes(n):
-    """(n, n1) for n1 = 2 and for the split ``_blocked_rows`` picks, when it picks one."""
-    return [(n, n1) for n1 in sorted({2, gaussian_mod._blocked_rows(n) or 2})]
+    """(n, n1) for n1 = 2 and for the split ``_blocked_rows`` picks."""
+    return [(n, n1) for n1 in sorted({2, gaussian_mod._blocked_rows(n)})]
 
 
 class TestBlockedRoute:
     """Bailey's four-step inverse transform against one irfft of the same half spectrum.
 
-    The builder is called directly, so shapes below the route's crossover are covered
-    too: n1 = 2, odd n2 (n = 3, 7, 4097 and the prime 1009) and n2 = 2.
+    The builder is called directly, so splits other than the one ``_blocked_rows`` picks
+    are covered too: n1 = 2, odd n2 (n = 3, 7, 4097 and the prime 1009) and n2 = 2.
     """
 
     @staticmethod
@@ -211,7 +206,10 @@ class TestBlockedRoute:
         # a few ulps of the path's scale for each of the log2(2n) radix passes
         return 4 * np.finfo(float).eps * np.log2(2 * n) * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("n, n1", [shape for n in (2, 3, 7, 64, 300, 1009, 4097, 3 * 2**13, 2**17)
+    # 4099, 3 * 4099, 4 * 16411 and 65537 have a large prime factor in 2n: one irfft of
+    # length 2n runs a Bluestein-sized transform there
+    @pytest.mark.parametrize("n, n1", [shape for n in (2, 3, 7, 64, 300, 1009, 4097, 4099, 3 * 4099,
+                                                       3 * 2**13, 4 * 16411, 65537, 2**17)
                                        for shape in blocked_shapes(n)])
     def test_matches_one_irfft(self, n, n1):
         amp = gaussian_mod._half_spectrum_amplitudes(n, 0.8)
@@ -228,31 +226,35 @@ class TestBlockedRoute:
         assert prefix.shape == (points,)
         assert np.array_equal(prefix, full[:points])
 
-    @pytest.mark.parametrize("n, blocked", [(2**16 - 1, False), (2**16, True), (65537, False)])
-    def test_fgn_drawer_takes_the_blocked_route_from_its_crossover(self, n, blocked):
-        # 2n = 2 * 65537 is past the crossover but has no usable split
-        assert 2 * 2**16 == gaussian_mod._BLOCKED_MIN_LENGTH
+    @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16, 65537])
+    def test_fgn_drawer_is_the_blocked_drawer_at_its_split(self, n):
         amp = gaussian_mod._half_spectrum_amplitudes(n, 0.8)
-        n1 = gaussian_mod._blocked_rows(n)
-        route = (gaussian_mod._blocked_drawer(amp, n1, 1000) if blocked
-                 else gaussian_mod._irfft_drawer(amp, 1000))
-        got = gaussian_mod._fgn_drawer(FgnSpec(hurst=0.8, n=n), 1000)(philox_generator(8))
-        assert np.array_equal(got, route(philox_generator(8)))
+        ref = gaussian_mod._blocked_drawer(amp, gaussian_mod._blocked_rows(n), n)
+        got = gaussian_mod._fgn_drawer(FgnSpec(hurst=0.8, n=n))(philox_generator(8))
+        assert np.array_equal(got, ref(philox_generator(8)))
 
-    def test_increment_drawer_matches_the_irfft_route(self, monkeypatch):
-        # q = 2 with 2m = 2^17: the first steps increments through the blocked route
-        spec = HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=2048, m=65536)
+    def test_increment_drawer_matches_the_irfft_reference(self):
+        # q = 2 at AC08's shape (m = 32768): b times the block sums of H_2 over the fine
+        # points of the first steps, from one irfft of the same normals
+        spec = HermiteSpec(order=2, hurst=0.7, horizon=2.0, n=4096)
         steps, block = 1000, spec.m // spec.n
-        got = hermite_mod._increment_drawer(spec, steps)(philox_generator(12)).copy()
-        monkeypatch.setattr(gaussian_mod, "_BLOCKED_MIN_LENGTH", 2 * spec.m + 1)
-        ref = hermite_mod._increment_drawer(spec, steps)(philox_generator(12))
+        got = hermite_mod._increment_drawer(spec, steps)(philox_generator(12))
         h0 = hermite_mod.h_zero(spec.order, spec.hurst)
-        xi = gaussian_mod._irfft_drawer(gaussian_mod._half_spectrum_amplitudes(spec.m, h0),
-                                        spec.m)(philox_generator(12))
+        xi = self.irfft_reference(gaussian_mod._half_spectrum_amplitudes(spec.m, h0), 12)
+        b = hermite_mod.discrete_normalizer(spec.order, spec.hurst, spec.m, spec.horizon)
+        fine = xi[: steps * block]
+        ref = np.add.reduceat(fine * fine - 1.0, np.arange(0, steps * block, block)) * b
         # H_2(x) = x^2 - 1 moves by at most (2|x| + d) d when x moves by d
         d = self.bound(spec.m, xi)
-        b = hermite_mod.discrete_normalizer(spec.order, spec.hurst, spec.m, spec.horizon)
         assert np.max(np.abs(got - ref)) <= b * block * (2 * np.max(np.abs(xi)) + d) * d
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 2**22))
+    def test_split_is_the_largest_even_divisor_up_to_the_root(self, n):
+        n1 = gaussian_mod._blocked_rows(n)
+        cap = max(2, math.isqrt(n))
+        assert n1 % 2 == 0 and 2 * n % n1 == 0 and n1 <= cap
+        assert not any(2 * n % d == 0 for d in range(n1 + 2, cap + 1, 2))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -289,7 +291,7 @@ class TestBufferOwnership:
     def test_blocked_drawer_holds_normals_spectrum_and_points(self, points):
         n = 2**17
         amp = gaussian_mod._half_spectrum_amplitudes(n, 0.85)
-        n1 = gaussian_mod._route(n)
+        n1 = gaussian_mod._blocked_rows(n)
         n2, top, cols = 2 * n // n1, n1 // 2, n // n1 + 1
         gaussian_mod._twiddles(n1, n2)
         draw, _, peak = traced(lambda: gaussian_mod._blocked_drawer(amp, n1, points))
@@ -304,20 +306,32 @@ class TestBufferOwnership:
         _, _, peak = traced(lambda: draw(rng))
         assert peak <= 2 * n
 
-    def test_irfft_drawer_holds_normals_and_half_spectrum(self):
+    def test_short_blocked_drawer_holds_normals_spectrum_and_points(self):
+        # At n = 2^14 numpy's fixed ufunc buffer (np.getbufsize() values, 64 KiB) is no
+        # longer small against a 2n buffer: the strided negation of the top-row amplitudes
+        # passes through one while the drawer is built, and the transposing copy out of
+        # the rows through two on every draw.
         n = 2**14
         amp = gaussian_mod._half_spectrum_amplitudes(n, 0.85)
-        draw, _, peak = traced(lambda: gaussian_mod._irfft_drawer(amp, n))
-        # the 2n normals, which irfft overwrites, the complex half spectrum and the n-1
-        # negated amplitudes of its imaginary parts
-        owned = 8 * 2 * n + 16 * (n + 1) + 8 * (n - 1)
-        assert peak <= owned + n
+        n1 = gaussian_mod._blocked_rows(n)
+        n2, top, cols = 2 * n // n1, n1 // 2, n // n1 + 1
+        gaussian_mod._twiddles(n1, n2)
+        draw, held, peak = traced(lambda: gaussian_mod._blocked_drawer(amp, n1, n))
+        # the 2n+1 normals, the complex spectrum, the n points out and the negated
+        # amplitudes of the spectrum's top rows
+        owned = 8 * (2 * n + 1) + 16 * n1 * cols + 8 * n + 8 * top * cols
+        ufunc_buffer = 8 * np.getbufsize()
+        assert held <= owned + n
+        assert peak <= owned + n + ufunc_buffer
+        rng = philox_generator(3)
+        draw(rng)
+        _, _, peak = traced(lambda: draw(rng))
+        assert peak <= 2 * ufunc_buffer + n
 
     def test_amplitudes_at_a_blocked_length_peak_near_three_2n_buffers(self):
-        # rfft's input row, its n+1 complex eigenvalues and the clipped copy; the complex
-        # fft of the one-irfft route peaked at 5 such buffers here
+        # rfft's input row, its n+1 complex eigenvalues and the clipped copy; a complex
+        # 2n fft peaked at 5 such buffers here
         n = 2**17
-        assert gaussian_mod._route(n)
         gaussian_mod._autocovariances(n, 0.85)
         _, _, peak = traced(lambda: gaussian_mod._half_spectrum_amplitudes.__wrapped__(n, 0.85))
         assert peak <= 3.25 * 16 * n
@@ -350,14 +364,14 @@ print(ac08, high_water_mark() - before)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from procfs")
-def test_fresh_process_memory_and_faults_by_route():
+def test_fresh_process_memory_and_faults_of_q2_drawers():
     """A fresh interpreter, since this process's own peak and heap hide both effects.
 
-    clt-q2's q = 2 drawer (2m = 2^18, the blocked route): the rise of VmHWM over building
-    it and drawing 3 paths was 17.3 MiB with the complex eigenvalue fft and a rows buffer
-    of its own, and 10.3 MiB with rfft and the rows written over the normals.  AC08's
-    (2m = 2^16, one irfft): the complex fft there keeps the per-draw irfft scratch on the
-    heap, 0 minor faults a path against 224 with rfft.
+    AC08's q = 2 drawer (2m = 2^16) allocates nothing of the path's size per draw, so it
+    takes no fresh pages a path; one irfft of length 2m, with rfft eigenvalues, took 224
+    minor faults a path here.  clt-q2's (2m = 2^18): the rise of VmHWM over building it
+    and drawing 3 paths was 17.3 MiB with complex fft eigenvalues and a rows buffer of its
+    own, and 10.3 MiB with rfft and the rows written over the normals.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(gaussian_mod.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -412,9 +426,8 @@ class TestEmbeddingFailure:
         assert non_psd == []
 
     def test_blocked_route_raises_before_any_draw(self, non_psd):
-        # 2n = 2^17 takes the blocked route, whose check reads the rfft eigenvalues
+        # the check reads the rfft eigenvalues at an embedding of 2n = 2^17
         n = 2**16
-        assert gaussian_mod._route(n)
         with pytest.raises(EmbeddingFailure, match=rf"n={n}, hurst=0\.7\b.*min/max eigenvalue -"):
             sample_fgn(FgnSpec(hurst=0.7, n=n), 0)
         spec = HermiteSpec(order=2, hurst=0.7, horizon=1.0, n=n // 8)

@@ -58,7 +58,7 @@ _HEADER_KEYS = {"horizon": "horizon", "eps": "eps", "hurst": "hurst", "x0": "x0"
 # Layer field -> the flag (or --in part) that sets it, per subcommand.
 _FLAGS = {
     "simulate": {"order": "--q", "hurst": "--hurst", "horizon": "--horizon", "n": "--n",
-                 "m": "--m", "eps": "--eps", "x0": "--x0", "seed": "--seed"},
+                 "m": "--m", "eps": "--eps", "x0": "--x0", "seed": "--seed", "trend": "--trend"},
     "estimate": {"k": "--order", "bandwidth": "--bandwidth", "window": "--window",
                  "points": "--points", "n": "--in: n (data rows - 1)",
                  **{field: f"--in: header {key}" for field, key in _HEADER_KEYS.items()}},

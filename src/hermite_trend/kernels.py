@@ -3,10 +3,10 @@
 A kernel is one polynomial with rational coefficients on one interval
 [lo, hi], zero elsewhere.  Its autocorrelation psi(w) = int G(u) G(u+w) du is
 even (substitute u -> u - w), so it is kept as one polynomial on [0, hi-lo]
-and read at |w|.  Construction, moments, psi, and the power-law part of the
-asymptotic variance functional are all computed in exact rational arithmetic
-(floats appear only in the final irrational power-law step), so moment
-identities hold to full double precision rather than to solver tolerance.
+and read at |w|.  Construction, moments and psi are exact: ``numpy.polynomial``
+on object arrays of Fractions.  Floats appear only in evaluation and in the
+irrational power-law step of the variance functional, so moment identities
+hold to full double precision rather than to solver tolerance.
 
 ``vanishing_moment_kernel(k)`` solves the k+1 moment conditions in the even
 Legendre basis with the endpoint condition G(1) = 0 for k >= 1; this yields
@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import factorial
 
 import numpy as np
 
-from . import exactpoly as xp
 from .validation import ParameterError, check_hurst
 
 __all__ = [
@@ -101,27 +101,23 @@ def _evaluate_piece(float_piece, u):
 # ----------------------------------------------------------- construction --
 
 
-@lru_cache(maxsize=None)
-def _legendre_coeffs(degree: int) -> tuple:
-    """Monomial coefficients of the Legendre polynomial P_degree, exact."""
-    if degree == 0:
-        return (Fraction(1),)
-    if degree == 1:
-        return (Fraction(0), Fraction(1))
-    prev2, prev1 = _legendre_coeffs(degree - 2), _legendre_coeffs(degree - 1)
-    shifted = (Fraction(0),) + prev1  # u * P_{degree-1}
-    term1 = xp.poly_scale(shifted, Fraction(2 * degree - 1, degree))
-    term2 = xp.poly_scale(prev2, Fraction(-(degree - 1), degree))
-    return xp.poly_add(term1, term2)
+def _exact(coeffs) -> np.ndarray:
+    """An object array of Fractions, on which numpy.polynomial is exact."""
+    return np.array([Fraction(c) for c in coeffs], dtype=object)
 
 
-def _monomial_moment(poly, j: int) -> Fraction:
-    """Exact int_{-1}^{1} u^j poly(u) du."""
-    total = Fraction(0)
-    for c, coef in enumerate(poly):
-        if (j + c) % 2 == 0:
-            total += coef * Fraction(2, j + c + 1)
-    return total
+def _from_legendre(series) -> tuple:
+    """Exact monomial coefficients of sum_m series[m] P_m."""
+    from numpy.polynomial.legendre import leg2poly
+
+    return tuple(leg2poly(_exact(series)))
+
+
+def _moment(coeffs, j: int, lo, hi) -> Fraction:
+    """Exact int_lo^hi u^j p(u) du, p given by ascending coefficients."""
+    from numpy.polynomial.polynomial import polyint, polyval
+
+    return polyval(hi, polyint(_exact((0,) * j + tuple(coeffs)), lbnd=lo))
 
 
 def order_k_legendre_coefficients(k: int) -> tuple:
@@ -137,16 +133,15 @@ def order_k_legendre_coefficients(k: int) -> tuple:
     r = k // 2
     a = [Fraction(0)] * (r + 2)
     a[0] = Fraction(1, 2)
+    even_p = [_from_legendre((0,) * 2 * s + (1,)) for s in range(r + 1)]  # P_0, P_2, ..
     for tau in range(1, r + 1):
-        acc = sum(
-            a[s] * _monomial_moment(_legendre_coeffs(2 * s), 2 * tau)
-            for s in range(tau)
-        )
-        a[tau] = -acc / _monomial_moment(_legendre_coeffs(2 * tau), 2 * tau)
+        acc = sum(a[s] * _moment(even_p[s], 2 * tau, -1, 1) for s in range(tau))
+        a[tau] = -acc / _moment(even_p[tau], 2 * tau, -1, 1)
     a[r + 1] = -sum(a[: r + 1])  # P_m(1) = 1 for every m
     return tuple(a)
 
 
+@lru_cache(maxsize=None, typed=True)
 def vanishing_moment_kernel(k: int) -> Kernel:
     """Kernel on [-1, 1] with int G = 1 and int u^j G = 0 for j = 1..k.
 
@@ -158,14 +153,9 @@ def vanishing_moment_kernel(k: int) -> Kernel:
         raise ParameterError(
             "k", f"gives kernel order {k}, outside [0, {MAX_KERNEL_ORDER}] (the conditioning guard)"
         )
-    if k == 0:
-        piece = KernelPiece(Fraction(-1), Fraction(1), (Fraction(1, 2),))
-        return Kernel(order=0, piece=piece)
-    poly = ()
-    for s, a in enumerate(order_k_legendre_coefficients(k)):
-        poly = xp.poly_add(poly, xp.poly_scale(_legendre_coeffs(2 * s), a))
-    piece = KernelPiece(Fraction(-1), Fraction(1), poly)
-    return Kernel(order=k, piece=piece)
+    legendre = order_k_legendre_coefficients(k) if k else (Fraction(1, 2),)  # k = 0: the box
+    even = [c for a in legendre for c in (a, 0)][:-1]  # G = sum_s a_s P_{2s}
+    return Kernel(order=k, piece=KernelPiece(Fraction(-1), Fraction(1), _from_legendre(even)))
 
 
 def box_kernel(width: float = 1.0) -> Kernel:
@@ -185,26 +175,27 @@ def kernel_moment(kernel: Kernel, j: int) -> float:
     if j < 0:
         raise ValueError(f"moment index must be >= 0, got {j}")
     p = kernel.piece
-    total = Fraction(0)
-    for c, coef in enumerate(p.coeffs):
-        power = j + c + 1
-        total += coef * (p.hi**power - p.lo**power) / power
-    return float(total)
+    return float(_moment(p.coeffs, j, p.lo, p.hi))
 
 
 @lru_cache(maxsize=None)
 def _autocorrelation_piece(kernel: Kernel) -> KernelPiece:
     """Exact psi(w) = int G(u) G(u+w) du on w in [0, hi-lo], the half that fixes psi.
 
-    With A(u, w) the u-antiderivative of G(u) G(u+w), the supports overlap on
-    [lo, hi-w]; substituting those bounds into A gives a polynomial in w.
+    The supports overlap on [lo, hi-w], and G(u+w) = sum_j G^(j)(u) w^j / j! (Taylor), so
+    psi(w) = sum_j (w^j / j!) A_j(hi-w) with A_j(x) = int_lo^x G G^(j).
     """
+    from numpy.polynomial.polynomial import polyadd, polyder, polyint, polymul
+
     p = kernel.piece
-    anti = xp.biv_antiderivative_u(xp.biv_product_shifted(p.coeffs, p.coeffs))
-    upper = xp.biv_substitute_u(anti, p.hi, -1)
-    lower = xp.biv_substitute_u(anti, p.lo, 0)
-    psi = xp.poly_add(upper, xp.poly_scale(lower, -1))
-    return KernelPiece(Fraction(0), p.hi - p.lo, psi or (Fraction(0),))
+    g, psi = _exact(p.coeffs), _exact((0,))
+    for j in range(len(g)):
+        anti = polyint(polymul(g, polyder(g, j)), lbnd=p.lo)
+        upper = anti[-1:]
+        for c in anti[-2::-1]:  # Horner in w for A_j(hi - w)
+            upper = polyadd(polymul(upper, _exact((p.hi, -1))), _exact((c,)))
+        psi = polyadd(psi, np.concatenate((_exact((0,) * j), upper / factorial(j))))
+    return KernelPiece(Fraction(0), p.hi - p.lo, tuple(psi))
 
 
 def kernel_autocorrelation(kernel: Kernel, w) -> float:

@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .validation import ParameterError
+
 __all__ = [
     "DerivativeUnavailable",
     "TrendFunction",
@@ -230,16 +232,26 @@ def weierstrass_trend(
 
 
 def parse_trend(text: str, horizon: float = 1.0) -> TrendFunction:
-    """Build a trend from the mini-grammar ``kind:arg,arg,...``."""
+    """Build a trend from the mini-grammar ``kind:arg,arg,...``.
+
+    Every bad spec raises ``ParameterError("trend", ...)``, quoting the spec.
+    """
+    try:
+        return _build_trend(text, horizon)
+    except ValueError as exc:
+        raise ParameterError("trend", f"{text!r}: {exc}") from exc
+
+
+def _build_trend(text: str, horizon: float) -> TrendFunction:
     kind, sep, argstr = text.strip().partition(":")
     if not sep:
-        raise ValueError(f"trend spec {text!r} lacks ':' separator")
+        raise ValueError("lacks the ':' after the kind")
     try:
         args = [float(a) for a in argstr.split(",")] if argstr else []
     except ValueError as exc:
-        raise ValueError(f"trend spec {text!r}: non-numeric argument") from exc
+        raise ValueError("has a non-numeric argument") from exc
     if not all(math.isfinite(a) for a in args):
-        raise ValueError(f"trend spec {text!r}: arguments must be finite")
+        raise ValueError("arguments must be finite")
     if kind == "const":
         if len(args) != 1:
             raise ValueError(f"const trend takes 1 argument, got {len(args)}")

@@ -104,6 +104,13 @@ class TestSimulate:
         assert run(["simulate", "--trend", "spline:1,2"]) == 2
         assert "spline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["weier:0.3,1.5,3,12", "sin:1,2", "spline:1,2", "const"])
+    def test_bad_trend_names_flag(self, spec, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert run(["simulate", "--trend", spec, "--n", "64", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --trend {spec!r}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", ["const:nan", "weier:0.3,0.5,3,inf", "weier:0.3,0.5,3,700"])
     def test_non_finite_trend_exit_2(self, spec, tmp_path, capsys):
         out = tmp_path / "p.csv"
@@ -395,7 +402,9 @@ class TestExperiment:
         assert "a path was drawn" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, key", [("x0 = 0", "x0"), ("eval_points = 0", "eval_points"),
-                                           ("trend = weier:0.3,0.5,3,12", "kernel")])
+                                           ("trend = weier:0.3,0.5,3,12", "kernel"),
+                                           ("trend = weier:0.3,1.5,3,12", "trend"),
+                                           ("trend = sin:1,2", "trend")])
     def test_unrunnable_config_exit_2(self, line, key, tmp_path, capsys, monkeypatch):
         self.forbid_paths(monkeypatch)
         name = line.split(" =")[0]

@@ -4,8 +4,10 @@ Importing scipy takes several times as long as importing numpy, and longer
 than a small experiment runs, so the package imports it only inside the
 quadrature cross-checks.  The process pool's ``concurrent.futures`` pulls in
 multiprocessing, socket, subprocess and logging, so it is imported only by a
-run with more than one worker.  Each check runs in a fresh interpreter, since
-this test process has scipy and the pool loaded.
+run with more than one worker.  ``numpy.polynomial`` serves only the kernel
+bank's exact algebra, so it loads when a kernel is built, not on import.  Each
+check runs in a fresh interpreter, since this test process has all of these
+loaded.
 """
 
 import os
@@ -27,9 +29,13 @@ def pool_modules():
     return sorted(m for m in sys.modules
                   if m.split(".")[0] == "multiprocessing" or m.startswith("concurrent.futures"))
 
+def polynomial_modules():
+    return sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "polynomial"])
+
 import hermite_trend, hermite_trend.cli
 assert not scipy_modules(), scipy_modules()
 assert not pool_modules(), pool_modules()
+assert not polynomial_modules(), polynomial_modules()
 # numpy 2 loads these lazily; the package loads them on import, not in a timed run
 assert "numpy.random" in sys.modules and "numpy.fft" in sys.modules
 

@@ -1,14 +1,17 @@
 """Kernel bank: pinned shapes, exact moments, autocorrelation, variance functional."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
 from hermite_trend.kernels import (
+    MAX_KERNEL_ORDER,
     Kernel,
     KernelPiece,
+    _autocorrelation_piece,
     asymptotic_variance,
     asymptotic_variance_quadrature,
     box_kernel,
@@ -265,3 +268,56 @@ class TestPinnedBits:
         kernel = PINNED_KERNELS[name]
         assert tuple(kernel_autocorrelation(kernel, w) for w in PINNED_W) == PINNED_PSI[name]
         assert tuple(kernel_autocorrelation(kernel, np.array(PINNED_W))) == PINNED_PSI[name]
+
+
+def _value(coeffs, x):
+    return sum(c * x**m for m, c in enumerate(coeffs))
+
+
+def _exact_psi(piece, w):
+    """int_lo^(hi-w) G(u) G(u+w) du in Fractions, with G(u+w) expanded binomially in u."""
+    shifted = [Fraction(0)] * len(piece.coeffs)
+    for c, coef in enumerate(piece.coeffs):
+        for i in range(c + 1):
+            shifted[i] += coef * comb(c, i) * w ** (c - i)
+    total = Fraction(0)
+    for a, ga in enumerate(piece.coeffs):
+        for b, gb in enumerate(shifted):
+            n = a + b + 1
+            total += ga * gb * ((piece.hi - w) ** n - piece.lo**n) / n
+    return total
+
+
+EXACT_KERNELS = {**{f"k{k}": vanishing_moment_kernel(k) for k in range(MAX_KERNEL_ORDER + 1)},
+                 **PINNED_KERNELS}
+
+
+class TestExactAlgebra:
+    """The numpy.polynomial route against plain Fraction arithmetic that shares none of it."""
+
+    @pytest.mark.parametrize("k", range(MAX_KERNEL_ORDER + 1))
+    def test_moments_are_exactly_delta(self, k):
+        p = vanishing_moment_kernel(k).piece
+        for j in range(k + 1):
+            moment = sum(c * (p.hi ** (j + m + 1) - p.lo ** (j + m + 1)) / (j + m + 1)
+                         for m, c in enumerate(p.coeffs))
+            assert moment == (1 if j == 0 else 0), f"k={k} j={j}: {moment}"
+
+    @pytest.mark.parametrize("k", range(1, MAX_KERNEL_ORDER + 1))
+    def test_vanishes_exactly_at_the_endpoints(self, k):
+        coeffs = vanishing_moment_kernel(k).piece.coeffs
+        assert _value(coeffs, Fraction(-1)) == 0 and _value(coeffs, Fraction(1)) == 0
+
+    @pytest.mark.parametrize("name", list(EXACT_KERNELS))
+    def test_every_coefficient_is_a_fraction(self, name):
+        kernel = EXACT_KERNELS[name]
+        coeffs = kernel.piece.coeffs + _autocorrelation_piece(kernel).coeffs
+        assert all(type(c) is Fraction for c in coeffs)
+
+    @pytest.mark.parametrize("name", list(PINNED_KERNELS))
+    def test_psi_equals_the_exact_overlap_integral(self, name):
+        kernel = PINNED_KERNELS[name]
+        psi = _autocorrelation_piece(kernel)
+        for t in (0, Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), 1):
+            w = t * psi.hi
+            assert _value(psi.coeffs, w) == _exact_psi(kernel.piece, w), f"w={w}"

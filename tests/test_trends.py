@@ -11,6 +11,7 @@ from hermite_trend.trends import (
     sinusoid_trend,
     weierstrass_trend,
 )
+from hermite_trend.validation import ParameterError
 
 # frozen by direct summation / closed form
 W_AT_1 = 0.8925553267706385
@@ -187,8 +188,9 @@ class TestParser:
         ],
     )
     def test_rejects_malformed(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError) as err:
             parse_trend(text, horizon=2.0)
+        assert err.value.field == "trend" and repr(text) in err.value.detail
 
     def test_longest_finite_weier_stays_finite(self):
         # 2 * 3^645 is the largest sine argument below the double maximum

@@ -2,16 +2,20 @@
 
 Exit codes: 0 success, 1 experiment verdict FAIL, 2 usage or config
 error, 3 runtime failure.  Every output artifact starts with its fully
-resolved configuration as ``# key = value`` lines, so a run can be
-reproduced from its own header; nothing here writes timestamps.
+resolved configuration as ``# key = value`` lines, written by the one
+``experiments._header``, so a run can be reproduced from its own header;
+nothing here writes timestamps.
 
 Each parameter is checked by the layer that uses it, and exit 2 names the
 flag (or the ``--in`` header key) that set it (``_FLAGS``).  An experiment
 config is checked key by key when it is read, before any path is drawn:
 besides each key's own domain, n >= 64, m = 0 or m >= n, seed >= 0,
 eval_points >= 1, ceiling, slope_tol and var_tol >= 0, the kernel reach inside
-[0, horizon] at every rung, rho at most the trend smoothness (rate-alt) and,
-for clt, a trend with the derivative of order k + 1 the bias term needs.
+[0, horizon] at every rung, for rate-alt 1 < rho <= the trend smoothness, for
+consistency and rate-alt phi and eps^2 phi^{2H-2} strictly falling along the
+ladder and, for clt, a trend with the derivative of order k + 1 the bias term
+needs.  Only a circulant embedding that fails on rounding is met at run time
+(exit 3).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .experiments import (
     _CLT_COLUMNS,
     _SUP_MSE_COLUMNS,
     _fmt,
+    _header,
     load_experiment_config,
     run_experiment,
     write_report,
@@ -92,20 +97,11 @@ def _cmd_simulate(args) -> int:
     )
     trend = parse_trend(args.trend, args.horizon)
     path = simulate_path(trend, cfg, args.seed, method=args.method)
-    spec = cfg.hermite_spec()
-    lines = [
-        f"# trend = {args.trend}",
-        f"# q = {cfg.order}",
-        f"# hurst = {_fmt(cfg.hurst)}",
-        f"# horizon = {_fmt(cfg.horizon)}",
-        f"# n = {cfg.n}",
-        f"# m = {spec.m}",
-        f"# eps = {_fmt(cfg.eps)}",
-        f"# x0 = {_fmt(cfg.x0)}",
-        f"# seed = {args.seed}",
-        f"# method = {args.method}",
-        "t,Z,x,X",
-    ]
+    lines = _header([("trend", args.trend), ("q", cfg.order), ("hurst", cfg.hurst),
+                     ("horizon", cfg.horizon), ("n", cfg.n), ("m", cfg.hermite_spec().m),
+                     ("eps", cfg.eps), ("x0", cfg.x0), ("seed", args.seed),
+                     ("method", args.method)])
+    lines.append("t,Z,x,X")
     for t, z, x, big_x in zip(path.times, path.noise, path.ode, path.values):
         lines.append(f"{_fmt(float(t))},{_fmt(float(z))},{_fmt(float(x))},{_fmt(float(big_x))}")
     _write_lines(args.out, lines)
@@ -125,8 +121,8 @@ def _finite_floats(tokens):
 
 
 def _read_path_csv(path: str) -> tuple:
-    """(raw header, SdePath) of a simulate CSV; a bad line, key or value names --in."""
-    header = {}
+    """(header pairs in file order, SdePath) of a simulate CSV; bad input names --in."""
+    pairs = []
     rows, linenos = [], []
     columns = None
     with open(path, "r") as fh:
@@ -137,7 +133,7 @@ def _read_path_csv(path: str) -> tuple:
             if line.startswith("#"):
                 key, sep, value = line.lstrip("#").partition("=")
                 if sep:
-                    header[key.strip()] = value.strip()
+                    pairs.append((key.strip(), value.strip()))
                 continue
             if columns is None:
                 columns = [c.strip() for c in line.split(",")]
@@ -151,6 +147,7 @@ def _read_path_csv(path: str) -> tuple:
             linenos.append(lineno)
     if columns is None:
         raise ValueError("--in: expected a t,Z,x,X path file, found no column line")
+    header = dict(pairs)  # a repeated key reads its last value
     missing = [key for key in ("horizon", "eps", "hurst", "x0") if key not in header]
     if missing:
         raise ValueError(f"--in: header lacks {', '.join(missing)} ('# key = value' lines)")
@@ -173,12 +170,12 @@ def _read_path_csv(path: str) -> tuple:
         raise ValueError(f"--in: line {linenos[j]} has t = {_fmt(float(data[j, 0]))}, but the "
                          f"header grid puts j*horizon/n = {_fmt(float(grid[j]))} there "
                          f"(j = {j}, horizon = {_fmt(cfg.horizon)}, n = {cfg.n})")
-    return header, SdePath(times=data[:, 0], values=data[:, 3], ode=data[:, 2],
-                           noise=data[:, 1], config=cfg)
+    return pairs, SdePath(times=data[:, 0], values=data[:, 3], ode=data[:, 2],
+                          noise=data[:, 1], config=cfg)
 
 
 def _cmd_estimate(args) -> int:
-    header, path = _read_path_csv(args.infile)
+    pairs, path = _read_path_csv(args.infile)
     horizon, eps, hurst = path.config.horizon, path.config.eps, path.config.hurst
     kernel = vanishing_moment_kernel(args.order)
     rule = "main" if args.bandwidth == "auto" else "manual"
@@ -191,15 +188,9 @@ def _cmd_estimate(args) -> int:
     est_cfg = EstimatorConfig(kernel=kernel, bandwidth=phi, horizon=horizon,
                               window=tuple(args.window or (hi * phi, horizon - hi * phi)))
     series = estimate_series(path, est_cfg, points=args.points)
-    lines = [f"# {k} = {v}" for k, v in header.items()]
-    lines += [
-        f"# order = {args.order}",
-        f"# bandwidth = {_fmt(phi)}",
-        f"# rule = {rule}",
-        f"# window = {','.join(_fmt(v) for v in est_cfg.window)}",
-        f"# points = {args.points}",
-        "t,product_estimate,theta_hat,valid",
-    ]
+    lines = _header([*pairs, ("order", args.order), ("bandwidth", phi), ("rule", rule),
+                     ("window", est_cfg.window), ("points", args.points)])
+    lines.append("t,product_estimate,theta_hat,valid")
     for t, prod, theta, ok in zip(series.times, series.product, series.theta, series.valid):
         lines.append(f"{_fmt(float(t))},{_fmt(float(prod))},{_fmt(float(theta))},{bool(ok)}")
     _write_lines(args.out, lines)
@@ -217,11 +208,8 @@ def _cmd_kernel(args) -> int:
         kernel = vanishing_moment_kernel(args.order)
         label = f"legendre:{args.order}"
     lo, hi = kernel.support
-    lines = [
-        f"# kernel = {label}",
-        f"# order = {kernel.order}",
-        f"# support = [{_fmt(float(lo))}, {_fmt(float(hi))}]",
-    ]
+    lines = _header([("kernel", label), ("order", kernel.order),
+                     ("support", f"[{_fmt(lo)}, {_fmt(hi)}]")])
     for j in range(kernel.order + 2):
         lines.append(f"moment j={j}: {_fmt(float(kernel_moment(kernel, j)))}")
     for h in args.hurst:

@@ -11,8 +11,11 @@ Four experiment kinds:
 * ``clt``          — mean/variance of the normalized error at one interior t
   against the kernel's asymptotic variance.
 
-Everything downstream of an ExperimentConfig (master seed included) is a pure
-function, so reports are byte-identical across reruns and worker counts:
+``ExperimentConfig`` checks every key as it is built, the ladder's side
+conditions and rate-alt's rho > 1 included, so the runners only gather, reduce
+and report.  Everything downstream of an ExperimentConfig (master seed
+included) is a pure function, so reports are byte-identical across reruns and
+worker counts:
 replication r of rung i, trend j always draws from the stream derived from
 (seed, i, j, r), and results land in a preallocated array by index before any
 reduction happens.
@@ -137,12 +140,18 @@ class ExperimentConfig:
             if getattr(self, key) < 0:
                 raise ParameterError(key, f"must be >= 0, got {getattr(self, key)}")
         try:
-            for rung in range(rungs):
-                est = _rung_setup(self, rung)[0]
+            ests = [_rung_setup(self, rung)[0] for rung in range(rungs)]
             derive_seed(self.seed)  # every stream of the run derives from it
+            if self.kind == "rate-alt":
+                theoretical_rate_alt(self.rho, self.hurst)  # rho > 1, or the rule has no rate
         except ParameterError as exc:  # rate-alt derives the kernel order k from rho
             alt_k = exc.field == "k" and self.kind == "rate-alt"
             raise exc.renamed("rho" if alt_k else _FIELD_KEYS.get(exc.field, exc.field)) from exc
+        if self.kind in ("consistency", "rate-alt"):
+            try:
+                consistency_side_conditions(self.ladder, [e.bandwidth for e in ests], self.hurst)
+            except ConditionViolated as exc:
+                raise ParameterError("eps", str(exc)) from exc
         smoothness = min(t.rho for t in trends)  # k + gamma; inf for smooth trends
         if self.kind == "rate-alt" and self.rho > smoothness:
             raise ParameterError("rho", f"must not exceed the trend smoothness {smoothness:.6g}, "
@@ -154,7 +163,7 @@ class ExperimentConfig:
             if not a <= self.t0 <= b:
                 raise ValueError(f"t0={self.t0} must lie in the window [{a}, {b}]")
             try:  # the bias centre needs theta^{(k+1)}
-                trends[0].derivative(est.kernel.order + 1)
+                trends[0].derivative(ests[0].kernel.order + 1)
             except DerivativeUnavailable as exc:
                 raise ParameterError("kernel", f"needs more trend smoothness for the clt bias "
                                      f"term: {exc}") from exc
@@ -279,9 +288,9 @@ def theoretical_rate_alt(rho: float, hurst: float) -> float:
     """
     check_hurst(hurst)
     if not rho > hurst:
-        raise ValueError(f"rho must exceed hurst, got rho={rho}, H={hurst}")
+        raise ParameterError("rho", f"must exceed hurst (rho > hurst), got rho={rho}, H={hurst}")
     if not rho > 1.0:
-        raise ValueError(f"rho must exceed 1 for the alt rule to have a rate, got rho={rho}")
+        raise ParameterError("rho", f"must exceed 1 for the alt rule to have a rate, got {rho}")
     return 2.0 - (2.0 - 2.0 * hurst) / (rho - hurst)
 
 
@@ -452,21 +461,14 @@ def consistency_side_conditions(ladder, bandwidths, hurst: float) -> None:
         raise ConditionViolated("bandwidth does not decrease along the ladder")
     if any(b >= a for a, b in zip(noise, noise[1:])):
         raise ConditionViolated(
-            "eps^2 phi^{2H-2} does not decrease along the ladder; the "
+            "the noise factor eps^2 phi^{2H-2} does not decrease along the ladder; the "
             "consistency conditions fail for this bandwidth rule"
         )
-
-
-def _check_side_conditions(cfg: ExperimentConfig) -> None:
-    kernel = _build_kernel(cfg)
-    phis = [_bandwidth(cfg, kernel, e) for e in cfg.ladder]
-    consistency_side_conditions(cfg.ladder, phis, cfg.hurst)
 
 
 def run_consistency(cfg: ExperimentConfig, workers: int = 1) -> ConsistencyReport:
     if cfg.kind != "consistency":
         raise ValueError(f"expected kind=consistency, got {cfg.kind}")
-    _check_side_conditions(cfg)
     sup = _sup_mse_per_rung(cfg, workers)
     ceiling = cfg.ceiling if cfg.ceiling > 0 else float(sup[0]) / 4.0
     decreasing = bool(np.all(np.diff(sup) < 0))
@@ -487,8 +489,6 @@ def run_rate(cfg: ExperimentConfig, workers: int = 1) -> RateFit:
     if cfg.kind == "rate-main":
         theory = theoretical_rate_main(_build_kernel(cfg).order, cfg.hurst)
     else:
-        # rho <= 1 leaves eps^2 phi^{2H-2} flat or growing: reject before simulating
-        _check_side_conditions(cfg)
         theory = theoretical_rate_alt(cfg.rho, cfg.hurst)
     tol = _slope_tolerance(cfg)
     sup = _sup_mse_per_rung(cfg, workers)
@@ -559,19 +559,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_lines(cfg: ExperimentConfig):
+def _header(pairs) -> list:
+    """The '# key = value' lines every output artifact starts with; a tuple joins with ','."""
+    lines = []
+    for key, value in pairs:
+        text = ",".join(_fmt(v) for v in value) if isinstance(value, tuple) else _fmt(value)
+        lines.append(f"# {key} = {text}")
+    return lines
+
+
+def _config_lines(cfg: ExperimentConfig) -> list:
     """Echo the resolved config, re-parsable once the leading '# ' is dropped."""
+    pairs = []
     for f in fields(cfg):
-        key, value = f.name, getattr(cfg, f.name)
-        if key == "trends":
-            key, value = "trend", " | ".join(value)
-        elif key == "ladder":
-            key, value = "eps", ",".join(_fmt(v) for v in value)
-        elif isinstance(value, tuple):
-            value = ",".join(_fmt(v) for v in value)
+        key, value = _KEY_OF.get(f.name, f.name), getattr(cfg, f.name)
+        if key == "trend":
+            value = " | ".join(value)
         if key == "kernel" and not value:
             continue  # rate-alt derives the kernel; nothing to echo
-        yield f"# {key} = {_fmt(value)}"
+        pairs.append((key, value))
+    return _header(pairs)
 
 
 # The two results.csv layouts: sup-MSE rows (consistency, rate) and CLT statistic rows.

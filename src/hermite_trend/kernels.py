@@ -6,7 +6,9 @@ even (substitute u -> u - w), so it is kept as one polynomial on [0, hi-lo]
 and read at |w|.  Construction, moments and psi are exact: ``numpy.polynomial``
 on object arrays of Fractions.  Floats appear only in evaluation and in the
 irrational power-law step of the variance functional, so moment identities
-hold to full double precision rather than to solver tolerance.
+hold to full double precision rather than to solver tolerance.  Each piece
+converts its bounds and coefficients to floats once and owns the one Horner
+evaluator, which both ``Kernel.evaluate`` and ``kernel_autocorrelation`` use.
 
 ``vanishing_moment_kernel(k)`` solves the k+1 moment conditions in the even
 Legendre basis with the endpoint condition G(1) = 0 for k >= 1; this yields
@@ -59,6 +61,25 @@ class KernelPiece:
         if not self.lo < self.hi:
             raise ValueError(f"piece must have lo < hi, got [{self.lo}, {self.hi}]")
 
+    @cached_property
+    def _floats(self) -> tuple:
+        """(lo, hi, coefficient array) in floats, converted once per piece."""
+        return float(self.lo), float(self.hi), np.array([float(c) for c in self.coeffs])
+
+    def evaluate(self, u):
+        """Horner evaluation on the closed interval [lo, hi], zero elsewhere."""
+        lo, hi, coeffs = self._floats
+        scalar = np.ndim(u) == 0
+        arr = np.atleast_1d(np.asarray(u, dtype=float))
+        out = np.zeros_like(arr)
+        mask = (arr >= lo) & (arr <= hi)
+        x = arr[mask]
+        acc = np.zeros_like(x)
+        for c in coeffs[::-1]:
+            acc = acc * x + c
+        out[mask] = acc
+        return float(out[0]) if scalar else out
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -71,31 +92,8 @@ class Kernel:
     def support(self) -> tuple:
         return (float(self.piece.lo), float(self.piece.hi))
 
-    @cached_property
-    def _float_piece(self):
-        return _to_float_piece(self.piece)
-
     def evaluate(self, u):
-        return _evaluate_piece(self._float_piece, u)
-
-
-def _to_float_piece(piece: KernelPiece) -> tuple:
-    return float(piece.lo), float(piece.hi), np.array([float(c) for c in piece.coeffs])
-
-
-def _evaluate_piece(float_piece, u):
-    """Horner evaluation on the closed interval [lo, hi], zero elsewhere."""
-    lo, hi, coeffs = float_piece
-    scalar = np.ndim(u) == 0
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.zeros_like(arr)
-    mask = (arr >= lo) & (arr <= hi)
-    x = arr[mask]
-    acc = np.zeros_like(x)
-    for c in coeffs[::-1]:
-        acc = acc * x + c
-    out[mask] = acc
-    return float(out[0]) if scalar else out
+        return self.piece.evaluate(u)
 
 
 # ----------------------------------------------------------- construction --
@@ -200,7 +198,7 @@ def _autocorrelation_piece(kernel: Kernel) -> KernelPiece:
 
 def kernel_autocorrelation(kernel: Kernel, w) -> float:
     """psi(w) = int G(u) G(u+w) du, the exact half evaluated at |w|."""
-    return _evaluate_piece(_to_float_piece(_autocorrelation_piece(kernel)), np.abs(w))
+    return _autocorrelation_piece(kernel).evaluate(np.abs(w))
 
 
 def _power_law_piece_integral(piece: KernelPiece, exponent: float) -> float:

@@ -201,6 +201,17 @@ class TestEstimate:
         assert len(rows) == 5
         assert float(rows[0][0]) == 0.3 and float(rows[-1][0]) == 0.7
 
+    def test_header_echoed_line_by_line(self, noisy_path, tmp_path):
+        # a hand-made header is echoed in order, a repeated key once per line
+        src = tmp_path / "noted.csv"
+        src.write_text("# note = first\n#note=second\n# note = first\n" + noisy_path.read_text())
+        out = tmp_path / "est.csv"
+        assert run(["estimate", "--in", str(src), "--out", str(out)]) == 0
+        echoed = [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
+        simulated = [ln for ln in noisy_path.read_text().splitlines() if ln.startswith("#")]
+        assert echoed[:3] == ["# note = first", "# note = second", "# note = first"]
+        assert echoed[3:3 + len(simulated)] == simulated
+
     def test_auto_needs_noise(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         run(["simulate", "--trend", "const:0.5", "--eps", "0", "--n", "128",
@@ -416,6 +427,34 @@ class TestExperiment:
         assert capsys.readouterr().err.startswith(f"error: {key} ")
         assert not out.exists()
 
+    # A ladder along which the bandwidth or the noise factor eps^2 phi^{2H-2} does not fall
+    # has no rate: for rate-alt that is every rho <= 1, for consistency a tied bandwidth.
+    ALT = (PASSING_RATE.replace("kind = rate-main", "kind = rate-alt")
+           .replace("kernel = legendre:1", "rho = 1.5"))
+    TIED = (PASSING_CONSISTENCY.replace("legendre:1", "legendre:0")
+            .replace("eps = 0.2,0.05", "eps = 0.5,0.49999999999999994"))
+
+    def test_alt_base_reaches_the_patched_draw(self, tmp_path, capsys, monkeypatch):
+        # positive control for the test below: the rate-alt base itself is runnable
+        self.forbid_paths(monkeypatch)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(self.ALT)
+        assert run(["experiment", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 3
+        assert "a path was drawn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [(ALT.replace("rho = 1.5", "rho = 0.9"), "rho"),
+                                           (ALT.replace("rho = 1.5", "rho = 1.0"), "rho"),
+                                           (TIED, "eps")],
+                             ids=["alt-rho-0.9", "alt-rho-1.0", "consistency-tied-ladder"])
+    def test_ladder_without_its_rate_exit_2(self, text, key, tmp_path, capsys, monkeypatch):
+        self.forbid_paths(monkeypatch)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(text)
+        out = tmp_path / "rep"
+        assert run(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+        assert not out.exists()
+
     def test_nan_replication_exit_3(self, tmp_path, capsys, monkeypatch):
         def nan_cell(cfg, rung, trend_idx):
             return lambda reps: np.full((len(reps), 21), np.nan)
@@ -441,7 +480,7 @@ class TestExperiment:
         )
         out = tmp_path / "rep"
         assert run(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "phi^{2H-2}" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: rho ")
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])

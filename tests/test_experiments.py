@@ -233,6 +233,9 @@ REJECTED_AT_PARSE = {
     # eps^{1/(rho-H)} underflows to 0 at the last rung only
     "bandwidth-zero-last-rung": (dict(kind="rate-alt", kernel=None, rho="0.71",
                                       eps="0.125,0.0625,0.03125,1e-300"), "eps"),
+    # legendre:0 at H = 0.7 maps both eps to one bandwidth
+    "consistency-tied-bandwidth": (dict(kind="consistency", kernel="legendre:0",
+                                        eps="0.5,0.49999999999999994"), "eps"),
     "rho-above-trend-smoothness": (dict(kind="rate-alt", kernel=None, rho="2.0",
                                         trend=WEIER), "rho"),
     "clt-bias-needs-missing-derivative": (dict(kind="clt", trend=WEIER, kernel="legendre:1",
@@ -266,6 +269,16 @@ class TestParseTimeChecks:
             run_experiment(parse_experiment_config(config_text(**overrides)))
         assert info.value.field == key
         assert str(info.value).startswith(f"{key} ")
+
+    @pytest.mark.parametrize("rho", ["0.9", "1.0"])
+    def test_alt_rejects_rho_at_most_one_before_simulating(self, rho):
+        # for H < rho <= 1 the alt rule keeps eps^2 phi^{2H-2} from falling: there is no rate
+        with pytest.raises(ParameterError) as info:
+            parse_experiment_config(
+                config_text(kind="rate-alt", kernel=None, rho=rho, variant="oracle")
+            )
+        assert info.value.field == "rho"
+        assert str(info.value).startswith("rho must exceed 1 ")
 
     def test_zero_keeps_kind_defaults(self):
         cfg = parse_experiment_config(config_text(slope_tol="0", ceiling="0"))
@@ -402,20 +415,6 @@ class TestRunners:
             experiments, "_sup_mse_per_rung", lambda cfg, workers: np.zeros(len(cfg.ladder))
         )
         with pytest.raises(FitDegenerate):
-            run_rate(cfg)
-
-    @pytest.mark.parametrize("rho, error", [("0.9", ConditionViolated), ("1.0", ValueError)])
-    def test_alt_rejects_rho_at_most_one_before_simulating(self, rho, error, monkeypatch):
-        # for H < rho <= 1 the alt rule keeps eps^2 phi^{2H-2} from falling
-        cfg = parse_experiment_config(
-            config_text(kind="rate-alt", kernel=None, rho=rho, variant="oracle")
-        )
-
-        def simulate(cfg, workers):
-            raise AssertionError("paths simulated for a ladder with no rate")
-
-        monkeypatch.setattr(experiments, "_sup_mse_per_rung", simulate)
-        with pytest.raises(error):
             run_rate(cfg)
 
     def test_nan_block_raises_typed_error(self, monkeypatch):

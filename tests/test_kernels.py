@@ -142,6 +142,31 @@ class TestAutocorrelation:
             kernel_autocorrelation(kernel, ws), kernel_autocorrelation(kernel, -ws)
         )
 
+    def test_psi_floats_are_converted_once_per_kernel(self):
+        kernel = vanishing_moment_kernel(5)
+        kernel_autocorrelation(kernel, 0.3)
+        first = _autocorrelation_piece(kernel)._floats[2]
+        kernel_autocorrelation(kernel, np.array([0.1, 0.7]))
+        assert _autocorrelation_piece(kernel)._floats[2] is first
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [vanishing_moment_kernel(k) for k in range(MAX_KERNEL_ORDER + 1)] + OFF_CENTRE,
+        ids=[f"k{k}" for k in range(MAX_KERNEL_ORDER + 1)] + ["lopsided-box", "quadratic"],
+    )
+    def test_bits_of_a_float_horner_over_the_fractions(self, kernel):
+        psi = _autocorrelation_piece(kernel)
+        width = float(psi.hi)  # the support [0, hi - lo] of psi, read at |w|
+        ws = np.linspace(-1.1, 1.1, 23) * width
+        want = []
+        for w in np.abs(ws).tolist():
+            acc = 0.0
+            for c in reversed(psi.coeffs):
+                acc = acc * w + float(c)
+            want.append(acc if w <= width else 0.0)
+        assert [kernel_autocorrelation(kernel, w) for w in ws] == want
+        assert kernel_autocorrelation(kernel, ws).tolist() == want
+
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_matches_direct_quadrature(self, k):
         from scipy.integrate import quad

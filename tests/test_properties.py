@@ -10,12 +10,15 @@ from hermite_trend.experiments import (
     _CLT_COLUMNS,
     _KEY_TYPES,
     _SUP_MSE_COLUMNS,
+    ConditionViolated,
     ExperimentConfig,
     _config_lines,
     _rung_setup,
+    consistency_side_conditions,
     parse_experiment_config,
 )
 from hermite_trend.trends import parse_trend
+from hermite_trend.validation import ParameterError
 
 FEW = settings(max_examples=60, deadline=None)
 
@@ -28,8 +31,11 @@ def _floats(lo, hi, **kw):
 
 
 @st.composite
-def experiment_configs(draw):
-    """Configs that can run: every rung's kernel reach fits the window."""
+def experiment_fields(draw):
+    """(ExperimentConfig fields, each rung's bandwidth): every rung's kernel reach fits the window.
+
+    The ladder need not have the rate its kind asks for; ``experiment_configs`` assumes it.
+    """
     kind = draw(st.sampled_from(("consistency", "rate-main", "clt", "rate-alt")))
     hurst = draw(_floats(0.5, 1.0, exclude_min=True, exclude_max=True))
     rungs = {"consistency": (2, 5), "rate-main": (4, 6), "rate-alt": (4, 6), "clt": (1, 1)}
@@ -46,7 +52,9 @@ def experiment_configs(draw):
     extra = {}
     if kind == "rate-alt":
         top = min(t.rho for t in (parse_trend(t) for t in trends))
-        extra["rho"] = draw(_floats(hurst, min(top, 5.0), exclude_min=True))
+        # rho <= 1 leaves the alt rule without a rate; draw it about as often as not
+        extra["rho"] = draw(st.one_of(_floats(hurst, 1.0, exclude_min=True),
+                                      _floats(hurst, min(top, 5.0), exclude_min=True)))
         extra["variant"] = draw(st.sampled_from(("observable", "oracle")))
         bandwidths = [bandwidth_alt(e, extra["rho"], hurst) for e in ladder]
         reach = bandwidths[0]  # support [-1, 1]
@@ -65,7 +73,7 @@ def experiment_configs(draw):
     if kind == "clt":
         extra["t0"] = draw(_floats(*window))
     n = draw(st.integers(64, 10**6))
-    return ExperimentConfig(
+    fields = dict(
         kind=kind,
         trends=trends,
         q=draw(st.integers(1, 8)),
@@ -84,6 +92,27 @@ def experiment_configs(draw):
         var_tol=draw(_floats(0.0, 1.0)),
         **extra,
     )
+    return fields, bandwidths
+
+
+def _has_its_rate(fields, bandwidths) -> bool:
+    """rho > 1 for rate-alt; phi and eps^2 phi^{2H-2} falling for consistency and rate-alt."""
+    if fields["kind"] == "rate-alt" and not fields["rho"] > 1.0:
+        return False
+    if fields["kind"] in ("consistency", "rate-alt"):
+        try:
+            consistency_side_conditions(fields["ladder"], bandwidths, fields["hurst"])
+        except ConditionViolated:
+            return False  # e.g. a subnormal eps, whose eps^2 rounds to 0 on every rung
+    return True
+
+
+@st.composite
+def experiment_configs(draw):
+    """Configs that can run: the reach fits the window and the ladder has its kind's rate."""
+    fields, bandwidths = draw(experiment_fields())
+    assume(_has_its_rate(fields, bandwidths))
+    return ExperimentConfig(**fields)
 
 
 @FEW
@@ -100,6 +129,21 @@ def test_accepted_config_builds_every_rung(cfg):
         est, spec, ts = _rung_setup(cfg, rung)
         assert spec.m >= spec.n == cfg.n
         assert np.all((cfg.window[0] <= np.asarray(ts)) & (np.asarray(ts) <= cfg.window[1]))
+
+
+@FEW
+@given(experiment_fields())
+def test_config_is_built_or_names_a_key(drawn):
+    # without the rate assumption: a ladder without its rate is refused under a config key,
+    # never as ConditionViolated or a bare ValueError
+    fields, bandwidths = drawn
+    try:
+        ExperimentConfig(**fields)
+    except ParameterError as exc:
+        assert exc.field in _KEY_TYPES, exc
+        assert not _has_its_rate(fields, bandwidths), exc
+    else:
+        assert _has_its_rate(fields, bandwidths)
 
 
 # Lines shaped like config entries reach the per-key conversions and the

@@ -121,17 +121,6 @@ def _weight_rows(
     return kernel.evaluate(((s - mids) if reflect else (mids - s)) / bandwidth)
 
 
-def _weighted_sums(weights: np.ndarray, increments: np.ndarray, bandwidth: float) -> np.ndarray:
-    """(1/phi) sum_j w_j dI_j for each row w of the (points, n) weight matrix.
-
-    ``hermite._row_dots`` runs the inner loop of ``w @ increments`` (ddot, in
-    pieces of a fixed length) on each row in turn, so every sum has the bits of
-    its row alone, however many rows the call sees and however many threads BLAS
-    runs.  The tests pin the row dots to the row loop bit for bit.
-    """
-    return _row_dots(weights, increments) / bandwidth
-
-
 def _weighted_increment_sum(
     times: np.ndarray,
     increments: np.ndarray,
@@ -141,7 +130,7 @@ def _weighted_increment_sum(
     reflect: bool = False,
 ):
     """(1/phi) sum_j G(arg_j) dI_j with midpoint kernel arguments; float for scalar t."""
-    sums = _weighted_sums(_weight_rows(times, kernel, bandwidth, t, reflect), increments, bandwidth)
+    sums = _row_dots(_weight_rows(times, kernel, bandwidth, t, reflect), increments) / bandwidth
     return float(sums[0]) if np.ndim(t) == 0 else sums
 
 

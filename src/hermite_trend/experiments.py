@@ -40,12 +40,11 @@ from .estimators import (
     _oracle_drift,
     _truncated_increments,
     _weight_rows,
-    _weighted_sums,
     bandwidth_alt,
     bandwidth_main,
     bias_center_term,
 )
-from .hermite import increment_sums, replicate
+from .hermite import _row_dots, increment_sums, replicate
 from .kernels import asymptotic_variance, box_kernel, vanishing_moment_kernel
 from .rng import derive_seed
 from .sde import PathConfig, _fold_integrator, _growth_factors, _variation_of_constants
@@ -390,7 +389,7 @@ def _cell(cfg: ExperimentConfig, rung: int, trend_idx: int):
             def estimate(z):
                 _variation_of_constants(growth, decay, cfg.x0, eps, z, out=x)
                 dy, alive = _truncated_increments(grid, x, z, cfg.x0, trend.bound, oracle)
-                return alive * _weighted_sums(weights, dy, phi)
+                return alive * (_row_dots(weights, dy) / phi)
 
             return replicate(spec, cfg.seed, key, reps, estimate)
     else:

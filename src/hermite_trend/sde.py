@@ -148,15 +148,13 @@ def _fold_integrator(
         c = (x0/phi) W . diff(e^{I}),
         A_l = (eps/phi) e^{-I_l} sum_{k>l} e^{I_k} (W_{k-1} - W_k).
 
-    ``weights`` is a (rows, n) matrix the caller owns; A is written over it, row by row.
+    ``weights`` is a (rows, n) matrix the caller owns; A is written over it.
     """
     c = _row_dots(weights, np.diff(growth)) * (x0 / bandwidth)
-    factor = decay * (eps / bandwidth)
-    for row in weights:
-        np.subtract(row[:-1], row[1:], out=row[:-1])  # W_{k-1} - W_k, and W_{n-1} - 0
-        np.multiply(row, growth[1:], out=row)
-        np.cumsum(row[::-1], out=row[::-1])  # the sum over k > l
-        np.multiply(row, factor, out=row)
+    np.subtract(weights[:, :-1], weights[:, 1:], out=weights[:, :-1])  # W_{k-1} - W_k, W_{n-1} - 0
+    np.multiply(weights, growth[1:], out=weights)
+    np.cumsum(weights[:, ::-1], axis=1, out=weights[:, ::-1])  # the sum over k > l
+    np.multiply(weights, decay * (eps / bandwidth), out=weights)
     return c, weights
 
 

@@ -18,9 +18,9 @@ from hermite_trend.estimators import (
     indicator_path,
     kernel_estimate_product,
     _weight_rows,
-    _weighted_sums,
 )
 from hermite_trend.experiments import _rung_setup, parse_experiment_config
+from hermite_trend.hermite import _row_dots
 from hermite_trend.kernels import Kernel, KernelPiece, vanishing_moment_kernel
 from hermite_trend.rng import derive_seed
 from hermite_trend.sde import PathConfig, SdePath, simulate_path, solve_ode
@@ -173,7 +173,7 @@ class TestWeightedSums:
                 dx = np.diff(simulate_path(trend, path_cfg, derive_seed(cfg.seed, rung, r)).values)
                 loop = np.array([w @ dx for w in weights])
                 assert np.array_equal(np.vecdot(weights, dx), loop)
-                assert np.array_equal(_weighted_sums(weights, dx, est.bandwidth),
+                assert np.array_equal(_row_dots(weights, dx) / est.bandwidth,
                                       [float(w @ dx) / est.bandwidth for w in weights])
 
 

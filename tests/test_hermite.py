@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import hermite_e, polynomial
 
 from hermite_trend.gaussian import (
     FgnSpec,
@@ -17,6 +18,7 @@ from hermite_trend.gaussian import (
 from hermite_trend.hermite import (
     _BLOCK,
     _DOT_PIECE,
+    MAX_HERMITE_ORDER,
     HermiteSpec,
     MomentScalingReport,
     _increment_drawer,
@@ -37,6 +39,18 @@ from hermite_trend.sde import (
     mean_square_bound_check,
 )
 from hermite_trend.trends import parse_trend
+
+# Every order the parser accepts.
+ORDERS = range(1, MAX_HERMITE_ORDER + 1)
+
+# Exact interior gap 100 (Var(Z_{T/4}) / (T/4)^{2H} - 1) at the default m = 8n, by (H, n),
+# for q = 1..8.
+INTERIOR_GAP_PCT = {
+    (0.7, 64): [0.0, -1.455, -1.760, -1.893, -1.968, -2.017, -2.050, -2.075],
+    (0.7, 1024): [0.0, -0.4747, -0.5726, -0.6154, -0.6395, -0.6549, -0.6656, -0.6735],
+    (0.55, 64): [0.0, -9.151, -10.12, -10.51, -10.72, -10.85, -10.94, -11.01],
+    (0.55, 1024): [0.0, -6.041, -6.594, -6.810, -6.925, -6.997, -7.046, -7.081],
+}
 
 # Frozen closed-form value.
 COV_1_2_H07 = 1.3195079107728942
@@ -86,6 +100,16 @@ class TestHermitePolynomial:
         x = philox_generator(6).standard_normal(1000)
         assert np.array_equal(hermite_polynomial(3, x), x * (x * x - 1.0) - 2.0 * x)
 
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_equals_hermeval(self, order):
+        # numpy's Clenshaw sum is another code path; both are within a few roundings of
+        # sum_k |c_k| |x|^k, the size of the terms, which near a root far exceeds |H_q|
+        x = np.linspace(-6.0, 6.0, 2001)
+        coef = [0] * order + [1]
+        terms = polynomial.polyval(np.abs(x), np.abs(hermite_e.herme2poly(coef)))
+        err = np.abs(hermite_polynomial(order, x) - hermite_e.hermeval(x, coef))
+        assert np.all(err <= 2 * order * 2.0**-53 * np.maximum(1.0, terms))
+
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_input_neither_returned_nor_mutated(self, order):
         x = philox_generator(7).standard_normal(64)
@@ -130,16 +154,14 @@ class TestDiscreteNormalizer:
         assert got == pytest.approx(expected_b, abs=1e-12)
         assert got == pytest.approx(B_M4_Q2_H07, abs=1e-12)
 
-    @pytest.mark.parametrize("order,hurst,m", [(2, 0.7, 7), (3, 0.9, 9)])
+    @pytest.mark.parametrize("order,hurst,m", [(2, 0.7, 7), (3, 0.9, 9)] + [
+        (order, hurst, 200) for order in ORDERS for hurst in (0.55, 0.7)])
     def test_collapse_equals_double_sum(self, order, hurst, m):
-        h0 = h_zero(order, hurst)
-        brute = sum(
-            fgn_autocovariance(i - j, h0) ** order
-            for i in range(m)
-            for j in range(m)
-        )
+        # b^2 q! sum_{i,j<m} r(i-j)^q = horizon^{2H} = 1, the double sum taken literally
+        lags = np.subtract.outer(np.arange(m), np.arange(m))
+        brute = np.sum(fgn_autocovariance(lags, h_zero(order, hurst)) ** order)
         got = discrete_normalizer(order, hurst, m=m, horizon=1.0)
-        assert got == pytest.approx(1.0 / math.sqrt(math.factorial(order) * brute), rel=1e-12)
+        assert got == pytest.approx(1.0 / math.sqrt(math.factorial(order) * brute), rel=1e-14)
 
     @pytest.mark.parametrize("order,hurst,m", [(1, 0.7, 1), (2, 0.7, 300), (3, 0.9, 4097),
                                                (2, 0.7, 131072)])
@@ -155,6 +177,31 @@ class TestDiscreteNormalizer:
         b1 = discrete_normalizer(2, 0.7, m=64, horizon=1.0)
         b4 = discrete_normalizer(2, 0.7, m=64, horizon=4.0)
         assert b4 / b1 == pytest.approx(4.0**0.7, rel=1e-13)
+
+
+class TestInteriorGap:
+    """The exact Var(Z_{T/4}) of the rank-q construction at the default m = 8n.
+
+    Z_t = b sum_{i<F} H_q(xi_i) over the F = m/4 fine points before T/4, so
+    Var(Z_{T/4}) = b^2 q! sum_{|l|<F} (F - |l|) r(l)^q.  At q >= 2 it reaches fBm's
+    (T/4)^{2H} only as m grows, and falls further short as H nears 1/2 (README, ``--m``).
+    Pinned to 3 significant digits, so that a change which moves the gap shows.
+    """
+
+    @staticmethod
+    def gap(order, hurst, n, horizon=2.0):
+        m = HermiteSpec(order=order, hurst=hurst, horizon=horizon, n=n).m  # 8n
+        fine, lags = m // 4, np.arange(1, m // 4)
+        r_pow = fgn_autocovariance(lags, h_zero(order, hurst)) ** order
+        b = discrete_normalizer(order, hurst, m=m, horizon=horizon)
+        variance = b * b * math.factorial(order) * (fine + 2.0 * np.sum((fine - lags) * r_pow))
+        return variance / (horizon / 4) ** (2 * hurst) - 1.0
+
+    @pytest.mark.parametrize("hurst,n", sorted(INTERIOR_GAP_PCT))
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_gap_at_the_quarter_horizon(self, order, hurst, n):
+        want = INTERIOR_GAP_PCT[hurst, n][order - 1]
+        assert 100 * self.gap(order, hurst, n) == pytest.approx(want, rel=1e-3, abs=1e-11)
 
 
 class TestSpec:

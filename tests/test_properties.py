@@ -38,24 +38,27 @@ def experiment_fields(draw):
     """
     kind = draw(st.sampled_from(("consistency", "rate-main", "clt", "rate-alt")))
     hurst = draw(_floats(0.5, 1.0, exclude_min=True, exclude_max=True))
-    rungs = {"consistency": (2, 5), "rate-main": (4, 6), "rate-alt": (4, 6), "clt": (1, 1)}
-    ladder = sorted(
-        draw(st.sets(_floats(0.0, 1.0, exclude_min=True),
-                     min_size=rungs[kind][0], max_size=rungs[kind][1])),
-        reverse=True,
-    )
     if kind == "clt":
         trends = (draw(st.sampled_from(TRENDS)),)
     else:
         trends = tuple(draw(st.lists(st.sampled_from(TRENDS), min_size=1, max_size=3)))
     rough = any(t.startswith("weier") for t in trends)  # rho = 1 + gamma = 1.63...
-    extra = {}
+    extra, floor = {}, 0.0
     if kind == "rate-alt":
         top = min(t.rho for t in (parse_trend(t) for t in trends))
-        # rho <= 1 leaves the alt rule without a rate; draw it about as often as not
-        extra["rho"] = draw(st.one_of(_floats(hurst, 1.0, exclude_min=True),
-                                      _floats(hurst, min(top, 5.0), exclude_min=True)))
+        # rho <= 1 leaves the alt rule without a rate; draw it as often as not
+        lo, hi = (1.0, min(top, 5.0)) if draw(st.booleans()) else (hurst, 1.0)
+        extra["rho"] = draw(_floats(lo, hi, exclude_min=True))
         extra["variant"] = draw(st.sampled_from(("observable", "oracle")))
+        # above this eps, phi = eps^{1/(rho-H)} does not underflow below the least normal float
+        floor = np.finfo(float).tiny ** (extra["rho"] - hurst)
+    rungs = {"consistency": (2, 5), "rate-main": (4, 6), "rate-alt": (4, 6), "clt": (1, 1)}
+    ladder = sorted(
+        draw(st.sets(_floats(floor, 1.0, exclude_min=True),
+                     min_size=rungs[kind][0], max_size=rungs[kind][1])),
+        reverse=True,
+    )
+    if kind == "rate-alt":
         bandwidths = [bandwidth_alt(e, extra["rho"], hurst) for e in ladder]
         reach = bandwidths[0]  # support [-1, 1]
     else:
@@ -64,9 +67,8 @@ def experiment_fields(draw):
         extra["kernel"] = draw(st.sampled_from(kernels))
         head, _, arg = extra["kernel"].partition(":")
         k, hi = (int(arg), 1.0) if head == "legendre" else (0, float(arg) / 2)
-        bandwidths = [bandwidth_main(e, k, hurst) for e in ladder]
+        bandwidths = [bandwidth_main(e, k, hurst) for e in ladder]  # phi >= eps: k - H + 2 > 1
         reach = hi * bandwidths[0]  # the widest rung
-    assume(bandwidths[-1] > 0)  # eps^{1/(rho-H)} can underflow
     horizon = draw(_floats(max(0.5, 2.5 * reach), 10.0))
     u, v = sorted(draw(st.lists(_floats(0.01, 0.99), min_size=2, max_size=2)))
     window = (reach + u * (horizon - 2 * reach), reach + v * (horizon - 2 * reach))

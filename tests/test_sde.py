@@ -20,8 +20,25 @@ from hermite_trend.sde import (
     simulate_sde,
     solve_ode,
 )
-from hermite_trend.hermite import HermiteSpec, sample_hermite
+from hermite_trend.estimators import _weight_rows
+from hermite_trend.experiments import _rung_setup, parse_experiment_config
+from hermite_trend.hermite import HermiteSpec, _row_dots, sample_hermite
 from hermite_trend.trends import TrendFunction, constant_trend, parse_trend, sinusoid_trend
+
+# AC08's rate-main config at q = 1: six rungs of 21 x 4096 kernel weights
+RATE_MAIN = """
+kind = rate-main
+trend = sin:0.5,0.8,3.0
+q = 1
+hurst = 0.7
+kernel = legendre:1
+eps = 0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625
+replications = 500
+n = 4096
+horizon = 2.0
+window = 0.6,1.4
+seed = 820
+"""
 
 # x0 exp(0.5 t + 0.8 (1 - cos 3t)/3) at t = 1.75, x0 = 1.3
 ODE_SIN_175 = 3.551872054787956
@@ -326,6 +343,22 @@ class TestFoldIntegrator:
         offset, fold = _fold_integrator(weights.copy(), growth, decay, x0, eps, bandwidth)
         assert offset.shape == fold.shape[:1] == (rows,)
         assert np.all(np.abs(offset + np.vecdot(fold, np.diff(z)) - direct) <= bound)
+        want = fold_by_rows(weights, growth, decay, x0, eps, bandwidth)
+        assert np.array_equal(offset, want[0]) and np.array_equal(fold, want[1])
+
+    def test_matrix_fold_equals_row_loop_on_rate_main_weights(self):
+        """The 21 x 4096 kernel weights of every rung of AC08's config, bit for bit."""
+        cfg = parse_experiment_config(RATE_MAIN)
+        grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
+        growth, decay = _growth_factors(parse_trend(cfg.trends[0], cfg.horizon), grid)
+        for rung, eps in enumerate(cfg.ladder):
+            est, _, ts = _rung_setup(cfg, rung)
+            weights = _weight_rows(grid, est.kernel, est.bandwidth, ts)
+            assert weights.shape == (21, 4096)
+            args = (growth, decay, cfg.x0, eps, est.bandwidth)
+            got = _fold_integrator(weights.copy(), *args)
+            want = fold_by_rows(weights, *args)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_fold_is_written_over_the_weights(self):
         grid = np.linspace(0.0, 2.0, 65)
@@ -333,6 +366,18 @@ class TestFoldIntegrator:
         weights = np.ones((2, 64))
         _, fold = _fold_integrator(weights, growth, decay, 1.0, 0.1, 0.5)
         assert fold is weights
+
+
+def fold_by_rows(weights, growth, decay, x0, eps, bandwidth):
+    """``_fold_integrator`` written row by row: the reference for the matrix fold's bits."""
+    c = _row_dots(weights, np.diff(growth)) * (x0 / bandwidth)
+    factor = decay * (eps / bandwidth)
+    for row in weights:
+        np.subtract(row[:-1], row[1:], out=row[:-1])
+        np.multiply(row, growth[1:], out=row)
+        np.cumsum(row[::-1], out=row[::-1])
+        np.multiply(row, factor, out=row)
+    return c, weights
 
 
 def fold_bound(weights, growth, decay, x0, eps, bandwidth, z):

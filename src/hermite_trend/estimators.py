@@ -6,8 +6,11 @@ Dividing by X_t (behind a floor guard) yields theta itself.  A truncated
 variant multiplies by the indicator of the path staying above a decaying
 threshold, in either an observable form (increments of dX/X) or an oracle
 form that consumes the true trend and driving noise and therefore only makes
-sense inside a simulation.  The bias center term of the normalized error reads
-x(t) from the trend's closed-form integral; nothing here integrates numerically.
+sense inside a simulation.  It is built once per grid, kernel, bandwidth and
+set of evaluation points, then applied to each path; ``alternate_estimate`` and
+the experiments' rate-alt cell share that builder.  The bias center term of
+the normalized error reads x(t) from the trend's closed-form integral; nothing
+here integrates numerically.
 """
 
 from __future__ import annotations
@@ -121,19 +124,6 @@ def _weight_rows(
     return kernel.evaluate(((s - mids) if reflect else (mids - s)) / bandwidth)
 
 
-def _weighted_increment_sum(
-    times: np.ndarray,
-    increments: np.ndarray,
-    kernel: Kernel,
-    bandwidth: float,
-    t,
-    reflect: bool = False,
-):
-    """(1/phi) sum_j G(arg_j) dI_j with midpoint kernel arguments; float for scalar t."""
-    sums = _row_dots(_weight_rows(times, kernel, bandwidth, t, reflect), increments) / bandwidth
-    return float(sums[0]) if np.ndim(t) == 0 else sums
-
-
 def _divide_by_level(path: SdePath, t, product):
     """(product / X_t, valid): NaN wherever |X_t| < |x0| / 2, the division floor."""
     level = np.interp(t, path.times, path.values)
@@ -143,9 +133,9 @@ def _divide_by_level(path: SdePath, t, product):
 
 def kernel_estimate_product(path: SdePath, cfg: EstimatorConfig, t):
     """Estimate J(t) = theta(t) x_t by kernel smoothing of the increments."""
-    return _weighted_increment_sum(
-        path.times, np.diff(path.values), cfg.kernel, cfg.bandwidth, t
-    )
+    weights = _weight_rows(path.times, cfg.kernel, cfg.bandwidth, t)
+    sums = _row_dots(weights, np.diff(path.values)) / cfg.bandwidth
+    return float(sums[0]) if np.ndim(t) == 0 else sums
 
 
 def estimate_series(
@@ -186,6 +176,19 @@ def bias_center_term(
 # ------------------------------------------------------ truncated variant --
 
 
+def _gate(times: np.ndarray, x0: float, bound_constant: float):
+    """above(values): sign(x0) X >= |x0| e^{-Lt} / 2 at each time, the threshold built once.
+
+    L is a trend's certified bound on |theta|, so a negative one raises
+    ``ParameterError``.
+    """
+    if not bound_constant >= 0.0:
+        raise ParameterError("bound_constant", f"must be >= 0, got {bound_constant}")
+    sign = math.copysign(1.0, x0)
+    threshold = 0.5 * abs(x0) * np.exp(-bound_constant * times)
+    return lambda values: sign * values >= threshold
+
+
 def indicator_path(times: np.ndarray, values: np.ndarray, x0: float, bound_constant: float) -> np.ndarray:
     """Latched indicator of sign(x0) X staying at or above |x0| e^{-Lt} / 2 up to each time.
 
@@ -193,37 +196,42 @@ def indicator_path(times: np.ndarray, values: np.ndarray, x0: float, bound_const
     though the threshold itself decays.  With L >= 0 the threshold does not
     increase, so this is the event of the running minimum of sign(x0) X
     staying above it.  The sign makes the event mirror symmetric, as the SDE
-    is: X(-x0, -Z) = -X(x0, Z).  L is a trend's certified bound on |theta|,
-    so a negative one raises ``ParameterError``.
+    is: X(-x0, -Z) = -X(x0, Z).  A negative L raises ``ParameterError``.
     """
-    if not bound_constant >= 0.0:
-        raise ParameterError("bound_constant", f"must be >= 0, got {bound_constant}")
-    threshold = 0.5 * abs(x0) * np.exp(-bound_constant * times)
-    return np.logical_and.accumulate(math.copysign(1.0, x0) * values >= threshold)
+    return np.logical_and.accumulate(_gate(times, x0, bound_constant)(values))
 
 
-def _oracle_drift(times: np.ndarray, trend: TrendFunction, eps: float, horizon: float,
-                  x0: float, bound_constant: float) -> tuple:
-    """(theta dt at the left grid points, eps (2/x0) e^{LT}): the oracle's noise-free terms."""
-    dt = times[1] - times[0]
-    amp = eps * (2.0 / x0) * math.exp(bound_constant * horizon)
-    return np.asarray(trend.value(times[:-1]), dtype=float) * dt, amp
+def _truncated_estimator(times: np.ndarray, kernel: Kernel, bandwidth: float, t, x0: float,
+                         bound_constant: float, variant: str, trend: TrendFunction,
+                         eps: float, horizon: float):
+    """estimate(X, Z) -> I(A_T) (1/phi) sum_j G((t - s_j)/phi) dY_j at every t, as an array.
 
-
-def _truncated_increments(times: np.ndarray, values: np.ndarray, noise: np.ndarray,
-                          x0: float, bound_constant: float, oracle: tuple = None) -> tuple:
-    """(dY, I(A_T)): observable dY = dX / X, or oracle dY = theta dt + amp dZ, on A_T.
-
-    ``oracle`` is None for the observable form, else ``_oracle_drift``'s pair.
-    The indicator is latched, so on A_T it is 1 at every step (and X stays
-    away from 0); off A_T the estimate is 0, and so is dY.
+    Everything but the path is built once: the reflected weight rows, the
+    threshold of A_T and, for the oracle, theta dt and eps (2/x0) e^{LT}.
+    On A_T the latched indicator is 1 at every step (and X stays away from 0),
+    so dY is dX / X (observable) or theta dt + eps (2/x0) e^{LT} dZ (oracle);
+    off A_T the estimate is 0.
     """
-    if not indicator_path(times, values, x0, bound_constant)[-1]:
-        return np.zeros(len(times) - 1), 0.0
-    if oracle is None:
-        return np.diff(values) / values[:-1], 1.0
-    drift, amp = oracle
-    return drift + amp * np.diff(noise), 1.0
+    if variant == "oracle":
+        if trend is None:
+            raise ValueError("variant 'oracle' needs the true trend")
+        drift = np.asarray(trend.value(times[:-1]), dtype=float) * (times[1] - times[0])
+        amp = eps * (2.0 / x0) * math.exp(bound_constant * horizon)
+    elif variant != "observable":
+        raise ValueError(f"unknown variant {variant!r} (expected 'observable' or 'oracle')")
+    above = _gate(times, x0, bound_constant)
+    weights = _weight_rows(times, kernel, bandwidth, t, reflect=True)
+
+    def estimate(values: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        if not np.all(above(values)):
+            return np.zeros(len(weights))
+        if variant == "oracle":
+            dy = drift + amp * np.diff(noise)
+        else:
+            dy = np.diff(values) / values[:-1]
+        return _row_dots(weights, dy) / bandwidth
+
+    return estimate
 
 
 def alternate_estimate(
@@ -235,23 +243,13 @@ def alternate_estimate(
     variant: str = "observable",
     trend: TrendFunction = None,
 ):
-    """Truncated estimate I(A_T) (1/phi) sum_j G((t - s_j)/phi) dY_j.
+    """Truncated estimate I(A_T) (1/phi) sum_j G((t - s_j)/phi) dY_j; float for scalar t.
 
     variant "observable" builds dY = I dX / X from the path alone; variant
     "oracle" builds dY = theta I dt + eps (2/x0) e^{LT} I dZ from the true
     trend and driving noise, so it is only available in simulations.
     """
-    if variant == "observable":
-        oracle = None
-    elif variant == "oracle":
-        if trend is None:
-            raise ValueError("variant 'oracle' needs the true trend")
-        oracle = _oracle_drift(path.times, trend, path.config.eps, path.config.horizon,
-                               x0, bound_constant)
-    else:
-        raise ValueError(f"unknown variant {variant!r} (expected 'observable' or 'oracle')")
-    dy, alive = _truncated_increments(path.times, path.values, path.noise, x0,
-                                      bound_constant, oracle)
-    return alive * _weighted_increment_sum(
-        path.times, dy, cfg.kernel, cfg.bandwidth, t, reflect=True
-    )
+    estimate = _truncated_estimator(path.times, cfg.kernel, cfg.bandwidth, t, x0, bound_constant,
+                                    variant, trend, path.config.eps, path.config.horizon)
+    sums = estimate(path.values, path.noise)
+    return float(sums[0]) if np.ndim(t) == 0 else sums

@@ -37,14 +37,13 @@ import numpy as np
 
 from .estimators import (
     EstimatorConfig,
-    _oracle_drift,
-    _truncated_increments,
+    _truncated_estimator,
     _weight_rows,
     bandwidth_alt,
     bandwidth_main,
     bias_center_term,
 )
-from .hermite import _row_dots, increment_sums, replicate
+from .hermite import increment_sums, replicate
 from .kernels import asymptotic_variance, box_kernel, vanishing_moment_kernel
 from .rng import derive_seed
 from .sde import PathConfig, _fold_integrator, _growth_factors, _variation_of_constants
@@ -362,37 +361,33 @@ def _cell(cfg: ExperimentConfig, rung: int, trend_idx: int):
     ``increment_sums``, which at q = 1 folds the circulant FFT into them as
     well.  It equals ``kernel_estimate_product`` on ``simulate_sde``'s path to
     rounding.  The truncated estimator of rate-alt is not linear in the noise
-    (the indicator, the division by X); the cell holds the oracle drift, and
-    each path ``replicate`` draws is integrated into a buffer of the call and
-    estimated through the same cores as ``simulate_sde`` and
-    ``alternate_estimate``.
+    (the indicator, the division by X); the cell builds it once
+    (``estimators._truncated_estimator``, as ``alternate_estimate`` does), and
+    each path ``replicate`` draws is integrated into a buffer of the call, as
+    ``simulate_sde`` integrates it, and handed to that estimator.
     """
     trend = parse_trend(cfg.trends[trend_idx], cfg.horizon)
     est, spec, ts = _rung_setup(cfg, rung)
     kernel, phi, eps = est.kernel, est.bandwidth, cfg.ladder[rung]
-    alt = cfg.kind == "rate-alt"
     grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
     growth, decay = _growth_factors(trend, grid)
-    weights = _weight_rows(grid, kernel, phi, ts, reflect=alt)
     target = np.asarray(trend.value(ts), dtype=float)
-    if not alt:  # the product estimate targets theta(t) x(t)
-        target = target * np.interp(ts, grid, cfg.x0 * growth)
     key = (rung, trend_idx)
-    if alt:
-        oracle = None
-        if cfg.variant == "oracle":
-            oracle = _oracle_drift(grid, trend, eps, cfg.horizon, cfg.x0, trend.bound)
+    if cfg.kind == "rate-alt":
+        truncated = _truncated_estimator(grid, kernel, phi, ts, cfg.x0, trend.bound,
+                                         cfg.variant, trend, eps, cfg.horizon)
 
         def estimates(reps: range) -> np.ndarray:
             x = np.empty(cfg.n + 1)
 
             def estimate(z):
                 _variation_of_constants(growth, decay, cfg.x0, eps, z, out=x)
-                dy, alive = _truncated_increments(grid, x, z, cfg.x0, trend.bound, oracle)
-                return alive * (_row_dots(weights, dy) / phi)
+                return truncated(x, z)
 
             return replicate(spec, cfg.seed, key, reps, estimate)
-    else:
+    else:  # the product estimate targets theta(t) x(t)
+        target = target * np.interp(ts, grid, cfg.x0 * growth)
+        weights = _weight_rows(grid, kernel, phi, ts)
         offset, fold = _fold_integrator(weights, growth, decay, cfg.x0, eps, phi)
         sums = increment_sums(spec, fold)
 

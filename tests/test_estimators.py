@@ -1,6 +1,7 @@
 """Kernel estimators: bandwidth laws, product/theta estimates, bias term,
 truncated variant.  Noiseless paths double as exact oracles throughout."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -473,6 +474,11 @@ class TestAlternateEstimate:
         with pytest.raises(ValueError, match="variant"):
             alternate_estimate(path, self.make_cfg(), 0.5, 0.5, 1.0, variant="mystery")
 
+    def test_negative_bound_constant_raises(self):
+        path = noiseless_path(constant_trend(0.5, horizon=1.0), 1.0, 256)
+        with pytest.raises(ParameterError, match="bound_constant"):
+            alternate_estimate(path, self.make_cfg(), 0.5, -0.5, 1.0)
+
     def test_variants_agree_in_mc_mean(self):
         # same driving paths, both constructions; means should sit within two
         # combined standard errors of each other
@@ -491,6 +497,65 @@ class TestAlternateEstimate:
         obs, orc = np.array(obs), np.array(orc)
         se = math.sqrt(obs.var(ddof=1) / 300 + orc.var(ddof=1) / 300)
         assert abs(obs.mean() - orc.mean()) <= 2.0 * se
+
+
+def reference_truncated(path, est, t, bound, x0, variant, trend):
+    """The truncated estimate by the route the shared builder replaced, kept as the reference.
+
+    Per call: the latched indicator of sign(x0) X >= |x0| e^{-Lt} / 2, dY from the path (or
+    the oracle's theta dt and eps (2/x0) e^{LT} dZ), and the reflected weights
+    G((t - s_j)/phi), each formed here.
+    """
+    times, values = path.times, path.values
+    threshold = 0.5 * abs(x0) * np.exp(-bound * times)
+    if not np.logical_and.accumulate(math.copysign(1.0, x0) * values >= threshold)[-1]:
+        dy, alive = np.zeros(len(times) - 1), 0.0
+    elif variant == "oracle":
+        drift = np.asarray(trend.value(times[:-1]), dtype=float) * (times[1] - times[0])
+        amp = path.config.eps * (2.0 / x0) * math.exp(bound * path.config.horizon)
+        dy, alive = drift + amp * np.diff(path.noise), 1.0
+    else:
+        dy, alive = np.diff(values) / values[:-1], 1.0
+    mids = 0.5 * (times[:-1] + times[1:])
+    s = np.asarray(t, dtype=float).reshape(-1, 1)
+    sums = _row_dots(est.kernel.evaluate((s - mids) / est.bandwidth), dy) / est.bandwidth
+    return alive * (float(sums[0]) if np.ndim(t) == 0 else sums)
+
+
+class TestTruncatedReference:
+    """``alternate_estimate``, and so the rate-alt cell, which builds the same estimator,
+    equals the reference route bit for bit on AC10's config.
+
+    AC10's own paths never leave A_T, so each rung's estimator also sees paths at
+    eps = 1, where some do.  AC10's kernel is even, so the same bandwidth with the
+    lopsided box checks that the weights are reflected.
+    """
+
+    @pytest.mark.parametrize("x0", [1.0, -1.0])
+    def test_equals_reference_route(self, x0):
+        cfg = parse_experiment_config(DOT_CONFIGS["rate-alt"])
+        trend = parse_trend(cfg.trends[0], cfg.horizon)
+        counts = {"left": 0, "stayed": 0}
+        for rung in range(len(cfg.ladder)):
+            est, _, ts = _rung_setup(cfg, rung)
+            lopsided = replace(est, kernel=lopsided_box())
+            for eps in (cfg.ladder[rung], 1.0):
+                pc = PathConfig(horizon=cfg.horizon, n=cfg.n, eps=eps, x0=x0,
+                                order=cfg.q, hurst=cfg.hurst)
+                for r in range(4):
+                    path = simulate_path(trend, pc, derive_seed(cfg.seed, rung, r))
+                    stayed = indicator_path(path.times, path.values, x0, trend.bound)[-1]
+                    counts["stayed" if stayed else "left"] += 1
+                    cases = itertools.product(("oracle", "observable"), (est, lopsided),
+                                              (ts, float(ts[len(ts) // 2])))
+                    for variant, e, t in cases:
+                        want = reference_truncated(path, e, t, trend.bound, x0, variant, trend)
+                        got = alternate_estimate(path, e, t, trend.bound, x0, variant, trend)
+                        assert type(got) is type(want)
+                        assert np.array_equal(got, want)
+                        if not stayed:
+                            assert not np.any(got)
+        assert counts["left"] > 0 and counts["stayed"] > 0, counts
 
 
 class TestMirroredStart:

@@ -165,8 +165,8 @@ def bias_center_term(
     the trend's closed-form integral.  Raises DerivativeUnavailable through
     trend.derivative when the trend cannot certify theta^{(k+1)}.
     """
-    integral = float(trend.integral(t))
-    theta_derivs = [float(trend.derivative(i)(t)) for i in range(k + 2)]
+    integral = trend.integral(t)
+    theta_derivs = [trend.derivative(i)(t) for i in range(k + 2)]
     d = [x0 * math.exp(integral)]  # d[m] = x^{(m)}(t)
     for m in range(k + 2):
         d.append(sum(math.comb(m, i) * theta_derivs[i] * d[m - i] for i in range(m + 1)))
@@ -215,7 +215,7 @@ def _truncated_estimator(times: np.ndarray, kernel: Kernel, bandwidth: float, t,
     if variant == "oracle":
         if trend is None:
             raise ValueError("variant 'oracle' needs the true trend")
-        drift = np.asarray(trend.value(times[:-1]), dtype=float) * (times[1] - times[0])
+        drift = trend.value(times[:-1]) * (times[1] - times[0])
         amp = eps * (2.0 / x0) * math.exp(bound_constant * horizon)
     elif variant != "observable":
         raise ValueError(f"unknown variant {variant!r} (expected 'observable' or 'oracle')")

@@ -371,7 +371,7 @@ def _cell(cfg: ExperimentConfig, rung: int, trend_idx: int):
     kernel, phi, eps = est.kernel, est.bandwidth, cfg.ladder[rung]
     grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
     growth, decay = _growth_factors(trend, grid)
-    target = np.asarray(trend.value(ts), dtype=float)
+    target = trend.value(ts)
     key = (rung, trend_idx)
     if cfg.kind == "rate-alt":
         truncated = _truncated_estimator(grid, kernel, phi, ts, cfg.x0, trend.bound,

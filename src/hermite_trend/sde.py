@@ -102,8 +102,11 @@ class MeanSquareReport:
 
 
 def cumulative_trend_integral(trend: TrendFunction, times: np.ndarray) -> np.ndarray:
-    """I(t_j) = int_0^{t_j} theta(s) ds at every grid time, from the trend's closed form."""
-    return np.asarray(trend.integral(times), dtype=float)
+    """I(t_j) = int_0^{t_j} theta(s) ds at every grid time, from the trend's closed form.
+
+    A pass-through to ``trend.integral``, kept because perfbench's tracer wraps it.
+    """
+    return trend.integral(times)
 
 
 def solve_ode(trend: TrendFunction, x0: float, times: np.ndarray) -> np.ndarray:
@@ -178,7 +181,7 @@ def simulate_sde(
         values = _variation_of_constants(growth, decay, config.x0, config.eps, z)
     elif method == "euler":
         dt = times[1] - times[0]
-        theta_left = np.asarray(trend.value(times[:-1]), dtype=float)
+        theta_left = trend.value(times[:-1])
         dz = np.diff(z)
         values = np.empty_like(z)
         values[0] = config.x0

@@ -43,6 +43,16 @@ class DerivativeUnavailable(ValueError):
     """Requested derivative order is not guaranteed for this trend's class."""
 
 
+def _elementwise(fn: Callable) -> Callable:
+    """fn on t as a float array; a float for scalar t, else a float array."""
+
+    def call(t):
+        out = np.asarray(fn(np.asarray(t, dtype=float)), dtype=float)
+        return float(out) if out.ndim == 0 else out
+
+    return call
+
+
 @dataclass(frozen=True)
 class TrendFunction:
     """A multiplier t -> theta(t) on [0, horizon] with certified metadata.
@@ -53,6 +63,10 @@ class TrendFunction:
     integral: t -> int_0^t theta(s) ds in closed form, elementwise on arrays.
     rho     : smoothness index k + gamma (the k-th derivative is gamma-Hoelder);
               infinity for smooth trends, whose every derivative is available.
+
+    value, integral and each derivative are written as math on float arrays;
+    the dataclass hands them t as a float array and returns a float for
+    scalar t, a float array otherwise.
     """
 
     label: str
@@ -62,6 +76,10 @@ class TrendFunction:
     _deriv: Callable = field(compare=False, repr=False)
     integral: Callable = field(compare=False, repr=False)
     rho: float = math.inf
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _elementwise(self.value))
+        object.__setattr__(self, "integral", _elementwise(self.integral))
 
     def derivative(self, order: int) -> Callable:
         if order < 0:
@@ -74,32 +92,21 @@ class TrendFunction:
                 f"trend {self.label!r} guarantees derivatives only up to order "
                 f"{math.ceil(self.rho) - 1}; order {order} requested"
             )
-        return fn
+        return _elementwise(fn)
 
 
 # ---------------------------------------------------------- constructors ---
 
 
-def _as_output(arr):
-    return float(arr) if np.ndim(arr) == 0 else arr
-
-
 def constant_trend(level: float, horizon: float = 1.0) -> TrendFunction:
     level = float(level)
-
-    def value(t):
-        return _as_output(np.full_like(np.asarray(t, dtype=float), level))
-
-    def deriv(order):
-        return lambda t: _as_output(np.zeros_like(np.asarray(t, dtype=float)))
-
     return TrendFunction(
         label=f"const:{level:g}",
         horizon=float(horizon),
         bound=abs(level),
-        value=value,
-        _deriv=deriv,
-        integral=lambda t: _as_output(level * np.asarray(t, dtype=float)),
+        value=lambda t: np.full_like(t, level),
+        _deriv=lambda order: np.zeros_like,
+        integral=lambda t: level * t,
     )
 
 
@@ -109,32 +116,24 @@ def sinusoid_trend(
     """theta(t) = offset + amplitude * sin(omega t)."""
     offset, amplitude, omega = float(offset), float(amplitude), float(omega)
 
-    def value(t):
-        return _as_output(offset + amplitude * np.sin(omega * np.asarray(t, dtype=float)))
-
     def deriv(order):
         # d^m/dt^m sin(omega t) = omega^m sin(omega t + m pi/2)
         shift = order * math.pi / 2.0
         scale = amplitude * omega**order
-
-        def fn(t):
-            return _as_output(scale * np.sin(omega * np.asarray(t, dtype=float) + shift))
-
-        return fn
+        return lambda t: scale * np.sin(omega * t + shift)
 
     def integral(t):
         # offset t + amplitude (1 - cos omega t) / omega, with 1 - cos x = 2 sin^2(x/2)
         # so that small omega t keeps its digits; omega = 0 leaves offset t
-        t = np.asarray(t, dtype=float)
         if omega == 0.0:
-            return _as_output(offset * t)
-        return _as_output(offset * t + amplitude * (2.0 * np.sin(0.5 * omega * t) ** 2) / omega)
+            return offset * t
+        return offset * t + amplitude * (2.0 * np.sin(0.5 * omega * t) ** 2) / omega
 
     return TrendFunction(
         label=f"sin:{offset:g},{amplitude:g},{omega:g}",
         horizon=float(horizon),
         bound=abs(offset) + abs(amplitude),
-        value=value,
+        value=lambda t: offset + amplitude * np.sin(omega * t),
         _deriv=deriv,
         integral=integral,
     )
@@ -146,20 +145,14 @@ def polynomial_trend(coeffs, horizon: float = 1.0) -> TrendFunction:
     if not coeffs:
         raise ValueError("polynomial trend needs at least one coefficient")
     poly = np.polynomial.Polynomial(coeffs)
-    antiderivative = poly.integ()  # the one vanishing at 0
     bound = sum(abs(c) * float(horizon) ** i for i, c in enumerate(coeffs))
-
-    def deriv(order):
-        dpoly = poly.deriv(order)
-        return lambda t: _as_output(dpoly(np.asarray(t, dtype=float)))
-
     return TrendFunction(
         label="poly:" + ",".join(f"{c:g}" for c in coeffs),
         horizon=float(horizon),
         bound=bound,
-        value=lambda t: _as_output(poly(np.asarray(t, dtype=float))),
-        _deriv=deriv,
-        integral=lambda t: _as_output(antiderivative(np.asarray(t, dtype=float))),
+        value=poly,
+        _deriv=poly.deriv,
+        integral=poly.integ(),  # the antiderivative vanishing at 0
     )
 
 
@@ -196,33 +189,22 @@ def weierstrass_trend(
     gamma = min(1.0, math.log(1.0 / decay) / math.log(lacunarity))
 
     def value(t):
-        t = np.asarray(t, dtype=float)
-        return _as_output(np.sum(weights * np.sin(np.multiply.outer(t, freqs)), axis=-1))
+        return np.sum(weights * np.sin(np.multiply.outer(t, freqs)), axis=-1)
 
-    def deriv(order):
-        if order > 1:
-            return None
-
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            return _as_output(
-                amplitude * np.sum(decay**j * np.cos(np.multiply.outer(t, freqs)), axis=-1)
-            )
-
-        return fn
+    def first_derivative(t):
+        return amplitude * np.sum(decay**j * np.cos(np.multiply.outer(t, freqs)), axis=-1)
 
     def integral(t):
         # sum_j w_j (1 - cos f_j t) / f_j, with 1 - cos x = 2 sin^2(x/2)
-        t = np.asarray(t, dtype=float)
         half = np.sin(np.multiply.outer(t, 0.5 * freqs))
-        return _as_output(np.sum(weights * (2.0 * half * half) / freqs, axis=-1))
+        return np.sum(weights * (2.0 * half * half) / freqs, axis=-1)
 
     return TrendFunction(
         label=f"weier:{amplitude:g},{decay:g},{lacunarity:g},{terms}",
         horizon=float(horizon),
         bound=float(np.sum(np.abs(weights))),
         value=value,
-        _deriv=deriv,
+        _deriv=lambda order: first_derivative if order == 1 else None,
         integral=integral,
         rho=1 + gamma,
     )

@@ -518,6 +518,14 @@ BLOCK_CASES = {
     "rate-alt-observable": (dict(kind="rate-alt", kernel=None, rho="2.0",
                                  variant="observable"), 1, 0),
 }
+# Started at x0 = +-0.15, 4 of the first 25 paths of rung 0 leave A_T, so the
+# rate-alt cell's gate zeroes some rows and not others, for either sign.
+GATED_CASES = {
+    f"rate-alt-{variant}-x0={x0}": (dict(kind="rate-alt", kernel=None, rho="2.0",
+                                         variant=variant, x0=x0), 0, 0)
+    for variant in ("oracle", "observable") for x0 in ("0.15", "-0.15")
+}
+BLOCK_CASES.update(GATED_CASES)
 
 
 def fold_tolerance(cfg, rung, trend_idx, start, stop, errors):
@@ -570,6 +578,11 @@ class TestBlockEquivalence:
         else:
             tol = fold_tolerance(cfg, rung, trend_idx, 0, 25, public)
             np.testing.assert_array_less(np.abs(block - public), tol)
+        if case in GATED_CASES:  # a gated row estimates 0, so its error is target^2
+            ts = experiments._rung_setup(cfg, rung)[2]
+            target = parse_trend(cfg.trends[trend_idx], cfg.horizon).value(ts)
+            gated = np.all(block == target**2, axis=1)
+            assert 0 < np.count_nonzero(gated) < len(block)
         # one cell draws any range, a one-row range (the size many workers give) included,
         # as a freshly built cell does, and carries nothing from one call to the next
         single = errors(range(7, 8))

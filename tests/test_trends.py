@@ -1,10 +1,14 @@
 """Trend catalogue: values, certified bounds, derivatives, text grammar."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from hermite_trend.trends import (
     DerivativeUnavailable,
+    TrendFunction,
     constant_trend,
     parse_trend,
     polynomial_trend,
@@ -211,3 +215,80 @@ class TestParser:
     def test_error_names_the_kind(self):
         with pytest.raises(ValueError, match="sin"):
             parse_trend("sin:1.0", horizon=2.0)
+
+
+W_J = np.arange(12)
+W_WEIGHTS = 0.3 * 0.5**W_J / 3.0**W_J
+W_FREQS = 3.0**W_J
+
+
+def _cos_trend():
+    # built by hand: numpy ufuncs return np.float64, not float, for a scalar
+    return TrendFunction(label="cos", horizon=2.0, bound=1.0, value=np.cos,
+                         _deriv=lambda k: lambda t: np.cos(t + k * math.pi / 2.0),
+                         integral=np.sin)
+
+
+def _sin_derivative(k):
+    return lambda t: 0.8 * 3.0**k * np.sin(3.0 * t + k * math.pi / 2.0)
+
+
+# kind -> (trend, integral, {k: theta^(k)}), each closed form written on float arrays.
+# Smooth kinds are checked up to order 3; poly past its degree, where theta^(k) = 0.
+CONVENTION_CASES = {
+    "const": (
+        lambda: constant_trend(0.7, horizon=2.0),
+        lambda t: 0.7 * t,
+        {0: lambda t: np.full_like(t, 0.7), 1: np.zeros_like, 2: np.zeros_like,
+         3: np.zeros_like},
+    ),
+    "sin": (
+        lambda: sinusoid_trend(0.5, 0.8, 3.0, horizon=2.0),
+        lambda t: 0.5 * t + 0.8 * (2.0 * np.sin(0.5 * 3.0 * t) ** 2) / 3.0,
+        {0: lambda t: 0.5 + 0.8 * np.sin(3.0 * t), **{k: _sin_derivative(k) for k in (1, 2, 3)}},
+    ),
+    "poly": (  # Horner's rule, as numpy.polynomial evaluates
+        lambda: polynomial_trend([0.2, -0.4, 0.1], horizon=2.0),
+        lambda t: 0.0 + (0.2 + (-0.4 / 2 + 0.1 / 3 * t) * t) * t,
+        {0: lambda t: 0.2 + (-0.4 + 0.1 * t) * t, 1: lambda t: -0.4 + 2 * 0.1 * t,
+         2: lambda t: np.full_like(t, 2 * 0.1), 3: np.zeros_like},
+    ),
+    "weier": (
+        lambda: weierstrass_trend(0.3, 0.5, 3.0, 12, horizon=2.0),
+        lambda t: np.sum(W_WEIGHTS * (2.0 * np.sin(np.multiply.outer(t, 0.5 * W_FREQS)) ** 2)
+                         / W_FREQS, axis=-1),
+        {0: lambda t: np.sum(W_WEIGHTS * np.sin(np.multiply.outer(t, W_FREQS)), axis=-1),
+         1: lambda t: 0.3 * np.sum(0.5**W_J * np.cos(np.multiply.outer(t, W_FREQS)), axis=-1)},
+    ),
+    "hand-built": (
+        _cos_trend,
+        np.sin,
+        {k: (np.cos if k == 0 else (lambda t, k=k: np.cos(t + k * math.pi / 2.0)))
+         for k in (0, 1, 2, 3)},
+    ),
+}
+
+
+class TestCallConvention:
+    """TrendFunction hands every function t as a float array and returns a float for scalar t."""
+
+    GRID = np.linspace(0.0, 2.0, 33)
+
+    @pytest.mark.parametrize("replaced", [False, True], ids=["built", "replaced"])
+    @pytest.mark.parametrize("kind", sorted(CONVENTION_CASES))
+    def test_types_and_values(self, kind, replaced):
+        build, integral, derivatives = CONVENTION_CASES[kind]
+        th = build()
+        if replaced:  # __post_init__ runs again on the wrapped functions
+            th = dataclasses.replace(th)
+        pairs = [(th.value, derivatives[0]), (th.integral, integral)]
+        pairs += [(th.derivative(k), closed) for k, closed in derivatives.items()]
+        for fn, closed in pairs:
+            for t in (0.0, 1, 0.37, np.float64(1.75)):
+                got = fn(t)
+                assert type(got) is float
+                assert got == closed(np.asarray(t, dtype=float))
+            for ts in (self.GRID, list(self.GRID), [0, 1, 2]):
+                got = fn(ts)
+                assert type(got) is np.ndarray and got.dtype == np.float64
+                assert np.array_equal(got, closed(np.asarray(ts, dtype=float)))

@@ -7,15 +7,18 @@ resolved configuration as ``# key = value`` lines, written by the one
 nothing here writes timestamps.
 
 Each parameter is checked by the layer that uses it, and exit 2 names the
-flag (or the ``--in`` header key) that set it (``_FLAGS``).  An experiment
-config is checked key by key when it is read, before any path is drawn:
-besides each key's own domain, n >= 64, m = 0 or m >= n, seed >= 0,
-eval_points >= 1, ceiling, slope_tol and var_tol >= 0, the kernel reach inside
-[0, horizon] at every rung, for rate-alt 1 < rho <= the trend smoothness, for
-consistency and rate-alt phi and eps^2 phi^{2H-2} strictly falling along the
-ladder and, for clt, a trend with the derivative of order k + 1 the bias term
-needs.  Only a circulant embedding that fails on rounding is met at run time
-(exit 3).
+flag (or the ``--in`` header key) that set it (``_FLAGS``).  So does each path
+a flag names: one the OS refuses, or a file that does not decode, exits 2 as
+``--flag: cannot use '<path>': <reason>``, and ``experiment`` makes its
+``--out`` directory before it draws a path.  An experiment config is checked
+key by key when it is read, before any path is drawn: besides each key's own
+domain, n >= 64, m = 0 or m >= n, seed >= 0, eval_points >= 1, ceiling,
+slope_tol and var_tol >= 0, the kernel reach inside [0, horizon] at every rung,
+for rate-alt 1 < rho <= the trend smoothness, for consistency and rate-alt phi
+and eps^2 phi^{2H-2} strictly falling along the ladder and, for clt, a trend
+with the derivative of order k + 1 the bias term needs.  Only a circulant
+embedding that fails on rounding, or a write that fails once its file is open
+(say, on a full disk), is met at run time (exit 3).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -48,12 +52,20 @@ TREND_HELP = (
 )
 
 
+def _on_path(flag: str, action, path, *args, **kwargs):
+    """action(path, ...), with a refused path or undecodable text as a ValueError naming flag."""
+    try:
+        return action(path, *args, **kwargs)
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
+        raise ValueError(f"{flag}: cannot use '{path}': {getattr(exc, 'strerror', 0) or exc}")
+
+
 def _write_lines(out, lines) -> None:
     text = "\n".join(lines) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
+        with _on_path("--out", open, out, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -125,26 +137,26 @@ def _read_path_csv(path: str) -> tuple:
     pairs = []
     rows, linenos = [], []
     columns = None
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, sep, value = line.lstrip("#").partition("=")
-                if sep:
-                    pairs.append((key.strip(), value.strip()))
-                continue
-            if columns is None:
-                columns = [c.strip() for c in line.split(",")]
-                if columns != ["t", "Z", "x", "X"]:
-                    raise ValueError(f"--in: expected a t,Z,x,X path file, got columns {columns}")
-                continue
-            row = _finite_floats(line.split(","))
-            if row is None or len(row) != 4:
-                raise ValueError(f"--in: line {lineno} is not four finite numbers: {line!r}")
-            rows.append(row)
-            linenos.append(lineno)
+    text = _on_path("--in", Path.read_text, Path(path))
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, sep, value = line.lstrip("#").partition("=")
+            if sep:
+                pairs.append((key.strip(), value.strip()))
+            continue
+        if columns is None:
+            columns = [c.strip() for c in line.split(",")]
+            if columns != ["t", "Z", "x", "X"]:
+                raise ValueError(f"--in: expected a t,Z,x,X path file, got columns {columns}")
+            continue
+        row = _finite_floats(line.split(","))
+        if row is None or len(row) != 4:
+            raise ValueError(f"--in: line {lineno} is not four finite numbers: {line!r}")
+        rows.append(row)
+        linenos.append(lineno)
     if columns is None:
         raise ValueError("--in: expected a t,Z,x,X path file, found no column line")
     header = dict(pairs)  # a repeated key reads its last value
@@ -225,11 +237,11 @@ def _cmd_experiment(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
         raise ValueError(f"--workers: must lie in [1, {cpus}] (the CPU count), got {args.workers}")
-    cfg = load_experiment_config(args.config)
+    cfg = _on_path("--config", load_experiment_config, args.config)
+    _on_path("--out", os.makedirs, args.out, exist_ok=True)  # a bad --out fails before the run
     result = run_experiment(cfg, workers=args.workers)
     write_report(result, args.out)
-    with open(os.path.join(args.out, "summary.txt")) as fh:
-        sys.stdout.write(fh.read())
+    sys.stdout.write(Path(args.out, "summary.txt").read_text())
     return 0 if result.passed else 1
 
 
@@ -238,12 +250,9 @@ _RESULT_COLUMNS = {_SUP_MSE_COLUMNS: (0, 1, 2, 3), _CLT_COLUMNS: (0, 2)}
 
 
 def _cmd_report(args) -> int:
-    results = os.path.join(args.indir, "results.csv")
-    if not os.path.exists(results):
-        raise ValueError(f"--in: no results.csv under {args.indir}")
-    with open(results) as fh:
-        columns = tuple(fh.readline().strip().split(","))
-        rows = [(n, ln.strip().split(",")) for n, ln in enumerate(fh, start=2) if ln.strip()]
+    first, *rest = _on_path("--in", Path.read_text, Path(args.indir, "results.csv")).split("\n")
+    columns = tuple(first.strip().split(","))
+    rows = [(n, ln.strip().split(",")) for n, ln in enumerate(rest, start=2) if ln.strip()]
     numeric = _RESULT_COLUMNS.get(columns)
     if numeric is None:
         raise ValueError(f"--in: unrecognized results.csv columns {list(columns)}")
@@ -268,10 +277,10 @@ def _cmd_report(args) -> int:
     else:
         for _, row in rows:
             sys.stdout.write(f"{row[1]}={row[2]}\n")
-    summary = os.path.join(args.indir, "summary.txt")
-    if os.path.exists(summary):
-        with open(summary) as fh:
-            sys.stdout.writelines(ln for ln in fh if "pass=" in ln)
+    summary = Path(args.indir, "summary.txt")
+    if summary.exists():
+        lines = _on_path("--in", Path.read_text, summary).split("\n")
+        sys.stdout.writelines(f"{ln}\n" for ln in lines if "pass=" in ln)
     return 0
 
 
@@ -337,12 +346,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
-        flag = _FLAGS.get(args.command, {}).get(exc.field)
+    except ValueError as exc:
+        flag = isinstance(exc, ParameterError) and _FLAGS.get(args.command, {}).get(exc.field)
         print(f"error: {exc.renamed(flag) if flag else exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - surfaced as a runtime failure
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)

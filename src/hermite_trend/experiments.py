@@ -12,10 +12,10 @@ Four experiment kinds:
   against the kernel's asymptotic variance.
 
 ``ExperimentConfig`` checks every key as it is built, the ladder's side
-conditions and rate-alt's rho > 1 included, so the runners only gather, reduce
-and report.  Everything downstream of an ExperimentConfig (master seed
-included) is a pure function, so reports are byte-identical across reruns and
-worker counts:
+conditions and rate-alt's rho > 1 included, and names the key of each rejection
+(a ``ParameterError``), so the runners only gather, reduce and report.
+Everything downstream of an ExperimentConfig (master seed included) is a pure
+function, so reports are byte-identical across reruns and worker counts:
 replication r of rung i, trend j always draws from the stream derived from
 (seed, i, j, r), and results land in a preallocated array by index before any
 reduction happens.
@@ -74,8 +74,8 @@ __all__ = [
 KINDS = ("consistency", "rate-main", "clt", "rate-alt")
 
 
-class ConditionViolated(ValueError):
-    """A side condition needed for consistency fails for the configured ladder."""
+class ConditionViolated(ParameterError):
+    """A side condition needed for consistency fails for the configured ladder (field eps)."""
 
 
 class FitDegenerate(RuntimeError):
@@ -115,25 +115,25 @@ class ExperimentConfig:
     def __post_init__(self):
         """Check every key before any path: build what each rung of the run builds."""
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {'|'.join(KINDS)}, got {self.kind!r}")
+            raise ParameterError("kind", f"must be one of {'|'.join(KINDS)}, got {self.kind!r}")
         if not self.trends:
-            raise ValueError("at least one trend is required")
+            raise ParameterError("trend", "needs at least one trend")
         trends = [parse_trend(t, self.horizon) for t in self.trends]
         if self.replications < 100:
-            raise ValueError(f"replications must be >= 100, got {self.replications}")
+            raise ParameterError("replications", f"must be >= 100, got {self.replications}")
         if any(a <= b for a, b in zip(self.ladder, self.ladder[1:])):
-            raise ValueError("eps ladder must be strictly decreasing")
+            raise ParameterError("eps", "ladder must be strictly decreasing")
         rungs = len(self.ladder)
         min_rungs = {"consistency": 2, "rate-main": 4, "rate-alt": 4, "clt": 1}[self.kind]
         if rungs < min_rungs:
-            raise ValueError(f"{self.kind} needs >= {min_rungs} ladder rungs, got {rungs}")
+            raise ParameterError("eps", f"{self.kind} needs >= {min_rungs} rungs, got {rungs}")
         if self.kind == "clt" and rungs > 1:
-            raise ValueError("clt takes exactly 1 eps value")
+            raise ParameterError("eps", "ladder for clt takes exactly 1 eps value")
         if self.kind == "rate-alt":
             if self.variant not in ("observable", "oracle"):
-                raise ValueError(f"variant must be observable|oracle, got {self.variant!r}")
+                raise ParameterError("variant", f"must be observable|oracle, got {self.variant!r}")
             if self.kernel:
-                raise ValueError("rate-alt derives its kernel from rho; drop the kernel key")
+                raise ParameterError("kernel", "rate-alt derives it from rho; drop the kernel key")
         for key in ("ceiling", "slope_tol", "var_tol"):  # 0 = kind default for the first two
             if getattr(self, key) < 0:
                 raise ParameterError(key, f"must be >= 0, got {getattr(self, key)}")
@@ -146,20 +146,17 @@ class ExperimentConfig:
             alt_k = exc.field == "k" and self.kind == "rate-alt"
             raise exc.renamed("rho" if alt_k else _FIELD_KEYS.get(exc.field, exc.field)) from exc
         if self.kind in ("consistency", "rate-alt"):
-            try:
-                consistency_side_conditions(self.ladder, [e.bandwidth for e in ests], self.hurst)
-            except ConditionViolated as exc:
-                raise ParameterError("eps", str(exc)) from exc
+            consistency_side_conditions(self.ladder, [e.bandwidth for e in ests], self.hurst)
         smoothness = min(t.rho for t in trends)  # k + gamma; inf for smooth trends
         if self.kind == "rate-alt" and self.rho > smoothness:
             raise ParameterError("rho", f"must not exceed the trend smoothness {smoothness:.6g}, "
                                  f"got {self.rho}")
         if self.kind == "clt":
             if len(self.trends) != 1:
-                raise ValueError("clt uses a single trend, not a panel")
+                raise ParameterError("trend", "for clt must be a single trend, not a panel")
             a, b = self.window
             if not a <= self.t0 <= b:
-                raise ValueError(f"t0={self.t0} must lie in the window [{a}, {b}]")
+                raise ParameterError("t0", f"must lie in the window [{a}, {b}], got {self.t0}")
             try:  # the bias centre needs theta^{(k+1)}
                 trends[0].derivative(ests[0].kernel.order + 1)
             except DerivativeUnavailable as exc:
@@ -452,10 +449,10 @@ def consistency_side_conditions(ladder, bandwidths, hurst: float) -> None:
     """Require phi and eps^2 phi^{2H-2} to fall strictly along the ladder."""
     noise = [e**2 * p ** (2.0 * hurst - 2.0) for e, p in zip(ladder, bandwidths)]
     if any(b >= a for a, b in zip(bandwidths, bandwidths[1:])):
-        raise ConditionViolated("bandwidth does not decrease along the ladder")
+        raise ConditionViolated("eps", "bandwidth does not decrease along the ladder")
     if any(b >= a for a, b in zip(noise, noise[1:])):
         raise ConditionViolated(
-            "the noise factor eps^2 phi^{2H-2} does not decrease along the ladder; the "
+            "eps", "the noise factor eps^2 phi^{2H-2} does not decrease along the ladder; the "
             "consistency conditions fail for this bandwidth rule"
         )
 

@@ -7,8 +7,8 @@ and read at |w|.  Construction, moments and psi are exact: ``numpy.polynomial``
 on object arrays of Fractions.  Floats appear only in evaluation and in the
 irrational power-law step of the variance functional, so moment identities
 hold to full double precision rather than to solver tolerance.  Each piece
-converts its bounds and coefficients to floats once and owns the one Horner
-evaluator, which both ``Kernel.evaluate`` and ``kernel_autocorrelation`` use.
+converts its bounds and coefficients to floats once; numpy's ``polyval`` is the
+one Horner evaluator, for ``Kernel.evaluate`` and ``kernel_autocorrelation``.
 
 ``vanishing_moment_kernel(k)`` solves the k+1 moment conditions in the even
 Legendre basis with the endpoint condition G(1) = 0 for k >= 1; this yields
@@ -67,17 +67,13 @@ class KernelPiece:
         return float(self.lo), float(self.hi), np.array([float(c) for c in self.coeffs])
 
     def evaluate(self, u):
-        """Horner evaluation on the closed interval [lo, hi], zero elsewhere."""
+        """Horner evaluation (``np.polyval``) on the closed interval [lo, hi], zero elsewhere."""
         lo, hi, coeffs = self._floats
         scalar = np.ndim(u) == 0
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         out = np.zeros_like(arr)
         mask = (arr >= lo) & (arr <= hi)
-        x = arr[mask]
-        acc = np.zeros_like(x)
-        for c in coeffs[::-1]:
-            acc = acc * x + c
-        out[mask] = acc
+        out[mask] = np.polyval(coeffs[::-1], arr[mask])
         return float(out[0]) if scalar else out
 
 
@@ -183,15 +179,14 @@ def _autocorrelation_piece(kernel: Kernel) -> KernelPiece:
     The supports overlap on [lo, hi-w], and G(u+w) = sum_j G^(j)(u) w^j / j! (Taylor), so
     psi(w) = sum_j (w^j / j!) A_j(hi-w) with A_j(x) = int_lo^x G G^(j).
     """
-    from numpy.polynomial.polynomial import polyadd, polyder, polyint, polymul
+    from numpy.polynomial import Polynomial
+    from numpy.polynomial.polynomial import polyadd, polyder, polyint, polymul, polyval
 
     p = kernel.piece
     g, psi = _exact(p.coeffs), _exact((0,))
     for j in range(len(g)):
         anti = polyint(polymul(g, polyder(g, j)), lbnd=p.lo)
-        upper = anti[-1:]
-        for c in anti[-2::-1]:  # Horner in w for A_j(hi - w)
-            upper = polyadd(polymul(upper, _exact((p.hi, -1))), _exact((c,)))
+        upper = polyval(Polynomial(_exact((p.hi, -1))), anti).coef  # A_j(hi - w), in w
         psi = polyadd(psi, np.concatenate((_exact((0,) * j), upper / factorial(j))))
     return KernelPiece(Fraction(0), p.hi - p.lo, tuple(psi))
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hermite_trend import experiments, hermite
+from hermite_trend import cli, experiments, hermite
 from hermite_trend.cli import main
 
 PASSING_CONSISTENCY = """
@@ -511,6 +511,49 @@ class TestExperiment:
                     "--workers", "2"]) == 0
         for name in ("results.csv", "summary.txt"):
             assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+class TestPaths:
+    """A path a flag names that the OS refuses, or that is not UTF-8, exits 2 naming the flag."""
+
+    CASES = {
+        "experiment-config-dir": ("experiment --config dir --out rep", "--config"),
+        "experiment-config-missing": ("experiment --config missing.txt --out rep", "--config"),
+        "experiment-config-not-utf8": ("experiment --config binary --out rep", "--config"),
+        "experiment-out-existing-file": ("experiment --config c.txt --out file", "--out"),
+        "estimate-in-dir": ("estimate --in dir", "--in"),
+        "estimate-in-not-utf8": ("estimate --in binary", "--in"),
+        "simulate-out-missing-dir": ("simulate --trend const:0.5 --n 64 --out missing/x.csv",
+                                     "--out"),
+        "kernel-out-dir": ("kernel --out dir", "--out"),
+        "report-in-file": ("report --in file", "--in"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_names_the_flag(self, case, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("a plain file\n")
+        (tmp_path / "binary").write_bytes(b"\xff\xfekind = clt\n")
+        (tmp_path / "c.txt").write_text(PASSING_CLT)
+        command, flag = self.CASES[case]
+        if command.startswith("experiment"):
+            TestExperiment.forbid_paths(monkeypatch)  # a bad path fails before any draw
+        assert run(command.split()) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: cannot use ")
+        assert not (tmp_path / "rep").exists() and (tmp_path / "file").is_file()
+
+    def test_report_write_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # once --out exists as a directory, a failing write is a runtime failure
+        def full_disk(result, out_dir):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg, workers: None)
+        monkeypatch.setattr(cli, "write_report", full_disk)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(PASSING_CLT)
+        assert run(["experiment", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 3
+        assert "runtime failure: OSError: [Errno 28]" in capsys.readouterr().err
 
 
 class TestReport:

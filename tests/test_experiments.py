@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import os
 import subprocess
@@ -240,6 +241,17 @@ REJECTED_AT_PARSE = {
                                         trend=WEIER), "rho"),
     "clt-bias-needs-missing-derivative": (dict(kind="clt", trend=WEIER, kernel="legendre:1",
                                                eps="0.05", t0="1.0"), "kernel"),
+    # the checks on the keys themselves, before any rung is built
+    "kind-unknown": (dict(kind="bootstrap"), "kind"),
+    "replications-below-100": (dict(replications="99"), "replications"),
+    "ladder-not-decreasing": (dict(eps="0.125,0.125,0.0625,0.03125"), "eps"),
+    "rate-three-rungs": (dict(eps="0.125,0.0625,0.03125"), "eps"),
+    "clt-two-rungs": (dict(CLT, eps="0.01,0.005"), "eps"),
+    "alt-variant-unknown": (dict(kind="rate-alt", kernel=None, rho="2.0", variant="exact"),
+                            "variant"),
+    "alt-kernel-key": (dict(kind="rate-alt", rho="2.0"), "kernel"),
+    "clt-trend-panel": (dict(CLT, trend="const:0.4|const:0.2"), "trend"),
+    "clt-t0-outside-window": (dict(CLT, t0="0.6"), "t0"),
 }
 
 
@@ -269,6 +281,12 @@ class TestParseTimeChecks:
             run_experiment(parse_experiment_config(config_text(**overrides)))
         assert info.value.field == key
         assert str(info.value).startswith(f"{key} ")
+
+    def test_empty_trend_panel_names_trend(self):
+        # the parser always yields a trend; a config built in code can hold none
+        with pytest.raises(ParameterError) as info:
+            dataclasses.replace(parse_experiment_config(GOOD_RATE), trends=())
+        assert info.value.field == "trend"
 
     @pytest.mark.parametrize("rho", ["0.9", "1.0"])
     def test_alt_rejects_rho_at_most_one_before_simulating(self, rho):
@@ -329,11 +347,13 @@ class TestTheoreticalRates:
     def test_side_condition_check(self):
         # main-rule bandwidths always satisfy both conditions
         consistency_side_conditions((0.2, 0.1), (0.59, 0.43), 0.7)
-        with pytest.raises(ConditionViolated, match="bandwidth"):
+        with pytest.raises(ConditionViolated, match="bandwidth") as bandwidth:
             consistency_side_conditions((0.2, 0.1), (0.4, 0.5), 0.7)
         # tiny second bandwidth blows up the noise factor eps^2 phi^{2H-2}
-        with pytest.raises(ConditionViolated, match="phi"):
+        with pytest.raises(ConditionViolated, match="phi") as noise:
             consistency_side_conditions((0.2, 0.1), (0.9, 0.0009), 0.7)
+        for info in (bandwidth, noise):  # the config key of the ladder
+            assert isinstance(info.value, ParameterError) and info.value.field == "eps"
 
 
 @pytest.fixture(scope="module")

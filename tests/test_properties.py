@@ -136,8 +136,8 @@ def test_accepted_config_builds_every_rung(cfg):
 @FEW
 @given(experiment_fields())
 def test_config_is_built_or_names_a_key(drawn):
-    # without the rate assumption: a ladder without its rate is refused under a config key,
-    # never as ConditionViolated or a bare ValueError
+    # without the rate assumption: a ladder without its rate is refused under a config key
+    # (ConditionViolated names eps), never as a bare ValueError
     fields, bandwidths = drawn
     try:
         ExperimentConfig(**fields)

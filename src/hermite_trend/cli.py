@@ -9,8 +9,8 @@ nothing here writes timestamps.
 Each parameter is checked by the layer that uses it, and exit 2 names the
 flag (or the ``--in`` header key) that set it (``_FLAGS``).  So does each path
 a flag names: one the OS refuses, or a file that does not decode, exits 2 as
-``--flag: cannot use '<path>': <reason>``, and ``experiment`` makes its
-``--out`` directory before it draws a path.  An experiment config is checked
+``--flag: cannot use '<path>': <reason>``, and a bad ``--out`` fails before
+any path is drawn or estimated.  An experiment config is checked
 key by key when it is read, before any path is drawn: besides each key's own
 domain, n >= 64, m = 0 or m >= n, seed >= 0, eval_points >= 1, ceiling,
 slope_tol and var_tol >= 0, the kernel reach inside [0, horizon] at every rung,
@@ -58,6 +58,16 @@ def _on_path(flag: str, action, path, *args, **kwargs):
         return action(path, *args, **kwargs)
     except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
         raise ValueError(f"{flag}: cannot use '{path}': {getattr(exc, 'strerror', 0) or exc}")
+
+
+def _check_out(out: str) -> None:
+    """Open --out to append and close it, so that a refused path exits 2 before any work;
+    an existing file keeps its bytes, and a file made here is removed again."""
+    if out != "-":
+        made = not os.path.lexists(out)
+        _on_path("--out", open, out, "a").close()
+        if made:
+            os.remove(out)
 
 
 def _write_lines(out, lines) -> None:
@@ -108,6 +118,7 @@ def _cmd_simulate(args) -> int:
         order=args.q, hurst=args.hurst, m=args.m,
     )
     trend = parse_trend(args.trend, args.horizon)
+    _check_out(args.out)
     path = simulate_path(trend, cfg, args.seed, method=args.method)
     lines = _header([("trend", args.trend), ("q", cfg.order), ("hurst", cfg.hurst),
                      ("horizon", cfg.horizon), ("n", cfg.n), ("m", cfg.hermite_spec().m),
@@ -199,6 +210,7 @@ def _cmd_estimate(args) -> int:
                          f"[{_fmt(hi * phi)}, {_fmt(horizon - hi * phi)}]")
     est_cfg = EstimatorConfig(kernel=kernel, bandwidth=phi, horizon=horizon,
                               window=tuple(args.window or (hi * phi, horizon - hi * phi)))
+    _check_out(args.out)
     series = estimate_series(path, est_cfg, points=args.points)
     lines = _header([*pairs, ("order", args.order), ("bandwidth", phi), ("rule", rule),
                      ("window", est_cfg.window), ("points", args.points)])

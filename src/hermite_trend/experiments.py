@@ -354,14 +354,14 @@ def _cell(cfg: ExperimentConfig, rung: int, trend_idx: int):
     The cell holds the trend integral and its growth factors, the target and
     the kernel weight matrix.  The product estimate of the linear kinds is
     affine in the driving noise, c + A . diff(Z) (``sde._fold_integrator``):
-    the cell folds the integrator into its weight rows and hands them to
-    ``increment_sums``, which at q = 1 folds the circulant FFT into them as
-    well.  It equals ``kernel_estimate_product`` on ``simulate_sde``'s path to
-    rounding.  The truncated estimator of rate-alt is not linear in the noise
-    (the indicator, the division by X); the cell builds it once
-    (``estimators._truncated_estimator``, as ``alternate_estimate`` does), and
-    each path ``replicate`` draws is integrated into a buffer of the call, as
-    ``simulate_sde`` integrates it, and handed to that estimator.
+    the cell folds the integrator into its weight rows and hands the columns
+    they reach to ``increment_sums``, which at q = 1 folds the circulant FFT
+    into them as well.  It equals ``kernel_estimate_product`` on
+    ``simulate_sde``'s path to rounding.  The truncated estimator of rate-alt
+    is not linear in the noise (the indicator, the division by X); the cell
+    builds it once (``estimators._truncated_estimator``, as
+    ``alternate_estimate`` does) and hands it each path ``replicate`` draws,
+    integrated into a buffer of the call as ``simulate_sde`` integrates it.
     """
     trend = parse_trend(cfg.trends[trend_idx], cfg.horizon)
     est, spec, ts = _rung_setup(cfg, rung)
@@ -386,7 +386,8 @@ def _cell(cfg: ExperimentConfig, rung: int, trend_idx: int):
         target = target * np.interp(ts, grid, cfg.x0 * growth)
         weights = _weight_rows(grid, kernel, phi, ts)
         offset, fold = _fold_integrator(weights, growth, decay, cfg.x0, eps, phi)
-        sums = increment_sums(spec, fold)
+        reach = np.flatnonzero(np.any(fold, axis=0)).max(initial=-1) + 1  # up to the last step read
+        sums = increment_sums(spec, fold[:, :reach])
 
         def estimates(reps: range) -> np.ndarray:
             return offset + sums(cfg.seed, key, reps)

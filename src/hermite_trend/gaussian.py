@@ -298,13 +298,13 @@ def _blocked_drawer(amp: np.ndarray, n1: int, points: int):
 def _fgn_fold(spec: FgnSpec, rows: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """The (len(rows), 2n) matrix B with B . z = scale * rows . fgn(z) for the normals z.
 
-    fgn(z) is the path ``_fgn_drawer`` draws from the normals z (``_draw_layout``);
-    each row a has spec.n weights.  Since fgn_t = (1/sqrt(2n)) (amp_0 z_0 +
-    (-1)^t amp_n z_1 + 2 sum_{k=1}^{n-1} amp_k (z_re,k cos(pi k t/n) + z_im,k sin(pi k t/n))),
-    row b is the forward FFT A = rfft(a, 2n) scaled by the amplitudes: b_0 = amp_0 Re A_0,
-    b_1 = amp_n Re A_n, b_re = 2 amp_k Re A_k and b_im = -2 amp_k Im A_k, all times
-    scale/sqrt(2n).  Built row by row, so only one transform is held at a time.  Raises
-    ``EmbeddingFailure``, as ``_fgn_drawer`` does, for a spec whose embedding fails.
+    fgn(z) is the path ``_fgn_drawer`` draws from the normals z (``_draw_layout``), and a
+    row a of w <= spec.n weights reads its first w values.  Since fgn_t = (1/sqrt(2n))
+    (amp_0 z_0 + (-1)^t amp_n z_1 + 2 sum_{k=1}^{n-1} amp_k (z_re,k cos(pi k t/n) +
+    z_im,k sin(pi k t/n))), row b is the forward FFT A = rfft(a, 2n), which pads a with
+    zeros, scaled by the amplitudes: b_0 = amp_0 Re A_0, b_1 = amp_n Re A_n,
+    b_re = 2 amp_k Re A_k and b_im = -2 amp_k Im A_k, all times scale/sqrt(2n).  Built
+    row by row, one transform at a time; raises ``EmbeddingFailure`` as ``_fgn_drawer`` does.
     """
     n = spec.n
     amp = _half_spectrum_amplitudes(n, spec.hurst)

@@ -26,9 +26,9 @@ linear map of the path's 2n normals, so it folds the sampler into the weights
 (``gaussian._fgn_fold``) once, and a call draws only the normals, _BLOCK paths
 at a time into the rows of one buffer: one matrix product of a fixed shape per
 block replaces the inverse FFT and the cumulative sum of each path.  At higher
-order it finds, once, the last column the weights reach and weights the
-increments of that prefix; a clt cell's weights stop at t0 + phi, about half
-of the path.
+order it draws and weights as many increments as the weights have columns, so
+a caller hands over only the columns its rows reach; a clt cell's rows stop
+at t0 + phi, about half of the path.
 
 The seeding rule is the same for both: path r of the range runs on the stream
 of ``philox_generator(derive_seed(seed, *key, r))``.  Both draw it from
@@ -307,34 +307,32 @@ def _row_dots(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
 def increment_sums(spec: HermiteSpec, weights: np.ndarray):
     """sums(seed, key, reps) -> rows weights . dZ_r, a (len(reps), len(weights)) array.
 
-    dZ_r holds the n grid increments of the path ``replicate`` hands its statistic for r,
-    and ``weights`` is a (rows, n) matrix.  At order 1 dZ_r is a fixed linear map of the
-    path's 2n normals z, so the map is folded into the weights here, once
-    (``gaussian._fgn_fold``), and a path costs its normals and no inverse FFT.  The
-    normals of _BLOCK consecutive paths fill one buffer, and one ``np.matmul`` with the
-    fold turns them into rows, so the fold is read once per block.  The last block of a
-    range goes through the same product and keeps its first rows.  BLAS thus sees one
-    shape per fold, and the bits of row r depend neither on the range, nor on r's place
-    in its block, nor on the BLAS thread count (a one-row product would go to gemv, which
-    sums in another order).  The rows equal weights . diff(Z_r) to rounding.  At higher
-    order the block sums of H_q are not linear in z.  The weights reach only up to their
-    last nonzero column, found here, once, so ``_increment_drawer`` draws the increments
-    of that prefix and ``_row_dots`` weights them.  The buffers belong to one call, so
-    one sums serves any number of ranges.
+    ``weights`` is a (rows, w) matrix with w <= n (a wider one raises ValueError), and dZ_r
+    holds the first w grid increments of the path ``replicate`` hands its statistic for r,
+    so a caller whose rows stop early hands over only the columns they reach.  At order 1
+    dZ_r is a fixed linear map of the path's 2n normals z, so the map is folded into the
+    weights here, once (``gaussian._fgn_fold``, which pads a row to n with zeros), and a
+    path costs its normals and no inverse FFT.  The normals of _BLOCK consecutive paths
+    fill one buffer, and one ``np.matmul`` with the fold turns them into rows, so the fold
+    is read once per block.  The last block of a range goes through the same product and
+    keeps its first rows.  BLAS thus sees one shape per fold, and the bits of row r depend
+    neither on the range, nor on r's place in its block, nor on the BLAS thread count (a
+    one-row product would go to gemv, which sums in another order).  The rows equal
+    weights . dZ_r to rounding.  At higher order the block sums of H_q are not linear in
+    z, so ``_increment_drawer`` draws the w increments alone and ``_row_dots`` weights
+    them.  The buffers belong to one call, so one sums serves any number of ranges.
     """
+    if weights.shape[1] > spec.n:
+        raise ValueError(f"weights have {weights.shape[1]} columns, more than n = {spec.n}")
     if spec.order == 1:
         fold_t = _fgn_fold(FgnSpec(hurst=spec.hurst, n=spec.n), weights, _fbm_scale(spec)).T
-    else:
-        columns = np.flatnonzero(np.any(weights, axis=0))
-        reach = int(columns[-1]) + 1 if columns.size else 0
-        reached = weights[:, :reach]
 
     def sums(seed: int, key: tuple, reps: range) -> np.ndarray:
         rows = np.empty((len(reps), len(weights)))
         if spec.order > 1:
-            draw = _increment_drawer(spec, reach)
+            draw = _increment_drawer(spec, weights.shape[1])
             for row, rng in zip(rows, philox_streams(seed, key, reps)):
-                row[:] = _row_dots(reached, draw(rng))
+                row[:] = _row_dots(weights, draw(rng))
             return rows
         block = np.zeros((_BLOCK, 2 * spec.n))
         streams = philox_streams(seed, key, reps)

@@ -543,6 +543,48 @@ class TestPaths:
         assert capsys.readouterr().err.startswith(f"error: {flag}: cannot use ")
         assert not (tmp_path / "rep").exists() and (tmp_path / "file").is_file()
 
+    # a missing directory, a directory, and a name the OS refuses (longer than NAME_MAX)
+    BAD_OUTS = {"missing-dir": "missing/x.csv", "dir": "dir", "name-too-long": "x" * 300}
+
+    @staticmethod
+    def forbid_work(monkeypatch, error=AssertionError("the command computed")):
+        def work(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "simulate_path", work)
+        monkeypatch.setattr(cli, "estimate_series", work)
+
+    @staticmethod
+    def argv(command, noisy_path, out):
+        if command == "simulate":
+            return ["simulate", "--trend", "const:0.5", "--n", "64", "--out", out]
+        return ["estimate", "--in", str(noisy_path), "--out", out]
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    @pytest.mark.parametrize("case", sorted(BAD_OUTS))
+    def test_bad_out_exits_2_before_any_work(self, command, case, noisy_path, tmp_path,
+                                             capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        self.forbid_work(monkeypatch)
+        out = self.BAD_OUTS[case]
+        assert run(self.argv(command, noisy_path, out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out: cannot use '{out}': ")
+        assert sorted(os.listdir(tmp_path)) == ["dir"] and not os.listdir(tmp_path / "dir")
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    @pytest.mark.parametrize("error, code", [(RuntimeError("failed"), 3),
+                                             (ValueError("bad value"), 2)])
+    def test_failed_work_leaves_out_as_it_was(self, command, error, code, noisy_path,
+                                              tmp_path, capsys, monkeypatch):
+        self.forbid_work(monkeypatch, error)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("t,Z,x,X\n")
+        for out in (old, new):
+            assert run(self.argv(command, noisy_path, str(out))) == code
+            assert str(error) in capsys.readouterr().err
+        assert old.read_text() == "t,Z,x,X\n" and not new.exists()
+
     def test_report_write_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         # once --out exists as a directory, a failing write is a runtime failure
         def full_disk(result, out_dir):

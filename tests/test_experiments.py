@@ -35,8 +35,15 @@ from hermite_trend.experiments import (
     theoretical_rate_main,
     write_report,
 )
+from hermite_trend.gaussian import FgnSpec, _fgn_fold, fgn_autocovariance
 from hermite_trend.rng import derive_seed
-from hermite_trend.sde import PathConfig, _growth_factors, simulate_path, solve_ode
+from hermite_trend.sde import (
+    PathConfig,
+    _fold_integrator,
+    _growth_factors,
+    simulate_path,
+    solve_ode,
+)
 from hermite_trend.trends import parse_trend
 from hermite_trend.validation import ParameterError
 
@@ -622,6 +629,72 @@ class TestBlockEquivalence:
         blocks = [errors(range(start, start + 10)) for start in (0, 10, 20)]
         assert len(folds) == 1
         assert np.array_equal(np.concatenate(blocks), errors(range(0, 30)))
+
+
+# The shapes of the rate-q1 (AC08 ladder) and clt-q2 benchmark workloads.
+RATE_Q1 = dict(n="4096", eps="0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625")
+CLT_Q2 = dict(kind="clt", trend="const:0.5", q="2", kernel="box:1",
+              eps=repr((80 * 2.0**-14) ** 1.3), n="16384", m="0", horizon="1.0",
+              window="0.45,0.55", t0="0.5", var_tol="0.35")
+
+
+def cell_fold(cfg, rung, trend_idx):
+    """The full-width integrator fold A of a linear cell, built from the cell's parts."""
+    trend = parse_trend(cfg.trends[trend_idx], cfg.horizon)
+    est, _, ts = experiments._rung_setup(cfg, rung)
+    grid = np.linspace(0.0, cfg.horizon, cfg.n + 1)
+    growth, decay = _growth_factors(trend, grid)
+    weights = _weight_rows(grid, est.kernel, est.bandwidth, ts)
+    return _fold_integrator(weights, growth, decay, cfg.x0, cfg.ladder[rung], est.bandwidth)[1]
+
+
+def handed_over(monkeypatch, cfg, rung, trend_idx):
+    """The (spec, weights) a linear cell hands ``increment_sums`` when it is built."""
+    calls = []
+    sums = experiments.increment_sums
+    monkeypatch.setattr(experiments, "increment_sums",
+                        lambda *args: calls.append(args) or sums(*args))
+    experiments._cell(cfg, rung, trend_idx)
+    (call,) = calls
+    return call
+
+
+class TestCellReach:
+    """A linear cell hands ``increment_sums`` the columns its fold reaches, at any q."""
+
+    @pytest.mark.parametrize("overrides, rung, reach", [
+        (RATE_Q1, 0, None), (RATE_Q1, 5, None), (CLT_Q2, 0, 8232)],
+        ids=["rate-q1-rung0", "rate-q1-rung5", "clt-q2"])
+    def test_cell_hands_over_the_columns_its_rows_reach(self, monkeypatch, overrides, rung,
+                                                        reach):
+        cfg = parse_experiment_config(config_text(**overrides))
+        _, handed = handed_over(monkeypatch, cfg, rung, 0)
+        fold = cell_fold(cfg, rung, 0)
+        last = np.flatnonzero(np.any(fold, axis=0))[-1]
+        assert handed.shape == (len(fold), last + 1) and last + 1 < cfg.n
+        assert np.any(handed[:, -1])
+        assert np.array_equal(handed, fold[:, :last + 1])
+        if reach is not None:  # the clt cell draws about half of its path
+            assert handed.shape[1] == reach
+
+    def test_q1_fold_row_norms_are_the_fgn_variances_on_every_ac08_rung(self, monkeypatch):
+        # |B_i|^2 = s^2 a_i R a_i^T, B the order-1 fold of the handed-over rows a_i, R the
+        # Toeplitz fGn covariance and s = (T/n)^H; a_i R a_i^T is summed over the
+        # autocorrelation of a_i, taken by FFT.  The largest relative gap seen was 1.8e-15.
+        cfg = parse_experiment_config(config_text(**RATE_Q1))
+        scale = (cfg.horizon / cfg.n) ** cfg.hurst
+        cov = fgn_autocovariance(np.arange(cfg.n), cfg.hurst)  # R_jk = cov[|j - k|]
+        for rung in range(len(cfg.ladder)):
+            spec, rows = handed_over(monkeypatch, cfg, rung, 0)
+            monkeypatch.undo()
+            width = rows.shape[1]
+            fold = _fgn_fold(FgnSpec(hurst=spec.hurst, n=spec.n), rows, scale)
+            spectrum = np.fft.rfft(rows, 2 * width)
+            autocorrelation = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, 2 * width)
+            quadratic = autocorrelation[:, :width] @ cov[:width]
+            quadratic = 2 * quadratic - autocorrelation[:, 0] * cov[0]
+            np.testing.assert_allclose(np.sum(fold**2, axis=1), scale**2 * quadratic,
+                                       rtol=1e-13, atol=0)
 
 
 class TestReports:

@@ -178,6 +178,32 @@ class TestHalfSpectrum:
                 arr[0] = 0.0
 
 
+class TestFold:
+    """``_fgn_fold``: the (rows, 2n) matrix B with B . z = s a . fgn(z)."""
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (17, 9), (64, 1), (64, 37), (100, 100)])
+    def test_zero_trailing_columns_change_no_bit(self, n, k):
+        weights = np.random.default_rng(n).standard_normal((3, n))
+        weights[:, k:] = 0.0
+        spec = FgnSpec(hurst=0.7, n=n)
+        assert np.array_equal(_fgn_fold(spec, weights[:, :k], 0.3), _fgn_fold(spec, weights, 0.3))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 100])
+    @pytest.mark.parametrize("hurst", [0.55, 0.7, 0.95])
+    def test_row_norms_are_the_fgn_variances(self, n, hurst):
+        # For standard normals z, |b|^2 = Var(b . z) = s^2 a R a^T with R the Toeplitz fGn
+        # covariance and s = (T/n)^H.  The largest relative gap seen was 4.2e-15.
+        weights = np.random.default_rng(n).standard_normal((4, n))
+        weights[3, n // 2:] = 0.0
+        lags = np.arange(n)
+        cov = fgn_autocovariance(lags, hurst)[np.abs(np.subtract.outer(lags, lags))]
+        scale = (2.0 / n) ** hurst
+        fold = _fgn_fold(FgnSpec(hurst=hurst, n=n), weights, scale)
+        quadratic = np.einsum("ij,jk,ik->i", weights, cov, weights)
+        np.testing.assert_allclose(np.sum(fold**2, axis=1), scale**2 * quadratic,
+                                   rtol=1e-13, atol=0)
+
+
 def blocked_shapes(n):
     """(n, n1) for n1 = 2 and for the split ``_blocked_rows`` picks."""
     return [(n, n1) for n1 in sorted({2, gaussian_mod._blocked_rows(n)})]

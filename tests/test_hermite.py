@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e, polynomial
 
+from hermite_trend import hermite
 from hermite_trend.gaussian import (
     FgnSpec,
     _half_spectrum_amplitudes,
@@ -511,18 +512,28 @@ class TestReplicateIncrements:
     @pytest.mark.parametrize("name", ["q2-explicit-m", "q3"])
     @pytest.mark.parametrize("reach", [0, 1, 37, 64])
     def test_zero_trailing_columns_give_the_rows_of_the_reached_prefix(self, name, reach):
+        # the caller cuts off the zero columns (the cell does, see test_experiments'
+        # test_cell_hands_over_the_columns_its_rows_reach); the rows weight the prefix
         spec = TestReplicate.SPECS[name]
         weights = np.random.default_rng(5).standard_normal((3, spec.n))
         weights[0, reach:] = 0.0
         weights[1, :] = 0.0
         weights[2, reach // 2:] = 0.0  # the longest row sets the reach
-        rows = increment_sums(spec, weights)(41, (2,), range(4))
-        increments = drawn_increments(spec, spec.n, 41, (2,), range(4))[:, :reach]
-        assert np.array_equal(rows, np.vecdot(weights[None, :, :reach], increments[:, None]))
-        if reach == 0:  # an all-zero matrix
-            assert np.array_equal(rows, np.zeros((4, 3)))
+        rows = increment_sums(spec, weights[:, :reach])(41, (2,), range(4))
         prefix = drawn_increments(spec, reach, 41, (2,), range(4))
-        assert np.array_equal(prefix, increments)
+        assert np.array_equal(rows, np.vecdot(weights[None, :, :reach], prefix[:, None]))
+        if reach == 0:  # no column at all
+            assert np.array_equal(rows, np.zeros((4, 3)))
+        increments = drawn_increments(spec, spec.n, 41, (2,), range(4))
+        assert np.array_equal(prefix, increments[:, :reach])
+
+    @pytest.mark.parametrize("order, width", [(1, 17), (1, 40), (2, 17), (2, 40)])
+    def test_weights_wider_than_n_raise_before_any_draw(self, order, width, monkeypatch):
+        spec = HermiteSpec(order=order, hurst=0.7, horizon=1.0, n=16)
+        for name in ("_fgn_fold", "_increment_drawer", "philox_streams"):
+            monkeypatch.setattr(hermite, name, lambda *args: pytest.fail("drew"))
+        with pytest.raises(ValueError, match=f"weights have {width} columns, more than n = 16"):
+            increment_sums(spec, np.ones((2, width)))
 
     @pytest.mark.parametrize("name", sorted(TestReplicate.SPECS))
     def test_one_row_range_equals_same_row_of_larger_range(self, name):

@@ -11,6 +11,9 @@ set of evaluation points, then applied to each path; ``alternate_estimate`` and
 the experiments' rate-alt cell share that builder.  The bias center term of
 the normalized error reads x(t) from the trend's closed-form integral; nothing
 here integrates numerically.
+A_T reads x0 from the path's config, the bias centre k from its kernel and
+e^{LT} T from the grid's last point.  The horizon is held by both the path and
+the ``EstimatorConfig``, so the estimators reject a config built for another.
 """
 
 from __future__ import annotations
@@ -109,6 +112,7 @@ def bandwidth_alt(eps: float, rho: float, hurst: float) -> float:
         raise ParameterError("eps", f"must lie in (0, 1], got {eps}")
     if not rho > hurst:
         raise ParameterError("rho", f"must exceed hurst (rho > hurst), got rho={rho}, H={hurst}")
+    check_hurst(hurst)
     return eps ** (1.0 / (rho - hurst))
 
 
@@ -131,8 +135,16 @@ def _divide_by_level(path: SdePath, t, product):
     return np.where(valid, product / np.where(valid, level, 1.0), np.nan), valid
 
 
+def _check_horizon(path: SdePath, cfg: EstimatorConfig) -> None:
+    """The config's window is bounded by its horizon: it must be the path's."""
+    if cfg.horizon != path.config.horizon:
+        raise ParameterError("horizon", f"of the estimator config is {cfg.horizon}, but the "
+                             f"path's is {path.config.horizon}")
+
+
 def kernel_estimate_product(path: SdePath, cfg: EstimatorConfig, t):
     """Estimate J(t) = theta(t) x_t by kernel smoothing of the increments."""
+    _check_horizon(path, cfg)
     weights = _weight_rows(path.times, cfg.kernel, cfg.bandwidth, t)
     sums = _row_dots(weights, np.diff(path.values)) / cfg.bandwidth
     return float(sums[0]) if np.ndim(t) == 0 else sums
@@ -155,16 +167,16 @@ def estimate_series(
 # ------------------------------------------------------------ bias term ----
 
 
-def bias_center_term(
-    trend: TrendFunction, x0: float, t: float, k: int, kernel: Kernel
-) -> float:
+def bias_center_term(trend: TrendFunction, x0: float, t: float, kernel: Kernel) -> float:
     """J^{(k+1)}(t) m_{k+1}(G) / (k+1)!, the center of the normalized error.
 
-    Derivatives of J = theta * x come from the Leibniz rule with
-    x^{(m+1)} = (theta x)^{(m)}, seeded by x(t) = x0 exp(int_0^t theta) with
-    the trend's closed-form integral.  Raises DerivativeUnavailable through
-    trend.derivative when the trend cannot certify theta^{(k+1)}.
+    k is the kernel's order.  Derivatives of J = theta * x come from the
+    Leibniz rule with x^{(m+1)} = (theta x)^{(m)}, seeded by
+    x(t) = x0 exp(int_0^t theta) with the trend's closed-form integral.  Raises
+    DerivativeUnavailable through trend.derivative when the trend cannot
+    certify theta^{(k+1)}.
     """
+    k = kernel.order
     integral = trend.integral(t)
     theta_derivs = [trend.derivative(i)(t) for i in range(k + 2)]
     d = [x0 * math.exp(integral)]  # d[m] = x^{(m)}(t)
@@ -202,12 +214,12 @@ def indicator_path(times: np.ndarray, values: np.ndarray, x0: float, bound_const
 
 
 def _truncated_estimator(times: np.ndarray, kernel: Kernel, bandwidth: float, t, x0: float,
-                         bound_constant: float, variant: str, trend: TrendFunction,
-                         eps: float, horizon: float):
+                         bound_constant: float, variant: str, trend: TrendFunction, eps: float):
     """estimate(X, Z) -> I(A_T) (1/phi) sum_j G((t - s_j)/phi) dY_j at every t, as an array.
 
     Everything but the path is built once: the reflected weight rows, the
-    threshold of A_T and, for the oracle, theta dt and eps (2/x0) e^{LT}.
+    threshold of A_T and, for the oracle, theta dt and eps (2/x0) e^{LT}, with
+    T the grid's last point.
     On A_T the latched indicator is 1 at every step (and X stays away from 0),
     so dY is dX / X (observable) or theta dt + eps (2/x0) e^{LT} dZ (oracle);
     off A_T the estimate is 0.
@@ -216,7 +228,7 @@ def _truncated_estimator(times: np.ndarray, kernel: Kernel, bandwidth: float, t,
         if trend is None:
             raise ValueError("variant 'oracle' needs the true trend")
         drift = trend.value(times[:-1]) * (times[1] - times[0])
-        amp = eps * (2.0 / x0) * math.exp(bound_constant * horizon)
+        amp = eps * (2.0 / x0) * math.exp(bound_constant * times[-1])
     elif variant != "observable":
         raise ValueError(f"unknown variant {variant!r} (expected 'observable' or 'oracle')")
     above = _gate(times, x0, bound_constant)
@@ -239,17 +251,18 @@ def alternate_estimate(
     cfg: EstimatorConfig,
     t,
     bound_constant: float,
-    x0: float,
     variant: str = "observable",
     trend: TrendFunction = None,
 ):
     """Truncated estimate I(A_T) (1/phi) sum_j G((t - s_j)/phi) dY_j; float for scalar t.
 
-    variant "observable" builds dY = I dX / X from the path alone; variant
-    "oracle" builds dY = theta I dt + eps (2/x0) e^{LT} I dZ from the true
-    trend and driving noise, so it is only available in simulations.
+    A_T and the noise amplitude read x0 from the path's config.  variant
+    "observable" builds dY = I dX / X from the path alone; variant "oracle"
+    builds dY = theta I dt + eps (2/x0) e^{LT} I dZ from the true trend and
+    driving noise, so it is only available in simulations.
     """
-    estimate = _truncated_estimator(path.times, cfg.kernel, cfg.bandwidth, t, x0, bound_constant,
-                                    variant, trend, path.config.eps, path.config.horizon)
+    _check_horizon(path, cfg)
+    estimate = _truncated_estimator(path.times, cfg.kernel, cfg.bandwidth, t, path.config.x0,
+                                    bound_constant, variant, trend, path.config.eps)
     sums = estimate(path.values, path.noise)
     return float(sums[0]) if np.ndim(t) == 0 else sums

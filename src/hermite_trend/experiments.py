@@ -266,7 +266,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 def theoretical_rate_main(k: int, hurst: float) -> float:
     """MSE decay exponent min(2, 2(k+1)/(k+2-H)); the cap never binds for H<1."""
     if k < 0:
-        raise ValueError(f"kernel order must be >= 0, got {k}")
+        raise ParameterError("k", f"must be >= 0, got {k}")
     check_hurst(hurst)
     return min(2.0, 2.0 * (k + 1) / (k + 2.0 - hurst))
 
@@ -282,8 +282,6 @@ def theoretical_rate_alt(rho: float, hurst: float) -> float:
     H < rho <= 1 the noise term does not shrink with eps and there is no rate.
     """
     check_hurst(hurst)
-    if not rho > hurst:
-        raise ParameterError("rho", f"must exceed hurst (rho > hurst), got rho={rho}, H={hurst}")
     if not rho > 1.0:
         raise ParameterError("rho", f"must exceed 1 for the alt rule to have a rate, got {rho}")
     return 2.0 - (2.0 - 2.0 * hurst) / (rho - hurst)
@@ -372,7 +370,7 @@ def _cell(cfg: ExperimentConfig, rung: int, trend_idx: int):
     key = (rung, trend_idx)
     if cfg.kind == "rate-alt":
         truncated = _truncated_estimator(grid, kernel, phi, ts, cfg.x0, trend.bound,
-                                         cfg.variant, trend, eps, cfg.horizon)
+                                         cfg.variant, trend, eps)
 
         def estimates(reps: range) -> np.ndarray:
             x = np.empty(cfg.n + 1)
@@ -394,7 +392,7 @@ def _cell(cfg: ExperimentConfig, rung: int, trend_idx: int):
     if cfg.kind == "clt":
         k = kernel.order
         alpha = (k + 1.0) / (k - cfg.hurst + 2.0)
-        center = target + phi ** (k + 1) * bias_center_term(trend, cfg.x0, cfg.t0, k, kernel)
+        center = target + phi ** (k + 1) * bias_center_term(trend, cfg.x0, cfg.t0, kernel)
         return lambda reps: eps ** (-alpha) * (estimates(reps) - center)
     return lambda reps: (estimates(reps) - target) ** 2
 

@@ -324,5 +324,6 @@ def _fgn_fold(spec: FgnSpec, rows: np.ndarray, scale: float = 1.0) -> np.ndarray
 
 def sample_fgn(spec: FgnSpec, seed: int) -> np.ndarray:
     """Draw the spec.n values of one exact fGn path.  Pure function of (spec, seed)."""
-    return _fgn_drawer(spec)(philox_generator(seed))
+    rng = philox_generator(seed)  # a bad seed fails before the drawer is built
+    return _fgn_drawer(spec)(rng)
 

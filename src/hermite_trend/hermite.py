@@ -49,7 +49,7 @@ import numpy as np
 
 from .gaussian import FgnSpec, _autocovariances, _fgn_drawer, _fgn_fold
 from .rng import derive_seed, philox_generator, philox_streams
-from .validation import ParameterError, check_hurst
+from .validation import ParameterError, check_horizon, check_hurst
 
 __all__ = [
     "MAX_HERMITE_ORDER",
@@ -93,8 +93,7 @@ class HermiteSpec:
         if not 1 <= self.order <= MAX_HERMITE_ORDER:
             raise ParameterError("order", f"must lie in [1, {MAX_HERMITE_ORDER}], got {self.order}")
         check_hurst(self.hurst)
-        if not 0.0 < self.horizon < math.inf:
-            raise ParameterError("horizon", f"must be positive and finite, got {self.horizon}")
+        check_horizon(self.horizon)
         if self.n < 1:
             raise ParameterError("n", f"must be >= 1, got {self.n}")
         if self.m == 0:
@@ -133,7 +132,7 @@ def h_zero(order: int, hurst: float) -> float:
     range (1/2, 1).
     """
     if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+        raise ParameterError("order", f"must be >= 1, got {order}")
     check_hurst(hurst)
     return 1.0 + (hurst - 1.0) / order
 
@@ -145,7 +144,7 @@ def hermite_polynomial(order: int, x):
     H_{k+1}(x) = x H_k(x) - k H_{k-1}(x).
     """
     if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+        raise ParameterError("order", f"must be >= 1, got {order}")
     scalar = np.ndim(x) == 0
     x = np.asarray(x, dtype=float)
     if order == 1:
@@ -187,7 +186,8 @@ def discrete_normalizer(order: int, hurst: float, m: int, horizon: float) -> flo
     the array the spec's m-point fGn embedding reads (``gaussian._autocovariances``).
     """
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ParameterError("m", f"must be >= 1, got {m}")
+    check_horizon(horizon)
     lags = np.arange(1, m)
     r_pow = _autocovariances(m, h_zero(order, hurst))[1:m] ** order
     total = float(m) + 2.0 * float(np.sum((m - lags) * r_pow))
@@ -258,8 +258,9 @@ def sample_hermite(spec: HermiteSpec, seed: int) -> HermitePath:
     Pure function of (spec, seed).  Z_0 = 0 and Var(Z_horizon) equals
     horizon^(2 hurst) exactly by construction.
     """
+    rng = philox_generator(seed)  # a bad seed fails before the drawer is built
     times = np.linspace(0.0, spec.horizon, spec.n + 1)
-    return HermitePath(times=times, values=_path_drawer(spec)(philox_generator(seed)), spec=spec)
+    return HermitePath(times=times, values=_path_drawer(spec)(rng), spec=spec)
 
 
 def replicate(spec: HermiteSpec, seed: int, key: tuple, reps: range, statistic) -> np.ndarray:

@@ -6,7 +6,9 @@ X_t = e^{I(t)} (x0 + eps * int_0^t e^{-I(s)} dZ_s) with I(t) = int_0^t theta,
 which collapses exactly to the noiseless ODE solution when eps = 0 and is
 exactly linear in the noise when theta == 0.  I is each trend's closed-form
 integral evaluated on the grid, the same I the estimator's target and the
-clt bias centre use.  An Euler scheme is kept as an independent
+clt bias centre use.  ``simulate_sde`` integrates only a driving path drawn
+for its config: the path's spec (order, hurst, horizon, n, m) must equal
+``config.hermite_spec()``.  An Euler scheme is kept as an independent
 cross-check.  Pathwise and mean-square deviation bounds from the ODE solution
 are checked by ``gronwall_check`` / ``mean_square_bound_check``.
 """
@@ -167,13 +169,10 @@ def simulate_sde(
     noise: HermitePath,
     method: str = "exact",
 ) -> SdePath:
-    """Integrate the SDE against a given driving path on the same grid."""
-    times = noise.times
-    if noise.spec.n != config.n or noise.spec.horizon != config.horizon:
-        raise ValueError(
-            f"noise grid (n={noise.spec.n}, horizon={noise.spec.horizon}) does not "
-            f"match config (n={config.n}, horizon={config.horizon})"
-        )
+    """Integrate the SDE against a driving path drawn for ``config.hermite_spec()``."""
+    times, spec = noise.times, config.hermite_spec()
+    if noise.spec != spec:
+        raise ValueError(f"noise grid and law {noise.spec} do not match the config's {spec}")
     growth, decay = _growth_factors(trend, times)
     ode = config.x0 * growth
     z = noise.values

@@ -4,7 +4,9 @@ A front end reports it under its own name for the field (config key, CLI
 flag) through ``renamed``, so no caller parses message text.
 """
 
-__all__ = ["ParameterError", "check_hurst"]
+import math
+
+__all__ = ["ParameterError", "check_horizon", "check_hurst"]
 
 
 class ParameterError(ValueError):
@@ -25,3 +27,9 @@ def check_hurst(hurst: float) -> None:
     """The Hurst domain of fGn, the Hermite processes and the kernel variance."""
     if not 0.5 < hurst < 1.0:
         raise ParameterError("hurst", f"must lie strictly in (0.5, 1), got {hurst}")
+
+
+def check_horizon(horizon: float) -> None:
+    """The time horizon of a path and of its normalizer."""
+    if not 0.0 < horizon < math.inf:
+        raise ParameterError("horizon", f"must be positive and finite, got {horizon}")

@@ -4,13 +4,16 @@
 and counts work from their arguments; ``perfbench/child.py`` imports names from
 ``hermite_trend`` and builds an ``EstimatorConfig`` with ``eps=`` and ``rule=``.
 Both files are read with ``ast`` and the tracer is never installed, so these
-tests leave the package's module namespaces untouched.  A deletion that breaks
-a benchmark run fails here first.
+tests leave the package's module namespaces untouched.  Every call child.py
+makes into the package is bound to the callee's current signature, since the
+probe runs only under ``--trace 1``.  A deletion or a signature change that
+breaks a benchmark run fails here first.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -52,26 +55,57 @@ def _resolve(module: str, dotted: str):
     return obj
 
 
-def _child_references() -> list:
-    """(module, name) for every ``from hermite_trend... import name`` in child.py,
-    and for every attribute read on a name bound to a hermite_trend module."""
-    refs, modules = set(), {}
-    tree = _tree("child.py")
-    for node in ast.walk(tree):
+def _child_bindings() -> tuple:
+    """({local name: hermite_trend module} of child.py, {local name: (module, name)} of
+    every ``from hermite_trend... import name``)."""
+    modules, names = {}, {}
+    for node in ast.walk(_tree("child.py")):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "hermite_trend":
                     modules[alias.asname or alias.name] = alias.name
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hermite_trend"):
             for alias in node.names:
-                refs.add((node.module, alias.name))
+                names[alias.asname or alias.name] = (node.module, alias.name)
                 modules.setdefault(alias.asname or alias.name, f"{node.module}.{alias.name}")
-    for node in ast.walk(tree):
+    return modules, names
+
+
+def _child_references() -> list:
+    """(module, name) for every ``from hermite_trend... import name`` in child.py,
+    and for every attribute read on a name bound to a hermite_trend module."""
+    modules, names = _child_bindings()
+    refs = set(names.values())
+    for node in ast.walk(_tree("child.py")):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             module = modules.get(node.value.id)
             if module is not None:
                 refs.add((module, node.attr))
     return sorted(refs)
+
+
+def _child_calls() -> list:
+    """(source line, (module, name), positional count, keyword names) of every call in
+    child.py whose callee is a name imported from hermite_trend or an attribute of an
+    imported hermite_trend module."""
+    modules, names = _child_bindings()
+    calls = []
+    for node in ast.walk(_tree("child.py")):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            target = names[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in modules):
+            target = (modules[func.value.id], func.attr)
+        else:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args), ast.unparse(node)
+        assert all(kw.arg for kw in node.keywords), ast.unparse(node)
+        calls.append((ast.unparse(node), target, len(node.args),
+                      tuple(kw.arg for kw in node.keywords)))
+    return calls
 
 
 ENTRY_POINTS = _entry_points()
@@ -94,6 +128,23 @@ def test_child_references_found():
     names = {name for _, name in CHILD_REFERENCES}
     assert {"run_experiment", "write_report", "build_parser", "EstimatorConfig",
             "kernel_estimate_product"} <= names
+
+
+CHILD_CALLS = _child_calls()
+
+
+@pytest.mark.parametrize("call, target, positional, keywords", CHILD_CALLS,
+                         ids=[call for call, *_ in CHILD_CALLS])
+def test_child_call_binds_to_current_signature(call, target, positional, keywords):
+    # the probe runs only under --trace 1, so a signature it no longer fits fails here
+    signature = inspect.signature(_resolve(*target))
+    signature.bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def test_child_calls_found():
+    called = {name for _, (_, name), *_ in CHILD_CALLS}
+    assert {"build_parser", "run_experiment", "write_report", "simulate_sde", "simulate_path",
+            "EstimatorConfig", "kernel_estimate_product", "sample_hermite"} <= called
 
 
 def test_probe_estimator_config_keywords():
@@ -120,7 +171,7 @@ def test_work_counters_read_existing_attributes():
         "hermite.discrete_normalizer": (2, 0.7, 512, 2.0),
         "sde.cumulative_trend_integral": (trend, path.times),
         "estimators.kernel_estimate_product": (path, est, ts),
-        "estimators.alternate_estimate": (path, est, ts, trend.bound, 1.0),
+        "estimators.alternate_estimate": (path, est, ts, trend.bound),
         "kernels.Kernel.evaluate": (kernel, np.zeros(3)),
     }
     assert set(arguments) == set(tracing._COUNTERS)

@@ -143,6 +143,17 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: {name} ")
         assert not out.exists()
 
+    def test_bad_seed_fails_before_the_sampler_is_built(self, capsys, monkeypatch):
+        # at q = 2, n = 262144 building the drawer took about 0.5 s before the seed was read
+        def no_drawer(spec):
+            raise RuntimeError("a path drawer was built")
+
+        monkeypatch.setattr(hermite, "_path_drawer", no_drawer)
+        assert run(["simulate", "--trend", "const:0.5", "--q", "2", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --seed ")
+        assert run(["simulate", "--trend", "const:0.5", "--q", "2"]) == 3  # the patch is reached
+        assert "a path drawer was built" in capsys.readouterr().err
+
     def test_unknown_flag_exit_2(self, capsys):
         assert run(["simulate", "--trend", "const:0.5", "--wat", "3"]) == 2
 

@@ -22,7 +22,13 @@ from hermite_trend.estimators import (
 )
 from hermite_trend.experiments import _rung_setup, parse_experiment_config
 from hermite_trend.hermite import _row_dots
-from hermite_trend.kernels import Kernel, KernelPiece, vanishing_moment_kernel
+from hermite_trend.kernels import (
+    Kernel,
+    KernelPiece,
+    box_kernel,
+    kernel_moment,
+    vanishing_moment_kernel,
+)
 from hermite_trend.rng import derive_seed
 from hermite_trend.sde import PathConfig, SdePath, simulate_path, solve_ode
 from hermite_trend.trends import constant_trend, parse_trend, sinusoid_trend, weierstrass_trend
@@ -352,19 +358,20 @@ class TestBiasCenterTerm:
     def test_unit_constant_epanechnikov(self):
         # J^{(2)}(0) = 1, m2 = 1/5, so the term is exactly 0.1
         th = constant_trend(1.0, horizon=1.0)
-        term = bias_center_term(th, 1.0, 0.0, 1, vanishing_moment_kernel(1))
+        term = bias_center_term(th, 1.0, 0.0, vanishing_moment_kernel(1))
         assert term == pytest.approx(0.1, abs=1e-12)
 
     def test_constant_trend_closed_form(self):
         th = constant_trend(0.5, horizon=1.0)
-        term = bias_center_term(th, 1.3, 0.8, 1, vanishing_moment_kernel(1))
+        term = bias_center_term(th, 1.3, 0.8, vanishing_moment_kernel(1))
         assert term == pytest.approx(BIAS_CONST_TREND, rel=1e-10)
 
-    def test_vanishing_when_kernel_order_exceeds(self):
-        # m1 of the symmetric Epanechnikov kernel is 0, so k = 0 gives 0
+    def test_vanishing_for_a_symmetric_order_0_kernel(self):
+        # k = 0 reads m1, which is 0 for the symmetric box
         th = constant_trend(0.5, horizon=1.0)
-        term = bias_center_term(th, 1.0, 0.5, 0, vanishing_moment_kernel(1))
-        assert term == 0.0
+        kernel = box_kernel(1.0)
+        assert kernel.order == 0 and kernel_moment(kernel, 1) == 0.0
+        assert bias_center_term(th, 1.0, 0.5, kernel) == 0.0
 
     def test_rough_trend_rejected(self):
         th = weierstrass_trend(
@@ -373,7 +380,7 @@ class TestBiasCenterTerm:
         from hermite_trend.trends import DerivativeUnavailable
 
         with pytest.raises(DerivativeUnavailable):
-            bias_center_term(th, 1.0, 0.5, 1, vanishing_moment_kernel(1))
+            bias_center_term(th, 1.0, 0.5, vanishing_moment_kernel(1))
 
     def test_sinusoid_against_finite_difference(self):
         # J''(t) by second central difference of J(t) = theta(t) x(t), with
@@ -385,7 +392,7 @@ class TestBiasCenterTerm:
             return th.value(s) * math.exp(0.5 * s + 0.8 * (1.0 - math.cos(3.0 * s)) / 3.0)
 
         j2 = (j_exact(t + h) - 2.0 * j_exact(t) + j_exact(t - h)) / h**2
-        term = bias_center_term(th, 1.0, t, 1, vanishing_moment_kernel(1))
+        term = bias_center_term(th, 1.0, t, vanishing_moment_kernel(1))
         assert term == pytest.approx(j2 * 0.2 / 2.0, rel=5e-3)
 
 
@@ -452,32 +459,32 @@ class TestAlternateEstimate:
         path = SdePath(
             times=ts, values=vals, ode=vals, noise=np.zeros(257), config=cfg_path
         )
-        est = alternate_estimate(path, self.make_cfg(), 0.5, 0.5, 1.0)
+        est = alternate_estimate(path, self.make_cfg(), 0.5, 0.5)
         assert est == 0.0
 
     def test_noiseless_observable_recovers_constant(self):
         c = 0.7
         th = constant_trend(c, horizon=1.0)
         path = noiseless_path(th, 1.0, 4096)
-        est = alternate_estimate(path, self.make_cfg(), 0.5, c, 1.0, variant="observable")
+        est = alternate_estimate(path, self.make_cfg(), 0.5, c, variant="observable")
         assert est == pytest.approx(c, abs=1e-3)
 
     def test_oracle_variant_needs_trend(self):
         th = constant_trend(0.5, horizon=1.0)
         path = noiseless_path(th, 1.0, 256)
         with pytest.raises(ValueError, match="trend"):
-            alternate_estimate(path, self.make_cfg(), 0.5, 0.5, 1.0, variant="oracle")
+            alternate_estimate(path, self.make_cfg(), 0.5, 0.5, variant="oracle")
 
     def test_unknown_variant(self):
         th = constant_trend(0.5, horizon=1.0)
         path = noiseless_path(th, 1.0, 256)
         with pytest.raises(ValueError, match="variant"):
-            alternate_estimate(path, self.make_cfg(), 0.5, 0.5, 1.0, variant="mystery")
+            alternate_estimate(path, self.make_cfg(), 0.5, 0.5, variant="mystery")
 
     def test_negative_bound_constant_raises(self):
         path = noiseless_path(constant_trend(0.5, horizon=1.0), 1.0, 256)
         with pytest.raises(ParameterError, match="bound_constant"):
-            alternate_estimate(path, self.make_cfg(), 0.5, -0.5, 1.0)
+            alternate_estimate(path, self.make_cfg(), 0.5, -0.5)
 
     def test_variants_agree_in_mc_mean(self):
         # same driving paths, both constructions; means should sit within two
@@ -490,13 +497,31 @@ class TestAlternateEstimate:
         obs, orc = [], []
         for r in range(300):
             path = simulate_path(th, cfg_path, derive_seed(99, r))
-            obs.append(alternate_estimate(path, cfg, 0.5, c, 1.0, variant="observable"))
+            obs.append(alternate_estimate(path, cfg, 0.5, c, variant="observable"))
             orc.append(
-                alternate_estimate(path, cfg, 0.5, c, 1.0, variant="oracle", trend=th)
+                alternate_estimate(path, cfg, 0.5, c, variant="oracle", trend=th)
             )
         obs, orc = np.array(obs), np.array(orc)
         se = math.sqrt(obs.var(ddof=1) / 300 + orc.var(ddof=1) / 300)
         assert abs(obs.mean() - orc.mean()) <= 2.0 * se
+
+
+class TestHorizonMismatch:
+    """A config built for another horizon is rejected, not evaluated on the wrong window."""
+
+    path = noiseless_path(constant_trend(0.5, horizon=1.0), 1.0, 256)
+    cfg = EstimatorConfig(kernel=vanishing_moment_kernel(1), bandwidth=0.1,
+                          window=(0.4, 0.95), horizon=2.0)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda path, cfg: kernel_estimate_product(path, cfg, 0.95),
+        lambda path, cfg: estimate_series(path, cfg),
+        lambda path, cfg: alternate_estimate(path, cfg, 0.95, 0.5),
+    ], ids=["kernel_estimate_product", "estimate_series", "alternate_estimate"])
+    def test_horizon_2_config_on_horizon_1_path(self, estimate):
+        with pytest.raises(ParameterError, match="horizon") as info:
+            estimate(self.path, self.cfg)
+        assert info.value.field == "horizon"
 
 
 def reference_truncated(path, est, t, bound, x0, variant, trend):
@@ -550,7 +575,7 @@ class TestTruncatedReference:
                                               (ts, float(ts[len(ts) // 2])))
                     for variant, e, t in cases:
                         want = reference_truncated(path, e, t, trend.bound, x0, variant, trend)
-                        got = alternate_estimate(path, e, t, trend.bound, x0, variant, trend)
+                        got = alternate_estimate(path, e, t, trend.bound, variant, trend)
                         assert type(got) is type(want)
                         assert np.array_equal(got, want)
                         if not stayed:
@@ -580,8 +605,8 @@ class TestMirroredStart:
         assert np.array_equal(ours.theta, theirs.theta, equal_nan=True)
         for variant in ("observable", "oracle"):
             ours, theirs = (
-                alternate_estimate(p, cfg, cfg.eval_grid(9), th.bound, p.config.x0,
-                                   variant=variant, trend=th)
+                alternate_estimate(p, cfg, cfg.eval_grid(9), th.bound, variant=variant,
+                                   trend=th)
                 for p in (path, mirror)
             )
             assert np.all(ours != 0.0), variant

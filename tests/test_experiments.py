@@ -517,8 +517,8 @@ def per_replication_errors(cfg, rung, trend_idx, start, stop):
     for r in range(start, stop):
         path = simulate_path(trend, pc, derive_seed(cfg.seed, rung, trend_idx, r))
         if cfg.kind == "rate-alt":
-            estimates.append(alternate_estimate(path, est, ts, trend.bound, cfg.x0,
-                                                cfg.variant, trend))
+            estimates.append(alternate_estimate(path, est, ts, trend.bound, cfg.variant,
+                                                trend))
         else:
             estimates.append(kernel_estimate_product(path, est, ts))
     estimates = np.array(estimates).reshape(stop - start, -1)
@@ -529,7 +529,7 @@ def per_replication_errors(cfg, rung, trend_idx, start, stop):
     if cfg.kind == "clt":
         k = kernel.order
         alpha = (k + 1.0) / (k - cfg.hurst + 2.0)
-        center = target + phi ** (k + 1) * bias_center_term(trend, cfg.x0, cfg.t0, k, kernel)
+        center = target + phi ** (k + 1) * bias_center_term(trend, cfg.x0, cfg.t0, kernel)
         return eps ** (-alpha) * (estimates - center)
     return (estimates - target) ** 2
 

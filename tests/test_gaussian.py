@@ -420,15 +420,24 @@ class TestEmbeddingFailure:
 
     @pytest.fixture
     def non_psd(self, monkeypatch):
-        """Fake the covariance and record Philox draws and the streams of every
-        replication route; the covariance and amplitude caches are cleared on both
-        sides of the patch, so no value crosses it."""
+        """Fake the covariance and record every use of a one-path generator and the
+        streams of every replication route; the covariance and amplitude caches are
+        cleared on both sides of the patch, so no value crosses it.  A one-path
+        sampler makes its generator before its drawer (so a bad seed fails first);
+        making one draws nothing, using it does."""
         draws = []
+
+        class Undrawable:
+            def __getattr__(self, name):
+                draws.append(name)
+                raise AssertionError(f"the generator was used ({name}) before the check")
+
         caches = (gaussian_mod._autocovariances, gaussian_mod._half_spectrum_amplitudes)
         for cache in caches:
             cache.cache_clear()
         monkeypatch.setattr(gaussian_mod, "fgn_autocovariance", self.lag_one_only)
-        monkeypatch.setattr(gaussian_mod, "philox_generator", lambda seed: draws.append(seed))
+        for module in (gaussian_mod, hermite_mod):
+            monkeypatch.setattr(module, "philox_generator", lambda seed: Undrawable())
         monkeypatch.setattr(hermite_mod, "philox_streams",
                             lambda *args: draws.append(args) or iter(()))
         yield draws

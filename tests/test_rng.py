@@ -85,3 +85,19 @@ class TestPhiloxStreams:
 
     def test_empty_range_yields_nothing(self):
         assert list(philox_streams(41, (), range(0))) == []
+
+
+class TestSeedCheck:
+    def test_integral_float_runs_its_integer_stream(self):
+        assert derive_seed(3.0, 1) == derive_seed(3, 1)
+        assert np.array_equal(philox_keys(3.0, (1,), range(2)), philox_keys(3, (1,), range(2)))
+        assert philox_generator(7.0).random() == philox_generator(7).random()
+
+    @pytest.mark.parametrize("seed", [-1, 1.9, float("nan"), float("inf"), "7"])
+    def test_each_entry_point_names_its_field(self, seed):
+        for call, field in ((lambda: philox_generator(seed), "seed"),
+                            (lambda: derive_seed(seed), "master_seed"),
+                            (lambda: philox_keys(seed, (), range(1)), "master_seed")):
+            with pytest.raises(ParameterError) as info:
+                call()
+            assert info.value.field == field

@@ -1,5 +1,7 @@
 """SDE integrator: ODE collapse, linearity, Euler cross-check, certified bounds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,15 @@ class TestExactScheme:
         noise = sample_hermite(HermiteSpec(order=2, hurst=0.7, horizon=2.0, n=128), 3)
         with pytest.raises(ValueError, match="grid"):
             simulate_sde(th, make_config(n=256), noise)
+
+    @pytest.mark.parametrize("law", [{"order": 1}, {"hurst": 0.9}, {"m": 4096},
+                                     {"order": 1, "hurst": 0.9}])
+    def test_law_mismatch_rejected(self, law):
+        # the same grid, but a driving path of another order, hurst or fine resolution m
+        th = constant_trend(0.5, horizon=2.0)
+        noise = sample_hermite(replace(make_config().hermite_spec(), **law), 3)
+        with pytest.raises(ValueError, match="grid"):
+            simulate_sde(th, make_config(), noise)
 
     def test_unknown_method_rejected(self):
         th = constant_trend(0.5, horizon=2.0)
